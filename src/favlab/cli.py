@@ -35,6 +35,13 @@ def _load_system(args) -> ifs.SimilaritySystem:
     raise FavlabError("pass --preset or --system-file")
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", help="gasket | corner4 | random-L-seedS")
     p.add_argument("--system-file", help="system definition JSON path")
@@ -57,14 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shadow", help="multiplicity profile CSV at one angle")
     _add_system_flags(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--cap", type=int, default=ifs.ENUMERATION_CAP)
     _add_common_flags(p)
 
     p = sub.add_parser("favard", help="direction-averaged shadow length")
     _add_system_flags(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--target-rel-error", type=float, default=1e-6)
     p.add_argument("--refine-limit", type=int, default=6)
@@ -73,16 +80,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("buffon", help="Monte Carlo needle estimate")
     _add_system_flags(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_nonnegative, required=True)
     _add_common_flags(p)
 
     p = sub.add_parser("spectral", help="product magnitudes over the sample block")
     _add_system_flags(p)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--t", type=float, default=None)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--threshold", type=float, default=None, help="small-value cutoff")
@@ -96,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(verify.SUITES),
     )
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative, default=0)
     _add_common_flags(p)
 
     p = sub.add_parser("scan", help="combinatorial reports")
@@ -106,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["product", "escan", "l2", "bootstrap", "baddir"],
     )
     _add_system_flags(p)
-    p.add_argument("--N", type=int, default=4)
+    p.add_argument("--N", type=_nonnegative, default=4)
     p.add_argument("--K", type=int, nargs="+", default=[2])
     p.add_argument("--M", type=int, nargs="+", default=[2])
     p.add_argument("--theta-grid", type=int, default=64)

@@ -168,25 +168,32 @@ def buffon_estimate(
     seed: int,
     cap: int = ifs.ENUMERATION_CAP,
 ) -> tuple[float, float]:
-    """Monte Carlo shadow-average: theta ~ U[0, pi), x ~ U[-1, 1].
+    """Monte Carlo shadow-average: theta ~ U[0, pi), x ~ U[-W, W].
 
-    Returns (estimate, stderr); the estimate is 2 * hit fraction, the stderr
-    twice the binomial standard error.  Deterministic for a fixed seed.
+    The window W = max(1, r) holds every root shadow: r is the root radius
+    of a disc system, or sqrt(2) times the root half-side of a square one
+    (its diagonal shadow).  W is 1 for every preset.  Returns (estimate,
+    stderr); the estimate is 2W * hit fraction, the stderr 2W times the
+    binomial standard error.  Deterministic for a fixed seed.
     """
     if trials < 1:
         raise FavlabError("trials must be at least 1")
+    if seed < 0:
+        raise FavlabError(f"seed {seed} is negative")
     ifs.check_cap(system, depth, cap)
+    reach = system.root_size * (np.sqrt(2.0) if system.shape == ifs.SQUARE else 1.0)
+    window = max(1.0, float(reach))
     rng = np.random.Generator(np.random.Philox(seed))
     thetas = rng.uniform(0.0, np.pi, size=trials)
-    xs = rng.uniform(-1.0, 1.0, size=trials)
+    xs = rng.uniform(-window, window, size=trials)
     block = 1 << 16
     hit_count = 0
     for start in range(0, trials, block):
         sl = slice(start, min(start + block, trials))
         hit_count += int(_hits_batch(system, depth, thetas[sl], xs[sl]).sum())
     p = hit_count / trials
-    estimate = 2.0 * p
-    stderr = 2.0 * np.sqrt(max(p * (1.0 - p), 0.0) / trials)
+    estimate = 2.0 * window * p
+    stderr = 2.0 * window * np.sqrt(max(p * (1.0 - p), 0.0) / trials)
     return float(estimate), float(stderr)
 
 

@@ -21,6 +21,7 @@ from .errors import (
     ContainmentViolation,
     EmptySystem,
     EnumerationCapExceeded,
+    FavlabError,
     MixedShapes,
     UnknownPreset,
 )
@@ -213,6 +214,8 @@ def piece_size(system: SimilaritySystem, depth: int) -> float:
 
 
 def check_cap(system: SimilaritySystem, depth: int, cap: int = ENUMERATION_CAP) -> int:
+    if depth < 0:
+        raise FavlabError(f"depth {depth} is negative")
     count = system.branching**depth
     if count > cap:
         raise EnumerationCapExceeded(

@@ -6,6 +6,19 @@ gives L^n intervals; their indicator sum is an integer-valued step function
 single sweep over the 2 L^n endpoint events builds the profile, and measures,
 level sets and L2 norms are plain sums over its cells.
 
+The sweep is array code throughout.  `from_events` sorts the events, starts
+a new breakpoint wherever the gap to the previous event exceeds the merge
+tolerance, and sums each cluster's deltas with `np.add.reduceat`.
+`step_function` canonicalizes with masks: it starts at the first cell wider
+than the tolerance, drops slivers, merges runs of equal values and trims zero
+cells at both ends.  The sliver rule is greedy: a cell is dropped when its
+right end lies within the tolerance of the last kept breakpoint.  Profiles
+from `from_events` and `pointwise_max` never contain such cells (their
+breakpoints are spaced more than the tolerance apart), so the short loop that
+applies the rule runs only over the slivers of hand-made or CSV input.
+`interval_union` sorts (lo, hi) pairs and starts a new component wherever lo
+exceeds the running maximum of the previous right ends by the tolerance.
+
 Projection convention: the coordinate of a point c on the line of angle
 theta in [0, pi) is Re(c * e^{-i theta}).
 """
@@ -62,17 +75,31 @@ class IntervalUnion:
 
 
 def interval_union(
-    raw: Iterable[tuple[float, float]], merge_tolerance: float = MERGE_TOLERANCE
+    raw: Iterable[tuple[float, float]] | np.ndarray,
+    merge_tolerance: float = MERGE_TOLERANCE,
 ) -> IntervalUnion:
-    """Merge arbitrary (lo, hi) pairs into a canonical disjoint union."""
-    items = sorted((lo, hi) for lo, hi in raw if hi >= lo)
-    merged: list[list[float]] = []
-    for lo, hi in items:
-        if merged and lo <= merged[-1][1] + merge_tolerance:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in merged))
+    """Merge arbitrary (lo, hi) pairs into a canonical disjoint union.
+
+    `raw` is any iterable of pairs or a (k, 2) array.  Reversed pairs are
+    dropped; pairs closer than merge_tolerance join one component.  The
+    endpoints come back as Python floats.
+    """
+    pairs = np.asarray(raw if isinstance(raw, np.ndarray) else list(raw), dtype=float)
+    pairs = pairs.reshape(-1, 2)
+    pairs = pairs[pairs[:, 1] >= pairs[:, 0]]
+    if pairs.shape[0] == 0:
+        return IntervalUnion(())
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    lo = pairs[order, 0]
+    reach = np.maximum.accumulate(pairs[order, 1])
+    fresh = np.empty(lo.size, dtype=bool)
+    fresh[0] = True
+    np.greater(lo[1:], reach[:-1] + merge_tolerance, out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    ends = np.append(starts[1:], lo.size) - 1
+    return IntervalUnion(
+        tuple(Interval(a, b) for a, b in zip(lo[starts].tolist(), reach[ends].tolist()))
+    )
 
 
 class StepFunction:
@@ -105,8 +132,27 @@ class StepFunction:
         return f"StepFunction({self.values.size} cells, mass={mass(self):.6g})"
 
 
-# A maximal profile is itself a step function; the alias marks intent.
-MaximalProfile = StepFunction
+def _zero() -> StepFunction:
+    return StepFunction(np.empty(0), np.empty(0, dtype=np.int64))
+
+
+def _kept_after_slivers(b: np.ndarray, thin: np.ndarray, merge_tolerance: float) -> np.ndarray:
+    """Mask of the cells [b[c], b[c+1]) that survive the greedy sliver rule.
+
+    Cell 0 is wide.  A wide cell is always kept, because the last kept
+    breakpoint is at most its left end; a thin one is kept only when its right
+    end lies more than merge_tolerance past the last kept breakpoint.  The loop
+    visits thin cells only.
+    """
+    keep = ~thin
+    end = b[0]
+    for c in np.flatnonzero(thin).tolist():
+        if keep[c - 1]:
+            end = b[c]
+        if b[c + 1] - end > merge_tolerance:
+            keep[c] = True
+            end = b[c + 1]
+    return keep
 
 
 def step_function(
@@ -119,34 +165,30 @@ def step_function(
     vals = np.asarray(values, dtype=np.int64)
     if bp.size != vals.size + 1 and not (bp.size == 0 and vals.size == 0):
         raise FavlabError("need len(breakpoints) == len(values) + 1")
-    if bp.size and np.any(np.diff(bp) < 0):
+    widths = np.diff(bp)
+    if np.any(widths < 0):
         raise FavlabError("breakpoints must be nondecreasing")
-    out_bp: list[float] = []
-    out_vals: list[int] = []
-    for i, v in enumerate(vals):
-        lo, hi = bp[i], bp[i + 1]
-        if not out_vals:
-            if hi - lo <= merge_tolerance:
-                continue
-            out_bp = [lo, hi]
-            out_vals = [int(v)]
-        elif hi - out_bp[-1] <= merge_tolerance:
-            continue
-        elif v == out_vals[-1]:
-            out_bp[-1] = hi
-        else:
-            out_bp.append(hi)
-            out_vals.append(int(v))
-    while out_vals and out_vals[0] == 0:
-        out_vals.pop(0)
-        out_bp.pop(0)
-    while out_vals and out_vals[-1] == 0:
-        out_vals.pop()
-        out_bp.pop()
-    if not out_vals:
-        return StepFunction(np.empty(0), np.empty(0, dtype=np.int64))
-    b = np.array(out_bp, dtype=float)
-    v = np.array(out_vals, dtype=np.int64)
+    thin = widths <= merge_tolerance
+    if vals.size == 0 or thin.all():
+        return _zero()
+    first = int(np.argmin(thin))
+    b, v, thin = bp[first:], vals[first:], thin[first:]
+    if thin.any():
+        keep = _kept_after_slivers(b, thin, merge_tolerance)
+        b = np.concatenate((b[:1], b[1:][keep]))
+        v = v[keep]
+    # Merge runs of equal values: a cell survives when its right neighbour differs.
+    last = np.empty(v.size, dtype=bool)
+    last[-1] = True
+    np.not_equal(v[1:], v[:-1], out=last[:-1])
+    b = np.concatenate((b[:1], b[1:][last]))
+    v = v[last]
+    nonzero = np.flatnonzero(v)
+    if nonzero.size == 0:
+        return _zero()
+    lo, hi = nonzero[0], nonzero[-1] + 1
+    b = b[lo : hi + 1]
+    v = v[lo:hi]
     b.setflags(write=False)
     v.setflags(write=False)
     return StepFunction(b, v)
@@ -163,19 +205,16 @@ def from_events(
     exact endpoint coincidences become genuine stacking instead of slivers.
     """
     if positions.size == 0:
-        return StepFunction(np.empty(0), np.empty(0, dtype=np.int64))
+        return _zero()
     order = np.argsort(positions, kind="stable")
     pos = positions[order]
-    del_ = deltas[order]
     fresh = np.empty(pos.size, dtype=bool)
     fresh[0] = True
     np.greater(np.diff(pos), merge_tolerance, out=fresh[1:])
-    cluster_id = np.cumsum(fresh) - 1
-    bp = pos[fresh]
-    delta_per_bp = np.zeros(bp.size, dtype=np.int64)
-    np.add.at(delta_per_bp, cluster_id, del_)
+    starts = np.flatnonzero(fresh)
+    delta_per_bp = np.add.reduceat(deltas[order], starts)
     vals = np.cumsum(delta_per_bp)[:-1]
-    return step_function(bp, vals, merge_tolerance)
+    return step_function(pos[starts], vals, merge_tolerance)
 
 
 def project_piece(piece: Piece, theta: float, shape: str) -> Interval:
@@ -230,7 +269,7 @@ def maximal_profile(
     theta: float,
     min_depth: int = 0,
     cap: int = ifs.ENUMERATION_CAP,
-) -> MaximalProfile:
+) -> StepFunction:
     """Pointwise maximum of the profiles at depths min_depth..max_depth."""
     profiles = [
         multiplicity(system, n, theta, cap) for n in range(min_depth, max_depth + 1)
@@ -241,7 +280,7 @@ def maximal_profile(
 def pointwise_max(profiles: Sequence[StepFunction]) -> StepFunction:
     nonzero = [f for f in profiles if not f.is_zero]
     if not nonzero:
-        return StepFunction(np.empty(0), np.empty(0, dtype=np.int64))
+        return _zero()
     all_bp = np.unique(np.concatenate([f.breakpoints for f in nonzero]))
     keep = np.empty(all_bp.size, dtype=bool)
     keep[0] = True
@@ -301,10 +340,7 @@ def level_intervals(f: StepFunction, k: int, strict: bool = False) -> IntervalUn
     if f.is_zero:
         return IntervalUnion(())
     sel = f.values > k if strict else f.values >= k
-    raw = [
-        (f.breakpoints[i], f.breakpoints[i + 1]) for i in np.flatnonzero(sel)
-    ]
-    return interval_union(raw)
+    return interval_union(np.column_stack((f.breakpoints[:-1][sel], f.breakpoints[1:][sel])))
 
 
 def l2_norm_sq(f: StepFunction) -> float:

@@ -222,10 +222,8 @@ def ssv_scan(
     xs = np.linspace(lo, hi, grid_size)
     step = xs[1] - xs[0]
     p2 = _scale_product(poly, 1.0 / L, range(spec.n - spec.m, spec.n + 1), xs)
-    small = np.abs(p2) <= threshold
-    cover = interval_union(
-        (xs[i] - step, xs[i] + step) for i in np.flatnonzero(small)
-    )
+    small = xs[np.abs(p2) <= threshold]
+    cover = interval_union(np.column_stack((small - step, small + step)))
     return SsvCover(
         intervals=cover,
         threshold=float(threshold),

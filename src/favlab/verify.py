@@ -21,6 +21,8 @@ from .spectral import ExpPoly
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise FavlabError(f"seed {seed} is negative")
     return np.random.Generator(np.random.Philox(seed))
 
 

@@ -1,0 +1,99 @@
+"""Scalar reference implementations kept for the tests.
+
+These are the per-cell and per-pair Python loops that the array code in
+`favlab.shadow` replaced.  They define the expected output: the array
+versions must return equal (`==`) results on every input.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from favlab.errors import FavlabError
+from favlab.shadow import (
+    MERGE_TOLERANCE,
+    Interval,
+    IntervalUnion,
+    StepFunction,
+)
+
+
+def step_function(
+    breakpoints: Sequence[float],
+    values: Sequence[int],
+    merge_tolerance: float = MERGE_TOLERANCE,
+) -> StepFunction:
+    """Canonicalize raw cell data: drop slivers, merge equal neighbors, trim zeros."""
+    bp = np.asarray(breakpoints, dtype=float)
+    vals = np.asarray(values, dtype=np.int64)
+    if bp.size != vals.size + 1 and not (bp.size == 0 and vals.size == 0):
+        raise FavlabError("need len(breakpoints) == len(values) + 1")
+    if bp.size and np.any(np.diff(bp) < 0):
+        raise FavlabError("breakpoints must be nondecreasing")
+    out_bp: list[float] = []
+    out_vals: list[int] = []
+    for i, v in enumerate(vals):
+        lo, hi = bp[i], bp[i + 1]
+        if not out_vals:
+            if hi - lo <= merge_tolerance:
+                continue
+            out_bp = [lo, hi]
+            out_vals = [int(v)]
+        elif hi - out_bp[-1] <= merge_tolerance:
+            continue
+        elif v == out_vals[-1]:
+            out_bp[-1] = hi
+        else:
+            out_bp.append(hi)
+            out_vals.append(int(v))
+    while out_vals and out_vals[0] == 0:
+        out_vals.pop(0)
+        out_bp.pop(0)
+    while out_vals and out_vals[-1] == 0:
+        out_vals.pop()
+        out_bp.pop()
+    if not out_vals:
+        return StepFunction(np.empty(0), np.empty(0, dtype=np.int64))
+    b = np.array(out_bp, dtype=float)
+    v = np.array(out_vals, dtype=np.int64)
+    b.setflags(write=False)
+    v.setflags(write=False)
+    return StepFunction(b, v)
+
+
+def from_events(
+    positions: np.ndarray,
+    deltas: np.ndarray,
+    merge_tolerance: float = MERGE_TOLERANCE,
+) -> StepFunction:
+    """Event sweep with `np.add.at` cluster sums, canonicalized by the loop."""
+    if positions.size == 0:
+        return StepFunction(np.empty(0), np.empty(0, dtype=np.int64))
+    order = np.argsort(positions, kind="stable")
+    pos = positions[order]
+    del_ = deltas[order]
+    fresh = np.empty(pos.size, dtype=bool)
+    fresh[0] = True
+    np.greater(np.diff(pos), merge_tolerance, out=fresh[1:])
+    cluster_id = np.cumsum(fresh) - 1
+    bp = pos[fresh]
+    delta_per_bp = np.zeros(bp.size, dtype=np.int64)
+    np.add.at(delta_per_bp, cluster_id, del_)
+    vals = np.cumsum(delta_per_bp)[:-1]
+    return step_function(bp, vals, merge_tolerance)
+
+
+def interval_union(
+    raw: Iterable[tuple[float, float]], merge_tolerance: float = MERGE_TOLERANCE
+) -> IntervalUnion:
+    """Merge arbitrary (lo, hi) pairs into a canonical disjoint union."""
+    items = sorted((lo, hi) for lo, hi in raw if hi >= lo)
+    merged: list[list[float]] = []
+    for lo, hi in items:
+        if merged and lo <= merged[-1][1] + merge_tolerance:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in merged))

@@ -45,6 +45,37 @@ def test_bad_usage_exits_2():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["favard", "--preset", "gasket", "--n", "-1"],
+        ["buffon", "--preset", "gasket", "--n", "2", "--trials", "10", "--seed", "-1"],
+        ["shadow", "--preset", "gasket", "--n", "-1", "--theta", "0.2"],
+        ["verify", "--suite", "cover", "--trials", "2", "--seed", "-1"],
+    ],
+)
+def test_negative_n_or_seed_exits_2_with_message(argv, capsys):
+    code, out = run(argv)
+    assert code == 2 and out == ""
+    assert "must be a nonnegative integer, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, override",
+    [
+        (["favard", "--preset", "gasket", "--n", "1"], '{"n": -1}'),
+        (["buffon", "--preset", "gasket", "--n", "1", "--trials", "10", "--seed", "1"],
+         '{"seed": -1}'),
+    ],
+)
+def test_negative_n_or_seed_from_config_exits_2(argv, override, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(override)
+    code, out = run(argv + ["--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert "is negative" in capsys.readouterr().err
+
+
 def test_favard_csv_values():
     code, text = run(["favard", "--preset", "gasket", "--n", "0", "--grid", "16"])
     assert code == 0

@@ -116,6 +116,28 @@ def test_buffon_agrees_with_quadrature():
     assert abs(est - quad.value) <= 4 * err
 
 
+def scaled(system, factor):
+    """The same system with every length multiplied by factor."""
+    maps = [
+        ifs.GeneratorMap(center=factor * m.center, ratio=m.ratio, shape=m.shape)
+        for m in system.maps
+    ]
+    return ifs.build_system(maps, label=system.label, root_size=factor * system.root_size)
+
+
+@pytest.mark.parametrize("name, factor", [("gasket", 2.0), ("corner4", 2.0)])
+def test_buffon_window_holds_the_root_shadow(name, factor):
+    # Root radius 2 (and a corner4 root of half-side 1, whose diagonal shadow
+    # reaches sqrt(2)) cast shadows longer than the old fixed window [-1, 1].
+    system = scaled(ifs.preset(name), factor)
+    cfg = favard.QuadratureConfig(grid_size=128, refinement_limit=6, target_rel_error=1e-6)
+    for depth in (0, 2):
+        quad = favard.favard_length(system, depth, cfg)
+        est, err = favard.buffon_estimate(system, depth, 200000, seed=11)
+        assert abs(est - quad.value) <= 4 * err + 1e-12
+    assert favard.buffon_estimate(system, 0, 1000, seed=1)[0] > 2.0
+
+
 def test_fit_power_recovers_parameters():
     series = [(n, 5.0 * n**-0.25) for n in range(2, 12)]
     fit = favard.fit_decay(series, "power")

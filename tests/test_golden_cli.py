@@ -1,0 +1,92 @@
+"""Golden CLI bytes: sha256 of stdout (and the exact stderr) of fixed commands.
+
+The digests were frozen from the loop-canonicaliser implementation before the
+sweep was vectorised; any change to a profile, a merged interval union or a
+number format shows up here.  Refreeze only for an intended output change.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from favlab import cli
+
+GOLDEN = [
+    (
+        ["buffon", "--preset", "gasket", "--n", "5", "--trials", "20000", "--seed", "4"],
+        0,
+        "1986c965ff04acf94ebd4dab27ee318d38287a3d62b622f9d19a083236d87405",
+        '',
+    ),
+    (
+        ["buffon", "--preset", "corner4", "--n", "4", "--trials", "20000", "--seed", "4"],
+        0,
+        "82b9a1df4dbc2e5255bda43adc91f53b4e264cbfa4cc2d874e1eea2d05d8151c",
+        '',
+    ),
+    (
+        ["shadow", "--preset", "gasket", "--n", "8", "--theta", "0.7"],
+        0,
+        "cb0cf2b687a639e7d4080abe6f36d0dff29a22d791c34ab53ee62681df93dc16",
+        '',
+    ),
+    (
+        ["shadow", "--preset", "corner4", "--n", "6", "--theta", "0.7853981633974483"],
+        0,
+        "9c4d8d460099efd0056f8e948a4e43b16d7b6dace494328b3944ae14f2dec5f3",
+        '',
+    ),
+    (
+        ["shadow", "--preset", "gasket", "--n", "6", "--theta", "0.5235987755982988"],
+        0,
+        "f23ec03480b94f327481c221317dea2ce0bc1fe005a572f8075cb42fb0861b81",
+        '',
+    ),
+    (
+        ["favard", "--preset", "gasket", "--n", "4"],
+        0,
+        "191936ec70a5cad5d556205175d025b1608b132e66025ef54f902375fde84673",
+        '',
+    ),
+    (
+        ["scan", "--check", "bootstrap", "--preset", "gasket"],
+        0,
+        "293424200de7bff2f8d055d093c964d4522667c91be432e22f229f576cf0b7ca",
+        '',
+    ),
+    (
+        ["spectral", "--preset", "gasket", "--t", "0.37", "--n", "8", "--m", "2",
+         "--ell", "3", "--grid", "2000", "--threshold", "0.3"],
+        0,
+        "f2d51373a5fb347a952fbca617ece828063c7e94295000a94accb16b89be62d1",
+        'small-value components: 2\n',
+    ),
+    (
+        ["verify", "--suite", "cover", "--trials", "20", "--seed", "3"],
+        0,
+        "c00d82802ec91bc6781f12e3e36c6ce20e407dd746cb037d21656e78a17a4248",
+        '',
+    ),
+    (
+        ["verify", "--suite", "turan", "--trials", "20", "--seed", "3"],
+        0,
+        "37f0c8024a952e61ce0d426459ff80934393bcf1ae65a26bc55d597e92551267",
+        '',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout_sha256, stderr",
+    GOLDEN,
+    ids=["-".join(a for a in g[0] if not a.startswith("--")) for g in GOLDEN],
+)
+def test_cli_bytes_match_golden(argv, code, stdout_sha256, stderr):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        got = cli.main(argv, stdout=out)
+    assert got == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == stdout_sha256
+    assert err.getvalue() == stderr

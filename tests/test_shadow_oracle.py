@@ -1,0 +1,176 @@
+"""Array sweep vs the scalar loops in tests/oracles.py: results must be equal.
+
+Widths 0, 1e-13 and 5e-13 sit below the 1e-12 merge tolerance, so the
+generated cells mix slivers, coincident endpoints, zero cells at both ends
+and runs of equal values.
+"""
+
+import io
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from favlab import ifs, shadow, spectral
+from favlab.errors import FavlabError
+
+TOL = shadow.MERGE_TOLERANCE
+WIDTHS = st.one_of(
+    st.sampled_from([0.0, 1e-13, 5e-13, TOL, 2e-12]),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+COINCIDENCE_ANGLES = (0.0, np.pi / 6, np.pi / 4, np.pi / 2)
+GENERIC_ANGLES = (0.3, 1.234, 2.9)
+
+
+def cells(start, widths, values):
+    return start + np.concatenate(([0.0], np.cumsum(widths))), values
+
+
+@st.composite
+def raw_cells(draw):
+    n = draw(st.integers(min_value=0, max_value=40))
+    widths = draw(st.lists(WIDTHS, min_size=n, max_size=n))
+    values = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))
+    start = draw(st.sampled_from([-1.0, 0.0, 0.3, 1e6]))
+    if n == 0 and draw(st.booleans()):
+        return [], []
+    return cells(start, widths, values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_cells())
+@example(([], []))
+@example(([0.5], []))
+@example(cells(0.0, [0.0, 1e-13, 5e-13], [1, 2, 3]))  # all slivers
+@example(cells(0.0, [1e-13, 0.5, 5e-13, 5e-13, 5e-13, 0.5, 0.0], [2, 0, 1, 2, 3, 0, 4]))
+@example(cells(0.0, [0.5, 6e-13, 6e-13, 6e-13, 0.5], [1, 2, 3, 2, 1]))
+@example(cells(0.0, [0.5, 0.5, 0.5, 0.5], [0, 1, 1, 0]))
+def test_step_function_equals_loop(raw):
+    bp, values = raw
+    assert shadow.step_function(bp, values) == oracles.step_function(bp, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_cells())
+def test_step_function_is_canonical(raw):
+    f = shadow.step_function(*raw)
+    if not f.is_zero:
+        assert not f.breakpoints.flags.writeable and not f.values.flags.writeable
+        assert np.all(np.diff(f.breakpoints) > 0)
+        assert np.all(f.values[1:] != f.values[:-1])
+        assert f.values[0] != 0 and f.values[-1] != 0
+    assert shadow.step_function(f.breakpoints, f.values) == f
+
+
+def test_step_function_does_not_alias_its_input():
+    bp = np.array([0.0, 1.0, 2.0])
+    f = shadow.step_function(bp, [1, 2])
+    bp[1] = 0.5
+    assert list(f.breakpoints) == [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "bp, values",
+    [([0.0, 1.0], [1, 2]), ([0.0, 1.0, 0.5], [1, 2]), ([0.0], [1])],
+)
+def test_step_function_rejects_what_the_loop_rejects(bp, values):
+    for canon in (shadow.step_function, oracles.step_function):
+        with pytest.raises(FavlabError):
+            canon(bp, values)
+
+
+PAIR_ENDS = st.one_of(
+    st.sampled_from([0.0, 1e-13, 5e-13, TOL, 1.0, 1.0 + 5e-13, 2.0]),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(PAIR_ENDS, PAIR_ENDS), max_size=30))
+@example([])
+@example([(0.0, 1.0), (1.0 + 5e-13, 2.0), (2.0, 2.0), (0.5, 0.4)])
+@example([(1.0, 0.0)])
+def test_interval_union_equals_loop(raw):
+    got = shadow.interval_union(raw)
+    assert got == oracles.interval_union(raw)
+    assert got == shadow.interval_union(np.array(raw, dtype=float).reshape(-1, 2))
+    assert got == shadow.interval_union(iter(raw))
+    for iv in got.intervals:
+        assert type(iv.lo) is float and type(iv.hi) is float
+
+
+def test_level_intervals_endpoints_are_python_floats():
+    f = shadow.multiplicity(ifs.preset("gasket"), 3, 0.4)
+    for k in (1, 2, 3):
+        u = shadow.level_intervals(f, k)
+        assert all(type(iv.lo) is float and type(iv.hi) is float for iv in u.intervals)
+        raw = [
+            (f.breakpoints[i], f.breakpoints[i + 1])
+            for i in np.flatnonzero(f.values >= k)
+        ]
+        assert u == oracles.interval_union(raw)
+
+
+@pytest.mark.parametrize("threshold", [0.05, 0.3, 1.0])
+def test_ssv_scan_cover_equals_loop_union(threshold):
+    tf = spectral.t_form(ifs.preset("gasket"))
+    spec = spectral.ProductSpec(8, 2, 3)
+    cover = spectral.ssv_scan(tf, spec, threshold, 2000, t=0.37)
+    small = spectral.ssv_small_points(tf, spec, threshold, 2000, t=0.37)
+    step = cover.grid_step
+    assert cover.intervals == oracles.interval_union((x - step, x + step) for x in small)
+
+
+def events(system, depth, theta):
+    proj = shadow.projected_centers(system, depth, theta)
+    half = shadow.shadow_half_length(system, depth, theta)
+    positions = np.concatenate([proj - half, proj + half])
+    deltas = np.concatenate(
+        [np.ones(proj.size, dtype=np.int64), -np.ones(proj.size, dtype=np.int64)]
+    )
+    return positions, deltas
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(PAIR_ENDS, st.sampled_from([-1, 1, 2])), max_size=40))
+def test_from_events_equals_loop_on_clustered_events(evs):
+    positions = np.array([p for p, _ in evs], dtype=float)
+    deltas = np.array([d for _, d in evs], dtype=np.int64)
+    assert shadow.from_events(positions, deltas) == oracles.from_events(positions, deltas)
+
+
+@pytest.mark.parametrize("theta", COINCIDENCE_ANGLES + GENERIC_ANGLES)
+@pytest.mark.parametrize(
+    "name, depths", [("gasket", (0, 1, 3, 6)), ("corner4", (1, 3, 5)), ("random-3-seed1", (2, 5))]
+)
+def test_from_events_equals_loop_on_profiles(name, depths, theta):
+    system = ifs.preset(name)
+    for depth in depths:
+        positions, deltas = events(system, depth, theta)
+        f = shadow.from_events(positions, deltas)
+        assert f == oracles.from_events(positions, deltas)
+        assert f == shadow.multiplicity(system, depth, theta)
+
+
+def test_csv_with_slivers_reads_back_as_the_loop_does():
+    # Two 6e-13 slivers after 0.5: the first lies within the tolerance of the
+    # kept breakpoint 0.5 and is dropped, the second ends 1.2e-12 past it and
+    # is kept; the zero-width cell at the end is dropped.
+    text = (
+        "# system=hand n=0 theta=0\n"
+        "cell_lo,cell_hi,value\n"
+        "0,1e-13,5\n"
+        "1e-13,0.5,1\n"
+        "0.5,0.5000000000006,2\n"
+        "0.5000000000006,0.5000000000012,4\n"
+        "0.5000000000012,1,1\n"
+        "1,1,3\n"
+    )
+    f, _ = shadow.read_step_csv(io.StringIO(text))
+    bp = [0.0, 1e-13, 0.5, 0.5000000000006, 0.5000000000012, 1.0, 1.0]
+    assert f == oracles.step_function(bp, [5, 1, 2, 4, 1, 3])
+    assert list(f.values) == [1, 4, 1]
+    assert list(f.breakpoints) == [1e-13, 0.5, 0.5000000000012, 1.0]
