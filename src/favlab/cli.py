@@ -10,7 +10,6 @@ byte-identical output regardless of --threads.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
@@ -38,7 +37,16 @@ def _load_system(args) -> ifs.SimilaritySystem:
 def _nonnegative(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, got {value}, which is negative"
+        )
+    return value
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
 
@@ -93,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--threshold", type=float, default=None, help="small-value cutoff")
-    p.add_argument("--grid", type=int, default=10000)
+    p.add_argument("--grid", type=_positive, default=10000)
     _add_common_flags(p)
 
     p = sub.add_parser("verify", help="run one verification suite")
@@ -130,12 +138,51 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
+def _config_value(action: argparse.Action, key: str, val):
+    """A --config value converted and checked as the flag's own argument would be."""
+    if action.nargs == 0:
+        if not isinstance(val, bool):
+            raise FavlabError(f"config key {key!r} takes true or false, got {val!r}")
+        return val
+    if val is None and action.default is None and not action.required:
+        return None
+    items = val if action.nargs == "+" and isinstance(val, list) and val else [val]
+    out = []
+    for item in items:
+        if isinstance(item, bool) or not isinstance(item, (int, float, str)):
+            raise FavlabError(f"config key {key!r}: {item!r} is not a valid value")
+        text = item if isinstance(item, str) else repr(item)
+        try:
+            value = action.type(text) if action.type else text
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise FavlabError(f"config key {key!r}: {exc}") from None
+        if action.choices is not None and value not in action.choices:
+            raise FavlabError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+        out.append(value)
+    return out if action.nargs == "+" else out[0]
+
+
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    if not getattr(args, "config", None):
+        return
+    with open(args.config, "r", encoding="utf-8") as fh:
+        try:
             overrides = json.load(fh)
-        for key, val in overrides.items():
-            setattr(args, key.replace("-", "_"), val)
+        except ValueError as exc:
+            raise FavlabError(f"config {args.config} is not valid JSON: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise FavlabError(f"config {args.config} must hold a JSON object")
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {
+        a.dest: a
+        for a in commands.choices[args.command]._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+    for key, val in overrides.items():
+        dest = key.replace("-", "_")
+        if dest not in actions:
+            raise FavlabError(f"unknown config key {key!r} for {args.command}")
+        setattr(args, dest, _config_value(actions[dest], key, val))
 
 
 def _cmd_gen(args, stdout) -> int:
@@ -147,10 +194,19 @@ def _cmd_gen(args, stdout) -> int:
 def _cmd_shadow(args, stdout) -> int:
     system = _load_system(args)
     f = shadow.multiplicity(system, args.n, args.theta, cap=args.cap)
-    buf = io.StringIO()
-    shadow.write_step_csv(buf, f, args.theta, args.n, system.label)
-    emit.write_text(args.out, buf.getvalue(), stdout)
+    with emit.output(args.out, stdout) as stream:
+        shadow.write_step_csv(stream, f, args.theta, args.n, system.label)
     return EXIT_OK
+
+
+ESTIMATE_HEADER = ("system", "n", "method", "value", "error", "param", "seed")
+
+
+def _write_estimate(args, stdout, label, n, method, value, error, param, seed) -> None:
+    columns = [[label], [str(n)], [method], np.array([value]), np.array([error]),
+               [str(param)], [str(seed)]]
+    with emit.output(args.out, stdout) as stream:
+        emit.write_csv(stream, ESTIMATE_HEADER, columns)
 
 
 def _cmd_favard(args, stdout) -> int:
@@ -163,22 +219,15 @@ def _cmd_favard(args, stdout) -> int:
     res = favard.favard_length(system, args.n, cfg, cap=args.cap, threads=args.threads)
     if not res.converged:
         print("warning: refinement limit reached before target error", file=sys.stderr)
-    text = emit.csv_rows(
-        ["system", "n", "method", "value", "error", "param", "seed"],
-        [[system.label, res.depth, "quadrature", res.value, res.error_estimate, res.grid, ""]],
-    )
-    emit.write_text(args.out, text, stdout)
+    _write_estimate(args, stdout, system.label, res.depth, "quadrature",
+                    res.value, res.error_estimate, res.grid, "")
     return EXIT_OK
 
 
 def _cmd_buffon(args, stdout) -> int:
     system = _load_system(args)
     est, err = favard.buffon_estimate(system, args.n, args.trials, args.seed)
-    text = emit.csv_rows(
-        ["system", "n", "method", "value", "error", "param", "seed"],
-        [[system.label, args.n, "buffon", est, err, args.trials, args.seed]],
-    )
-    emit.write_text(args.out, text, stdout)
+    _write_estimate(args, stdout, system.label, args.n, "buffon", est, err, args.trials, args.seed)
     return EXIT_OK
 
 
@@ -196,14 +245,14 @@ def _cmd_spectral(args, stdout) -> int:
         target = system
     else:
         raise FavlabError("pass --theta or --t")
-    p1, p2, ps, pf = spectral.split_products(spec, target, xs, **kw)
-    nu = spectral.nu_hat_eval(target, depth=spec.n, x=xs, **kw)
-    rows = [
-        [x, abs(a), abs(b), abs(c), abs(d), abs(e)]
-        for x, a, b, c, d, e in zip(xs, p1, p2, ps, pf, nu)
-    ]
-    text = emit.csv_rows(["x", "abs_p1", "abs_p2", "abs_psharp", "abs_pflat", "abs_nu_hat"], rows)
-    emit.write_text(args.out, text, stdout)
+    products = spectral.split_products(spec, target, xs, **kw, full=True)
+    # np.hypot on the parts is bit-equal to abs() of each complex128 scalar;
+    # the array np.abs is not (it differs in the last place on many points).
+    columns = [xs] + [np.hypot(z.real, z.imag) for z in products]
+    with emit.output(args.out, stdout) as stream:
+        emit.write_csv(
+            stream, ["x", "abs_p1", "abs_p2", "abs_psharp", "abs_pflat", "abs_nu_hat"], columns
+        )
     if args.threshold is not None:
         cover = spectral.ssv_scan(target, spec, args.threshold, max(args.grid, 1000), **kw)
         print(f"small-value components: {cover.component_count}", file=sys.stderr)
@@ -310,7 +359,7 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     wants_json = bool(getattr(args, "json", False))
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         if getattr(args, "threads", None) is None:
             args.threads = default_threads()
         return _HANDLERS[args.command](args, stdout)

@@ -19,6 +19,10 @@ applies the rule runs only over the slivers of hand-made or CSV input.
 `interval_union` sorts (lo, hi) pairs and starts a new component wherever lo
 exceeds the running maximum of the previous right ends by the tolerance.
 
+`write_step_csv` emits a profile through `favlab.emit`: each breakpoint is
+formatted once with %.17g, and its string serves as one cell's cell_hi and
+the next cell's cell_lo; rows go out `emit.CHUNK_ROWS` at a time.
+
 Projection convention: the coordinate of a point c on the line of angle
 theta in [0, pi) is Re(c * e^{-i theta}).
 """
@@ -32,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import ifs
+from . import emit, ifs
 from .errors import FavlabError
 from .ifs import Piece, SimilaritySystem
 
@@ -359,18 +363,17 @@ def support_intervals(f: StepFunction) -> IntervalUnion:
 def write_step_csv(
     stream, f: StepFunction, theta: float, depth: int, label: str
 ) -> None:
-    """CSV rows (cell_lo, cell_hi, value); header comment carries the context."""
+    """CSV rows (cell_lo, cell_hi, value); header comment carries the context.
+
+    Each breakpoint is formatted once: its string is row i's cell_hi and row
+    i+1's cell_lo.
+    """
     stream.write(f"# system={label} n={depth} theta={theta:.17g}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["cell_lo", "cell_hi", "value"])
-    for i, v in enumerate(f.values):
-        writer.writerow(
-            [
-                format(f.breakpoints[i], ".17g"),
-                format(f.breakpoints[i + 1], ".17g"),
-                int(v),
-            ]
-        )
+    stream.write("cell_lo,cell_hi,value\n")
+    step = emit.CHUNK_ROWS
+    for lo in range(0, f.values.size, step):
+        bp = emit.float_strings(f.breakpoints[lo : lo + step + 1])
+        emit.write_rows(stream, [bp[:-1], bp[1:], f.values[lo : lo + step]])
 
 
 def read_step_csv(stream) -> tuple[StepFunction, dict]:

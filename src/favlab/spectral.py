@@ -182,17 +182,35 @@ class ProductSpec:
 
 
 def split_products(
-    spec: ProductSpec, system, x, theta: float | None = None, t: float | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate (P1, P2, Psharp, Pflat) at x; P1 = Psharp*Pflat, P1*P2 = full."""
+    spec: ProductSpec,
+    system,
+    x,
+    theta: float | None = None,
+    t: float | None = None,
+    *,
+    full: bool = False,
+) -> tuple[np.ndarray, ...]:
+    """Evaluate (P1, P2, Psharp, Pflat) at x; P1 = Psharp*Pflat, P1*P2 = full.
+
+    With full=True the full product prod_{k=1..n} phi(L^-k x) is appended,
+    bit-equal to nu_hat_eval at depth n: each factor phi(L^-k x) is evaluated
+    once and multiplied into its block's running product and into the full
+    one, in the order of k.
+    """
     poly = _phi_poly(system, theta, t)
-    L = system.branching
-    r = 1.0 / L
+    r = 1.0 / system.branching
     n, m, ell = spec.n, spec.m, spec.ell
-    p_sharp = _scale_product(poly, r, range(1, n - m - ell), x)
-    p_flat = _scale_product(poly, r, range(n - m - ell, n - m), x)
-    p2 = _scale_product(poly, r, range(n - m, n + 1), x)
-    return p_sharp * p_flat, p2, p_sharp, p_flat
+    x = np.asarray(x, dtype=float)
+    p_sharp, p_flat, p2 = (np.ones(x.shape, dtype=complex) for _ in range(3))
+    whole = np.ones(x.shape, dtype=complex) if full else None
+    for k in range(1, n + 1):
+        factor = poly(r**k * x)
+        block = p_sharp if k < n - m - ell else p_flat if k < n - m else p2
+        block *= factor
+        if full:
+            whole *= factor
+    blocks = (p_sharp * p_flat, p2, p_sharp, p_flat)
+    return blocks + (whole,) if full else blocks
 
 
 @dataclass(frozen=True)

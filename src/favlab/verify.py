@@ -245,4 +245,6 @@ SUITES: dict[str, Callable[..., dict]] = {
 def run_suite(name: str, trials: int, seed: int, threads: int | None = None) -> dict:
     if name not in SUITES:
         raise FavlabError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if trials < 1:
+        raise FavlabError(f"trials must be at least 1, got {trials}")
     return SUITES[name](trials, seed, threads)

@@ -1,12 +1,15 @@
 """Scalar reference implementations kept for the tests.
 
 These are the per-cell and per-pair Python loops that the array code in
-`favlab.shadow` replaced.  They define the expected output: the array
-versions must return equal (`==`) results on every input.
+`favlab.shadow` replaced, and the per-field CSV writers that the column
+writer in `favlab.emit` replaced.  They define the expected output: the
+array versions must return equal (`==`) results, and the writers equal
+bytes, on every input.
 """
 
 from __future__ import annotations
 
+import csv
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -97,3 +100,33 @@ def interval_union(
         else:
             merged.append([lo, hi])
     return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in merged))
+
+
+def fmt(x) -> str:
+    """One CSV field: floats with 17 significant digits, anything else via str."""
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
+
+
+def csv_rows(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """The whole CSV text, one `fmt` call per field."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def write_step_csv(stream, f: StepFunction, theta: float, depth: int, label: str) -> None:
+    """Profile CSV through `csv.writer`, every breakpoint formatted per row."""
+    stream.write(f"# system={label} n={depth} theta={theta:.17g}\n")
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["cell_lo", "cell_hi", "value"])
+    for i, v in enumerate(f.values):
+        writer.writerow(
+            [
+                format(f.breakpoints[i], ".17g"),
+                format(f.breakpoints[i + 1], ".17g"),
+                int(v),
+            ]
+        )

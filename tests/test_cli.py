@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from favlab import cli
+from favlab import cli, verify
 
 
 def run(argv):
@@ -182,3 +182,56 @@ def test_verify_failure_exit_code(monkeypatch):
     monkeypatch.setitem(vmod.SUITES, "turan", fake)
     code, _ = run(["verify", "--suite", "turan", "--trials", "5", "--seed", "1"])
     assert code == 1
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_verify_zero_trials_exits_2_with_message(suite, capsys):
+    code, out = run(["verify", "--suite", suite, "--trials", "0", "--seed", "1"])
+    assert code == 2 and out == ""
+    assert "trials must be at least 1, got 0" in capsys.readouterr().err
+
+
+SPECTRAL = ["spectral", "--preset", "gasket", "--t", "0.37", "--n", "8", "--m", "2", "--ell", "3"]
+FAVARD = ["favard", "--preset", "gasket", "--n", "1", "--grid", "16"]
+
+
+def test_spectral_grid_zero_exits_2(capsys):
+    code, out = run(SPECTRAL + ["--grid", "0"])
+    assert code == 2 and out == ""
+    assert "must be a positive integer, got 0" in capsys.readouterr().err
+
+
+def test_config_values_go_through_the_flag_types(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n": "0", "grid": 16, "target-rel-error": 1e-3, "json": true}')
+    code, text = run(["favard", "--preset", "gasket", "--n", "3", "--config", str(cfg)])
+    assert code == 0
+    assert text.splitlines()[1].split(",")[1] == "0"
+    cfg.write_text('{"K": [1, "2"], "M": 1}')
+    code, text = run(["scan", "--check", "product", "--preset", "corner4", "--N", "2",
+                      "--theta-grid", "8", "--config", str(cfg)])
+    assert code == 0
+    assert json.loads(text)["pairs"] == [[1, 1], [2, 1]]
+
+
+@pytest.mark.parametrize(
+    "argv, override, message",
+    [
+        (SPECTRAL, '{"grid": 0}', "config key 'grid': must be a positive integer, got 0"),
+        (FAVARD, '{"n": 2.5}', "config key 'n': invalid literal"),
+        (FAVARD, '{"n": true}', "config key 'n': True is not a valid value"),
+        (FAVARD, '{"n": null}', "config key 'n': None is not a valid value"),
+        (FAVARD, '{"bogus": 1}', "unknown config key 'bogus' for favard"),
+        (FAVARD, '{"json": "yes"}', "config key 'json' takes true or false"),
+        (FAVARD, '[1, 2]', "must hold a JSON object"),
+        (FAVARD, '{"n": ', "is not valid JSON"),
+        (["verify", "--suite", "cover", "--trials", "2"], '{"suite": "nope"}',
+         "config key 'suite': 'nope' is not one of"),
+    ],
+)
+def test_bad_config_exits_2_with_message(argv, override, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(override)
+    code, out = run(argv + ["--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert message in capsys.readouterr().err

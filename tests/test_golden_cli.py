@@ -1,8 +1,11 @@
 """Golden CLI bytes: sha256 of stdout (and the exact stderr) of fixed commands.
 
 The digests were frozen from the loop-canonicaliser implementation before the
-sweep was vectorised; any change to a profile, a merged interval union or a
-number format shows up here.  Refreeze only for an intended output change.
+sweep was vectorised, and those of the gasket n=10 profile (several
+`emit.CHUNK_ROWS` chunks) and the angle-form spectral run from the per-field
+CSV writers before the column writer replaced them; any change to a profile,
+a merged interval union, a product magnitude or a number format shows up
+here.  Refreeze only for an intended output change.
 """
 
 import contextlib
@@ -64,6 +67,19 @@ GOLDEN = [
         'small-value components: 2\n',
     ),
     (
+        ["shadow", "--preset", "gasket", "--n", "10", "--theta", "0.77"],
+        0,
+        "b8671c6bb90251bfd2983211649f0a4604856bae3ef1fdee04bfe876f770f8f7",
+        '',
+    ),
+    (
+        ["spectral", "--preset", "gasket", "--theta", "0.3", "--n", "10", "--m", "3",
+         "--ell", "6", "--grid", "20000", "--threshold", "0.05"],
+        0,
+        "570af2485cd81a295ad3b18cdab99b658ebb2632bfa7a075f38b4aa7d83ab928",
+        'small-value components: 4\n',
+    ),
+    (
         ["verify", "--suite", "cover", "--trials", "20", "--seed", "3"],
         0,
         "c00d82802ec91bc6781f12e3e36c6ce20e407dd746cb037d21656e78a17a4248",
@@ -90,3 +106,12 @@ def test_cli_bytes_match_golden(argv, code, stdout_sha256, stderr):
     assert got == code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == stdout_sha256
     assert err.getvalue() == stderr
+
+
+def test_shadow_out_file_bytes_equal_stdout(tmp_path):
+    argv = ["shadow", "--preset", "corner4", "--n", "7", "--theta", "0.3"]
+    out = io.StringIO()
+    assert cli.main(argv, stdout=out) == 0
+    path = tmp_path / "profile.csv"
+    assert cli.main(argv + ["--out", str(path)], stdout=io.StringIO()) == 0
+    assert path.read_bytes() == out.getvalue().encode()

@@ -120,6 +120,35 @@ def test_split_products_against_direct_factor_oracle():
     assert abs(pf - direct(3, 8)) < 1e-10
 
 
+@pytest.mark.parametrize("slope", [False, True])
+def test_split_products_full_evaluates_each_scale_once(slope, monkeypatch):
+    g = ifs.preset("gasket")
+    target, kw = (spectral.t_form(g), {"t": 0.37}) if slope else (g, {"theta": 0.3})
+    spec = spectral.ProductSpec(12, 3, 6)
+    xs = np.linspace(3.0**9, 3.0**12, 777)
+
+    def running(lo, hi):
+        acc = np.ones(xs.shape, dtype=complex)
+        for k in range(lo, hi + 1):
+            acc *= spectral.phi_eval(target, (1.0 / 3.0) ** k * xs, **kw)
+        return acc
+
+    calls = []
+    call = spectral.ExpPoly.__call__
+    monkeypatch.setattr(spectral.ExpPoly, "__call__", lambda self, z: calls.append(1) or call(self, z))
+    p1, p2, ps, pf, full = spectral.split_products(spec, target, xs, **kw, full=True)
+    assert len(calls) == spec.n
+    monkeypatch.undo()
+    assert ps.tobytes() == running(1, 2).tobytes()
+    assert pf.tobytes() == running(3, 8).tobytes()
+    assert p2.tobytes() == running(9, 12).tobytes()
+    assert p1.tobytes() == (ps * pf).tobytes()
+    assert full.tobytes() == running(1, 12).tobytes()
+    assert full.tobytes() == spectral.nu_hat_eval(target, depth=12, x=xs, **kw).tobytes()
+    blocks = spectral.split_products(spec, target, xs, **kw)
+    assert [b.tobytes() for b in blocks] == [b.tobytes() for b in (p1, p2, ps, pf)]
+
+
 def test_split_degenerate_low_block_single_factor():
     g = ifs.preset("gasket")
     spec = spectral.ProductSpec(6, 0, 2)
