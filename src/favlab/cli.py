@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -50,6 +51,13 @@ def _positive(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {value}")
+    return value
+
+
 def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", help="gasket | corner4 | random-L-seedS")
     p.add_argument("--system-file", help="system definition JSON path")
@@ -73,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shadow", help="multiplicity profile CSV at one angle")
     _add_system_flags(p)
     p.add_argument("--n", type=_nonnegative, required=True)
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_finite, required=True)
     p.add_argument("--cap", type=int, default=ifs.ENUMERATION_CAP)
     _add_common_flags(p)
 
@@ -95,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="product magnitudes over the sample block")
     _add_system_flags(p)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--t", type=float, default=None)
+    p.add_argument("--theta", type=_finite, default=None)
+    p.add_argument("--t", type=_finite, default=None)
     p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
@@ -124,14 +132,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=_nonnegative, default=4)
     p.add_argument("--K", type=int, nargs="+", default=[2])
     p.add_argument("--M", type=int, nargs="+", default=[2])
-    p.add_argument("--theta-grid", type=int, default=64)
+    p.add_argument("--theta-grid", type=_positive, default=64)
     p.add_argument("--k-exponent", type=float, default=3.0)
-    p.add_argument("--theta", type=float, default=0.2)
+    p.add_argument("--theta", type=_finite, default=0.2)
     p.add_argument("--l-max", type=int, default=3)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--ell", type=int, default=4)
-    p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--t-grid", type=int, default=100)
+    p.add_argument("--tau", type=_finite, default=0.05)
+    p.add_argument("--t-grid", type=_positive, default=100)
     p.add_argument("--cap", type=int, default=ifs.ENUMERATION_CAP)
     _add_common_flags(p)
 

@@ -2,9 +2,10 @@
 
 These are the per-cell and per-pair Python loops that the array code in
 `favlab.shadow` replaced, and the per-field CSV writers that the column
-writer in `favlab.emit` replaced.  They define the expected output: the
-array versions must return equal (`==`) results, and the writers equal
-bytes, on every input.
+writer in `favlab.emit` replaced, and the scalar and complex-node needle
+tests that the projected-residual descent in `favlab.favard` replaced.
+They define the expected output: the array versions must return equal
+(`==`) results, and the writers equal bytes, on every input.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from favlab import ifs, shadow
 from favlab.errors import FavlabError
+from favlab.ifs import SimilaritySystem
 from favlab.shadow import (
     MERGE_TOLERANCE,
     Interval,
@@ -130,3 +133,62 @@ def write_step_csv(stream, f: StepFunction, theta: float, depth: int, label: str
                 int(v),
             ]
         )
+
+
+def needle_hits(system: SimilaritySystem, depth: int, theta: float, x: float) -> bool:
+    """Does the needle {projection coordinate == x} meet the depth-n set?
+
+    Depth-first descent: a subtree is visited only while x stays inside its
+    shadow, so the typical cost is O(depth * L).
+    """
+    phase = np.exp(-1j * theta)
+    half0 = shadow.shadow_half_length(system, 0, theta)
+    if abs(x) > half0:
+        return False
+    stack = [(0, 0.0 + 0.0j)]
+    centers = system.centers()
+    while stack:
+        level, z = stack.pop()
+        if level == depth:
+            return True
+        scale = system.ratio**level
+        half = shadow.shadow_half_length(system, level + 1, theta)
+        for c in centers:
+            child = z + scale * c
+            if abs((child * phase).real - x) <= half:
+                stack.append((level + 1, child))
+    return False
+
+
+def hits_batch(
+    system: SimilaritySystem, depth: int, thetas: np.ndarray, xs: np.ndarray
+) -> np.ndarray:
+    """Vectorized needle test for arrays of (theta, x) pairs."""
+    phases = np.exp(-1j * thetas)
+    if system.shape == ifs.SQUARE:
+        widths = np.abs(np.cos(thetas)) + np.abs(np.sin(thetas))
+    else:
+        widths = np.ones_like(thetas)
+    half0 = system.root_size * widths
+    alive = np.abs(xs) <= half0
+    trial = np.flatnonzero(alive)
+    node = np.zeros(trial.size, dtype=complex)
+    centers = system.centers()
+    hits = np.zeros(thetas.size, dtype=bool)
+    if depth == 0:
+        hits[trial] = True
+        return hits
+    for level in range(depth):
+        if trial.size == 0:
+            break
+        scale = system.ratio**level
+        half = system.root_size * system.ratio ** (level + 1)
+        child = node[:, None] + scale * centers[None, :]
+        t_rep = np.repeat(trial, centers.size)
+        child = child.ravel()
+        dist = np.abs((child * phases[t_rep]).real - xs[t_rep])
+        keep = dist <= half * widths[t_rep]
+        trial = t_rep[keep]
+        node = child[keep]
+    hits[np.unique(trial)] = True
+    return hits

@@ -201,6 +201,36 @@ def test_spectral_grid_zero_exits_2(capsys):
     assert "must be a positive integer, got 0" in capsys.readouterr().err
 
 
+SCAN = ["scan", "--preset", "gasket", "--N", "2"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["shadow", "--preset", "gasket", "--n", "2"], "--theta"),
+        (SPECTRAL[:3] + SPECTRAL[5:], "--theta"),
+        (SPECTRAL[:3] + SPECTRAL[5:], "--t"),
+        (SCAN + ["--check", "bootstrap"], "--theta"),
+        (SCAN + ["--check", "baddir"], "--tau"),
+    ],
+)
+def test_non_finite_angle_exits_2_with_message(argv, flag, value, capsys):
+    code, out = run(argv + [f"{flag}={value}"])
+    assert code == 2 and out == ""
+    assert f"must be a finite number, got {float(value)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [SCAN + ["--check", "product", "--theta-grid", "0"],
+             SCAN + ["--check", "baddir", "--t-grid", "0"]]
+)
+def test_scan_empty_grid_exits_2(argv, capsys):
+    code, out = run(argv)
+    assert code == 2 and out == ""
+    assert "must be a positive integer, got 0" in capsys.readouterr().err
+
+
 def test_config_values_go_through_the_flag_types(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"n": "0", "grid": 16, "target-rel-error": 1e-3, "json": true}')
@@ -227,6 +257,7 @@ def test_config_values_go_through_the_flag_types(tmp_path):
         (FAVARD, '{"n": ', "is not valid JSON"),
         (["verify", "--suite", "cover", "--trials", "2"], '{"suite": "nope"}',
          "config key 'suite': 'nope' is not one of"),
+        (SPECTRAL, '{"t": NaN}', "config key 't': must be a finite number, got nan"),
     ],
 )
 def test_bad_config_exits_2_with_message(argv, override, message, tmp_path, capsys):

@@ -8,6 +8,8 @@ import pytest
 from favlab import favard, ifs, shadow
 from favlab.errors import DegenerateSeries, FavlabError
 
+import oracles
+
 
 def dense_grid_oracle(system, depth, points=100001):
     thetas = np.linspace(0.0, np.pi, points)
@@ -68,9 +70,9 @@ def test_quadrature_config_validation():
 
 def test_needle_hits_examples():
     g = ifs.preset("gasket")
-    assert favard.needle_hits(g, 1, 0.0, 0.0)
-    assert not favard.needle_hits(g, 1, 0.0, 0.9)
-    assert not favard.needle_hits(g, 3, 1.1, 1.2)  # outside the unit region
+    assert oracles.needle_hits(g, 1, 0.0, 0.0)
+    assert not oracles.needle_hits(g, 1, 0.0, 0.9)
+    assert not oracles.needle_hits(g, 3, 1.1, 1.2)  # outside the unit region
 
 
 def test_needle_hits_agrees_with_profile_support():
@@ -82,7 +84,7 @@ def test_needle_hits_agrees_with_profile_support():
             theta = float(rng.uniform(0, np.pi))
             x = float(rng.uniform(-1, 1))
             f = shadow.multiplicity(system, n, theta)
-            assert favard.needle_hits(system, n, theta, x) == (
+            assert oracles.needle_hits(system, n, theta, x) == (
                 shadow.value_at(f, x) > 0
             )
 
@@ -92,9 +94,63 @@ def test_batch_hits_matches_scalar():
     rng = np.random.Generator(np.random.Philox(13))
     thetas = rng.uniform(0, np.pi, 300)
     xs = rng.uniform(-1, 1, 300)
-    batch = favard._hits_batch(g, 3, thetas, xs)
-    scalar = [favard.needle_hits(g, 3, t, x) for t, x in zip(thetas, xs)]
-    assert list(batch) == scalar
+    scalar = [oracles.needle_hits(g, 3, t, x) for t, x in zip(thetas, xs)]
+    assert list(oracles.hits_batch(g, 3, thetas, xs)) == scalar
+    assert list(favard._hits_batch(g, 3, thetas, xs)) == scalar
+
+
+def scaled(system, factor):
+    """The same system with every length multiplied by factor."""
+    maps = [
+        ifs.GeneratorMap(center=factor * m.center, ratio=m.ratio, shape=m.shape)
+        for m in system.maps
+    ]
+    return ifs.build_system(maps, label=system.label, root_size=factor * system.root_size)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        ifs.preset("gasket"),
+        ifs.preset("corner4"),
+        ifs.preset("random-4-seed5"),
+        scaled(ifs.preset("gasket"), 2.0),
+    ],
+    ids=["gasket", "corner4", "random-4-seed5", "gasket-root2"],
+)
+def test_batch_hits_matches_complex_descent_oracle(system):
+    # The projected-residual descent must reach the same verdict as the
+    # complex-node descent on every needle, at every depth.
+    rng = np.random.Generator(np.random.Philox(29))
+    window = 2.0 * system.root_size
+    blocks = [
+        (rng.uniform(0.0, np.pi, 3000), rng.uniform(-window, window, 3000)),
+        (np.empty(0), np.empty(0)),  # no needle at all
+        (rng.uniform(0.0, np.pi, 200), rng.choice([-1.0, 1.0], 200) * 1.5 * window),
+        # Inside the root shadow; every gasket needle here dies at level 1.
+        (np.zeros(50), np.full(50, 0.9 * system.root_size)),
+    ]
+    for depth in range(13):
+        for thetas, xs in blocks:
+            want = oracles.hits_batch(system, depth, thetas, xs)
+            got = favard._hits_batch(system, depth, thetas, xs)
+            assert got.dtype == bool and got.shape == thetas.shape
+            assert np.array_equal(got, want), depth
+    if system.label == "gasket":
+        assert not oracles.hits_batch(system, 1, *blocks[-1]).any()
+
+
+@pytest.mark.parametrize("block", [7, 1 << 16])
+@pytest.mark.parametrize("trials", [1, 3, 4, 5, 10, 13, 100003, 10**6])
+def test_needle_draws_stream_equals_full_arrays(trials, block, monkeypatch):
+    monkeypatch.setattr(favard, "NEEDLE_BLOCK", block)
+    rng = np.random.Generator(np.random.Philox(21))
+    thetas = rng.uniform(0.0, np.pi, size=trials)
+    xs = rng.uniform(-1.5, 1.5, size=trials)
+    blocks = list(favard.needle_draws(21, trials, 1.5))
+    assert all(t.size == x.size <= block for t, x in blocks)
+    assert np.array_equal(np.concatenate([t for t, _ in blocks]), thetas)
+    assert np.array_equal(np.concatenate([x for _, x in blocks]), xs)
 
 
 def test_buffon_depth0_exact_and_deterministic():
@@ -109,20 +165,16 @@ def test_buffon_depth0_exact_and_deterministic():
 
 
 def test_buffon_agrees_with_quadrature():
+    # n=12 waits for a support-only quadrature: the full-profile one takes
+    # minutes there.
     g = ifs.preset("gasket")
-    cfg = favard.QuadratureConfig(grid_size=128, refinement_limit=6, target_rel_error=1e-6)
-    quad = favard.favard_length(g, 1, cfg)
-    est, err = favard.buffon_estimate(g, 1, 10**6, seed=21)
-    assert abs(est - quad.value) <= 4 * err
-
-
-def scaled(system, factor):
-    """The same system with every length multiplied by factor."""
-    maps = [
-        ifs.GeneratorMap(center=factor * m.center, ratio=m.ratio, shape=m.shape)
-        for m in system.maps
-    ]
-    return ifs.build_system(maps, label=system.label, root_size=factor * system.root_size)
+    for depth, cfg in [
+        (1, favard.QuadratureConfig(grid_size=128, refinement_limit=6, target_rel_error=1e-6)),
+        (8, favard.QuadratureConfig(grid_size=128, refinement_limit=3, target_rel_error=1e-4)),
+    ]:
+        quad = favard.favard_length(g, depth, cfg)
+        est, err = favard.buffon_estimate(g, depth, 10**6, seed=21)
+        assert abs(est - quad.value) <= 4 * err, depth
 
 
 @pytest.mark.parametrize("name, factor", [("gasket", 2.0), ("corner4", 2.0)])
