@@ -15,7 +15,7 @@ g = ifs.preset("gasket")
 
 print("== the product equals the brute-force character sum ==")
 for (theta, n, x) in ((0.0, 3, 5.0), (0.7, 5, 81.5)):
-    prod = spectral.nu_hat_eval(g, theta, n, x)
+    prod = spectral.nu_hat_eval(spectral.phi_theta_poly(g, theta), n, x)
     proj = (ifs.piece_centers(g, n) * np.exp(-1j * theta)).real
     brute = np.mean(np.exp(-1j * proj * x))
     print(f"  theta={theta} n={n} x={x}: |product - sum| = {abs(prod-brute):.2e}")
@@ -27,18 +27,18 @@ for n in range(3):
     print(f"  n={n}: space side {space:.5f}, relative gap {err:.4f}")
 
 print("\n== block split (slope form) ==")
-tf = spectral.t_form(g)
+phi = spectral.t_form(g).poly(0.5)
 spec = spectral.ProductSpec(n=10, m=3, ell=6)
 x = 3.0**8
-p1, p2, ps, pf = spectral.split_products(spec, tf, x, t=0.5)
+p1, p2, ps, pf = spectral.split_products(spec, phi, x)
 print(f"  |P1|={abs(p1):.3e} |P2|={abs(p2):.3e} |Psharp|={abs(ps):.3e} |Pflat|={abs(pf):.3e}")
 print(f"  Psharp*Pflat == P1: {abs(ps*pf - p1):.1e}")
 
 print("\n== small values of the low block, slope 1/2 ==")
 thr = 3.0**-spec.ell
-cover = spectral.ssv_scan(tf, spec, thr, 200_000, t=0.5)
+cover = spectral.ssv_scan(phi, spec, thr, 200_000)
 print(f"  grid scan at threshold 3^-{spec.ell}: {cover.component_count} components")
-cert, zeros = lemmas.ssv_certified_cover(tf, spec, t=0.5)
+cert, zeros = lemmas.ssv_certified_cover(phi, spec)
 print(f"  localized zeros of phi in the strip: {np.round(np.array(zeros), 5)}")
 print(f"  certified interval cover: {cert.count} intervals of radius 3^(n-m-ell) = 3")
 print("  (slope 1/2 has exact real zeros at 4pi/3 + 4pi k: the tiling structure)")

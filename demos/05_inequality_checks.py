@@ -30,9 +30,9 @@ for suite, trials in (("blaschke", 200), ("cover", 100), ("turan", 200), ("cetsq
     print(f"  {suite:9s}: worst {out['worst_case']:.4f}  pass={out['pass']}")
 
 print("\n== box doubling for the slope-form sum ==")
-g = ifs.preset("gasket")
+tf = spectral.t_form(ifs.preset("gasket"))
 for k in (0, 1, 3):
-    r = lemmas.doubling_ratio(g, 0.37, 5.0, k=k)
+    r = lemmas.doubling_ratio(tf.poly(0.37), 5.0, k=k)
     print(f"  scale shift k={k}: full/half sup ratio {r:.4f} (>= 1 always)")
 
 print("\n== the gap constant story ==")
@@ -48,5 +48,5 @@ dev = spectral.sine_identity_check(10**6)
 print(f"  max |sin 3x / sin x - (4cos^2 x - 1)| over 10^6 points: {dev:.2e}")
 
 print("\n== lattice-distance slope of the normalized sum ==")
-b = spectral.dist_bound_fit(g, 400)
+b = spectral.dist_bound_fit(tf, 400)
 print(f"  largest b with |Phi(y)| <= 1 - b dist(y, Z^2) away from the lattice: {b:.4f}")

@@ -46,5 +46,5 @@ print(f"  two-term fit: saturation {rep.geom_a:.4f}, decay rho {rep.geom_rho:.3f
 print("\n== directions where the medium block stays large ==")
 spec = spectral.ProductSpec(8, 2, 4)
 for tau in (0.05, 0.10):
-    rep = stacks.bad_direction_scan(g, spec, tau, np.linspace(0, 1, 201))
+    rep = stacks.bad_direction_scan(spectral.t_form(g), spec, tau, np.linspace(0, 1, 201))
     print(f"  tau={tau}: |H| = {rep.h_measure:.4f} (target ceiling L^(-ell/2) = {rep.bound:.4f})")

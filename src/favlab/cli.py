@@ -58,6 +58,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {value}")
+    return value
+
+
 def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", help="gasket | corner4 | random-L-seedS")
     p.add_argument("--system-file", help="system definition JSON path")
@@ -82,16 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_flags(p)
     p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--theta", type=_finite, required=True)
-    p.add_argument("--cap", type=int, default=ifs.ENUMERATION_CAP)
+    p.add_argument("--cap", type=_positive, default=ifs.ENUMERATION_CAP)
     _add_common_flags(p)
 
     p = sub.add_parser("favard", help="direction-averaged shadow length")
     _add_system_flags(p)
     p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--target-rel-error", type=float, default=1e-6)
-    p.add_argument("--refine-limit", type=int, default=6)
-    p.add_argument("--cap", type=int, default=ifs.ENUMERATION_CAP)
+    p.add_argument("--target-rel-error", type=_positive_finite, default=1e-6)
+    p.add_argument("--refine-limit", type=_nonnegative, default=6)
+    p.add_argument("--cap", type=_positive, default=ifs.ENUMERATION_CAP)
     _add_common_flags(p)
 
     p = sub.add_parser("buffon", help="Monte Carlo needle estimate")
@@ -126,12 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         required=True,
-        choices=["product", "escan", "l2", "bootstrap", "baddir"],
+        choices=list(_SCANS),
     )
     _add_system_flags(p)
     p.add_argument("--N", type=_nonnegative, default=4)
-    p.add_argument("--K", type=int, nargs="+", default=[2])
-    p.add_argument("--M", type=int, nargs="+", default=[2])
+    p.add_argument("--K", type=_positive, nargs="+", default=[2])
+    p.add_argument("--M", type=_positive, nargs="+", default=[2])
     p.add_argument("--theta-grid", type=_positive, default=64)
     p.add_argument("--k-exponent", type=float, default=3.0)
     p.add_argument("--theta", type=_finite, default=0.2)
@@ -140,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=4)
     p.add_argument("--tau", type=_finite, default=0.05)
     p.add_argument("--t-grid", type=_positive, default=100)
-    p.add_argument("--cap", type=int, default=ifs.ENUMERATION_CAP)
+    p.add_argument("--cap", type=_positive, default=ifs.ENUMERATION_CAP)
     _add_common_flags(p)
 
     return ap
@@ -242,18 +249,14 @@ def _cmd_buffon(args, stdout) -> int:
 def _cmd_spectral(args, stdout) -> int:
     system = _load_system(args)
     spec = spectral.ProductSpec(args.n, args.m, args.ell)
-    L = system.branching
-    xs = np.linspace(float(L) ** (spec.n - spec.m), float(L) ** spec.n, args.grid)
-    kw = {}
     if args.t is not None:
-        kw["t"] = args.t
-        target = spectral.t_form(system)
+        phi = spectral.t_form(system).poly(args.t)
     elif args.theta is not None:
-        kw["theta"] = args.theta
-        target = system
+        phi = spectral.phi_theta_poly(system, args.theta)
     else:
         raise FavlabError("pass --theta or --t")
-    products = spectral.split_products(spec, target, xs, **kw, full=True)
+    xs = np.linspace(*spectral.low_block_interval(phi, spec), args.grid)
+    products = spectral.split_products(spec, phi, xs, full=True)
     # np.hypot on the parts is bit-equal to abs() of each complex128 scalar;
     # the array np.abs is not (it differs in the last place on many points).
     columns = [xs] + [np.hypot(z.real, z.imag) for z in products]
@@ -262,7 +265,12 @@ def _cmd_spectral(args, stdout) -> int:
             stream, ["x", "abs_p1", "abs_p2", "abs_psharp", "abs_pflat", "abs_nu_hat"], columns
         )
     if args.threshold is not None:
-        cover = spectral.ssv_scan(target, spec, args.threshold, max(args.grid, 1000), **kw)
+        # An output grid with the 1000 samples the scan needs already holds
+        # P2; a coarser one leaves the scan to sample P2 on its own grid.
+        if args.grid >= 1000:
+            cover = spectral.ssv_cover(xs, products[1], args.threshold)
+        else:
+            cover = spectral.ssv_scan(phi, spec, args.threshold, 1000)
         print(f"small-value components: {cover.component_count}", file=sys.stderr)
     return EXIT_OK
 
@@ -273,68 +281,57 @@ def _cmd_verify(args, stdout) -> int:
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
 
+def _scan_product(args, system, thetas) -> dict:
+    pairs = [(k, m) for k in args.K for m in args.M]
+    rep = stacks.product_inequality_report(system, args.N, thetas, pairs, cap=args.cap,
+                                           threads=args.threads)
+    return {"N": args.N, "pairs": [list(p) for p in rep.pairs], "worst_ratio": rep.worst_ratio,
+            "worst_at": list(rep.worst_at) if rep.worst_at else None, "checked": rep.checked}
+
+
+def _scan_escan(args, system, thetas) -> dict:
+    cfg = stacks.EScanConfig(args.N, args.K[0], thetas, args.k_exponent)
+    rep = stacks.e_scan(cfg, system, cap=args.cap, threads=args.threads)
+    return {"N": args.N, "K": args.K[0], "members": int(sum(rep.membership)),
+            "grid": len(thetas), "measure_estimate": rep.measure_estimate}
+
+
+def _scan_l2(args, system, thetas) -> dict:
+    cfg = stacks.EScanConfig(args.N, args.K[0], thetas, args.k_exponent)
+    rep = stacks.l2_bound_report(system, cfg, cap=args.cap, threads=args.threads)
+    return {"N": args.N, "K": args.K[0], "vacuous": rep.vacuous, "max_ratio": rep.max_ratio,
+            "sampled": len(rep.per_theta)}
+
+
+def _scan_bootstrap(args, system, thetas) -> dict:
+    rep = stacks.bootstrap_report(system, args.theta, args.N, args.l_max, cap=args.cap)
+    return {"theta": rep.theta, "depths": list(rep.depths), "measures": list(rep.measures),
+            "geom_a": rep.geom_a, "geom_rho": rep.geom_rho, "residual": rep.residual}
+
+
+def _scan_baddir(args, system, thetas) -> dict:
+    spec = spectral.ProductSpec(args.m + args.ell + 1, args.m, args.ell)
+    ts = np.linspace(0.0, 1.0, args.t_grid)
+    rep = stacks.bad_direction_scan(spectral.t_form(system), spec, args.tau, ts,
+                                    threads=args.threads)
+    return {"m": args.m, "ell": args.ell, "tau": args.tau, "h_measure": rep.h_measure,
+            "bound": rep.bound, "offenders": int(sum(rep.offenders))}
+
+
+# Each scan check runs its report and returns the JSON payload without "check".
+_SCANS = {
+    "product": _scan_product,
+    "escan": _scan_escan,
+    "l2": _scan_l2,
+    "bootstrap": _scan_bootstrap,
+    "baddir": _scan_baddir,
+}
+
+
 def _cmd_scan(args, stdout) -> int:
     system = _load_system(args)
     thetas = tuple(np.linspace(0.0, np.pi, args.theta_grid, endpoint=False))
-    if args.check == "product":
-        pairs = [(k, m) for k in args.K for m in args.M]
-        rep = stacks.product_inequality_report(
-            system, args.N, thetas, pairs, cap=args.cap, threads=args.threads
-        )
-        payload = {
-            "check": "product",
-            "N": args.N,
-            "pairs": [list(p) for p in rep.pairs],
-            "worst_ratio": rep.worst_ratio,
-            "worst_at": list(rep.worst_at) if rep.worst_at else None,
-            "checked": rep.checked,
-        }
-    elif args.check == "escan":
-        cfg = stacks.EScanConfig(args.N, args.K[0], thetas, args.k_exponent)
-        rep = stacks.e_scan(cfg, system, cap=args.cap, threads=args.threads)
-        payload = {
-            "check": "escan",
-            "N": args.N,
-            "K": args.K[0],
-            "members": int(sum(rep.membership)),
-            "grid": len(thetas),
-            "measure_estimate": rep.measure_estimate,
-        }
-    elif args.check == "l2":
-        cfg = stacks.EScanConfig(args.N, args.K[0], thetas, args.k_exponent)
-        rep = stacks.l2_bound_report(system, cfg, cap=args.cap, threads=args.threads)
-        payload = {
-            "check": "l2",
-            "N": args.N,
-            "K": args.K[0],
-            "vacuous": rep.vacuous,
-            "max_ratio": rep.max_ratio,
-            "sampled": len(rep.per_theta),
-        }
-    elif args.check == "bootstrap":
-        rep = stacks.bootstrap_report(system, args.theta, args.N, args.l_max, cap=args.cap)
-        payload = {
-            "check": "bootstrap",
-            "theta": rep.theta,
-            "depths": list(rep.depths),
-            "measures": list(rep.measures),
-            "geom_a": rep.geom_a,
-            "geom_rho": rep.geom_rho,
-            "residual": rep.residual,
-        }
-    else:
-        spec = spectral.ProductSpec(args.m + args.ell + 1, args.m, args.ell)
-        ts = np.linspace(0.0, 1.0, args.t_grid)
-        rep = stacks.bad_direction_scan(system, spec, args.tau, ts, threads=args.threads)
-        payload = {
-            "check": "baddir",
-            "m": args.m,
-            "ell": args.ell,
-            "tau": args.tau,
-            "h_measure": rep.h_measure,
-            "bound": rep.bound,
-            "offenders": int(sum(rep.offenders)),
-        }
+    payload = {"check": args.check, **_SCANS[args.check](args, system, thetas)}
     emit.write_text(args.out, emit.json_report(payload), stdout)
     return EXIT_OK
 

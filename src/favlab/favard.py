@@ -35,8 +35,10 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.grid_size < 8:
             raise FavlabError("grid_size must be at least 8")
-        if self.target_rel_error <= 0:
-            raise FavlabError("target_rel_error must be positive")
+        if not self.target_rel_error > 0:
+            raise FavlabError(f"target_rel_error must be positive, got {self.target_rel_error}")
+        if self.refinement_limit < 0:
+            raise FavlabError(f"refinement_limit must be nonnegative, got {self.refinement_limit}")
 
 
 @dataclass(frozen=True)

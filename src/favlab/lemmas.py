@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import shadow, spectral
+from . import shadow
 from .errors import (
     ContourThroughZero,
     DeltaOutOfRange,
@@ -23,7 +23,7 @@ from .errors import (
     PreconditionUnmet,
 )
 from .shadow import Interval, IntervalUnion, interval_union
-from .spectral import ExpPoly, ProductSpec, TForm
+from .spectral import ExpPoly, ProductSpec
 
 ZERO_TOLERANCE = 1e-9
 RESIDUAL_TOLERANCE = 1e-6
@@ -442,19 +442,15 @@ def box_sup(f, x0: float, x1: float, y0: float, y1: float, density: float = 60.0
     return max(best, float(np.max(np.abs(np.asarray(f(fz.ravel()))))))
 
 
-def doubling_ratio(
-    system, t: float, x_prime: float, k: int = 0, density: float = 60.0
-) -> float:
-    """sup over [x'-1,x'+1]x[-1,1] of |phi_t(L^-k z)| divided by the sup over
-    the concentric half box.  Always >= 1 because the half-box maximum is a
-    lower bound for the full-box maximum."""
-    tf = system if isinstance(system, TForm) else spectral.t_form(system)
-    base = tf.poly(t)
-    scale = (1.0 / tf.branching) ** k
+def doubling_ratio(phi: ExpPoly, x_prime: float, k: int = 0, density: float = 60.0) -> float:
+    """sup over [x'-1,x'+1]x[-1,1] of |phi(L^-k z)| divided by the sup over
+    the concentric half box, L the number of frequencies of phi.  Always >= 1
+    because the half-box maximum is a lower bound for the full-box maximum."""
+    scale = (1.0 / len(phi.lambdas)) ** k
     poly = ExpPoly(
-        lambdas=tuple(lam * scale for lam in base.lambdas),
-        coefficients=base.coefficients,
-        normalization=base.normalization,
+        lambdas=tuple(lam * scale for lam in phi.lambdas),
+        coefficients=phi.coefficients,
+        normalization=phi.normalization,
     )
     half = box_sup(poly, x_prime - 0.5, x_prime + 0.5, -0.5, 0.5, density)
     full = max(box_sup(poly, x_prime - 1.0, x_prime + 1.0, -1.0, 1.0, density), half)
@@ -502,10 +498,8 @@ def cetsq_ratio(
 
 
 def ssv_certified_cover(
-    system,
+    phi: ExpPoly,
     spec: ProductSpec,
-    t: float | None = None,
-    theta: float | None = None,
     zero_tol: float = 1e-6,
     interval_radius: float | None = None,
 ) -> tuple[IntervalUnion, tuple[complex, ...]]:
@@ -516,8 +510,7 @@ def ssv_certified_cover(
     zeros of the low-frequency block P2 over I = [L^(n-m), L^n].  Each zero
     contributes the interval Re +- L^(n-m-ell).
     """
-    poly = spectral._phi_poly(system, theta, t)
-    L = system.branching
+    L = len(phi.lambdas)
     m, n, ell = spec.m, spec.n, spec.ell
     lo = 0.5 * float(L) ** (-m)
     hi = float(L) ** m + 1.0
@@ -529,7 +522,7 @@ def ssv_certified_cover(
     for a, b in zip(edges[:-1], edges[1:]):
         pad = 0.05 * (b - a)
         zeros.extend(
-            zeros_in_rect(poly, a - pad, b + pad, -1.0, 1.0, zero_tol=zero_tol)
+            zeros_in_rect(phi, a - pad, b + pad, -1.0, 1.0, zero_tol=zero_tol)
         )
     deduped: list[complex] = []
     for z in zeros:

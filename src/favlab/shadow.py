@@ -356,10 +356,6 @@ def max_value(f: StepFunction) -> int:
     return int(f.values.max()) if not f.is_zero else 0
 
 
-def support_intervals(f: StepFunction) -> IntervalUnion:
-    return level_intervals(f, 1)
-
-
 def write_step_csv(
     stream, f: StepFunction, theta: float, depth: int, label: str
 ) -> None:

@@ -2,16 +2,22 @@
 
 The transform of the depth-n multiplicity profile factors as a box-kernel
 times the product prod_{k=1..n} phi(L^-k x) of one normalized exponential
-sum phi at geometric scales.  phi comes in two parameterizations:
+sum phi at geometric scales.  phi is built once, as an `ExpPoly`, by one of
+two constructors, and every function that evaluates it takes that `ExpPoly`
+and reads L as the number of its frequencies:
 
-* angle form: phi_theta(x) = (1/L) sum_l exp(-i f_l x) with frequencies
-  f_l = L * proj_theta(center_l), the level-1 centers rescaled to the unit
-  region;
-* slope form: phi_t(x) = (1/L)(1 + e^{ix} + e^{itx} + sum e^{i(a_l+b_l t)x}),
-  available once the system is put in normalized coordinates where three
-  rescaled centers sit at (0,0), (1,0), (0,1).  `t_form` computes the
-  normalized data and `theta_to_t` maps an angle to (t, x-scale) such that
-  |phi_theta(x)| = |phi_t(t, xscale*x)|.
+* angle form, `phi_theta_poly(system, theta)`: phi_theta(x) =
+  (1/L) sum_l exp(-i f_l x) with frequencies f_l = L * proj_theta(center_l),
+  the level-1 centers rescaled to the unit region;
+* slope form, `t_form(system).poly(t)`: phi_t(x) =
+  (1/L)(1 + e^{ix} + e^{itx} + sum e^{i(a_l+b_l t)x}), available once the
+  system is put in normalized coordinates where three rescaled centers sit
+  at (0,0), (1,0), (0,1).  `t_form` computes the normalized data (a `TForm`,
+  which the sweeps over slopes take) and `theta_to_t` maps an angle to
+  (t, x-scale) such that |phi_theta(x)| = |phi_t(t, xscale*x)|.
+
+Both constructors reject a system whose ratio is not 1/L: the frequencies
+and the scales L^-k below assume it.
 
 The product over scales splits into blocks: with 1 <= k <= n, the low block
 P2 takes k = n-m..n, the rest is P1 = Psharp * Pflat with the medium block
@@ -67,7 +73,15 @@ def phi_frequencies(system: SimilaritySystem, theta: float) -> np.ndarray:
     return system.branching * (system.centers() * np.exp(-1j * theta)).real
 
 
+def _require_ratio_one_over_branching(system: SimilaritySystem) -> None:
+    L = system.branching
+    if not math.isclose(system.ratio * L, 1.0, rel_tol=1e-12):
+        raise FavlabError(f"the transform needs ratio 1/L = 1/{L}, got ratio {system.ratio}")
+
+
 def phi_theta_poly(system: SimilaritySystem, theta: float) -> ExpPoly:
+    """Angle-form phi of a system at angle theta."""
+    _require_ratio_one_over_branching(system)
     freqs = phi_frequencies(system, theta)
     return ExpPoly(
         lambdas=tuple(-1j * f for f in freqs),
@@ -101,6 +115,11 @@ def t_form(
     expressed in the basis (u_{a2}-u_{a1}, u_{a3}-u_{a1}); the first three
     rows become (0,0), (1,0), (0,1) and the rest give the extra (a, b) pairs.
     """
+    _require_ratio_one_over_branching(system)
+    if max(anchors) >= system.branching:
+        raise FavlabError(
+            f"the slope form anchors on maps {anchors}; the system has {system.branching}"
+        )
     u = system.branching * system.centers()
     i1, i2, i3 = anchors
     v2 = u[i2] - u[i1]
@@ -133,33 +152,19 @@ def theta_to_t(
     return float(p3 / p2), float(-p2)
 
 
-def _phi_poly(system, theta=None, t=None) -> ExpPoly:
-    if (theta is None) == (t is None):
-        raise FavlabError("pass exactly one of theta= or t=")
-    if theta is not None:
-        return phi_theta_poly(system, theta)
-    tf = system if isinstance(system, TForm) else t_form(system)
-    return tf.poly(t)
-
-
-def phi_eval(system, x, theta: float | None = None, t: float | None = None):
-    """Evaluate phi at x (scalar or array), in angle or slope form."""
-    return _phi_poly(system, theta, t)(x)
-
-
-def _scale_product(poly: ExpPoly, ratio: float, ks: range, x) -> np.ndarray:
+def _scale_product(phi: ExpPoly, ks: range, x) -> np.ndarray:
+    """prod_{k in ks} phi(L^-k x), L the number of frequencies of phi."""
+    r = 1.0 / len(phi.lambdas)
     x = np.asarray(x, dtype=float)
     acc = np.ones(x.shape, dtype=complex)
     for k in ks:
-        acc *= poly(ratio**k * x)
+        acc *= phi(r**k * x)
     return acc
 
 
-def nu_hat_eval(system, theta: float | None = None, depth: int = 0, x=0.0, *, t: float | None = None):
+def nu_hat_eval(phi: ExpPoly, depth: int, x) -> np.ndarray:
     """prod_{k=1..depth} phi(L^-k x): the transform of the depth-n measure."""
-    poly = _phi_poly(system, theta, t)
-    L = system.branching
-    return _scale_product(poly, 1.0 / L, range(1, depth + 1), x)
+    return _scale_product(phi, range(1, depth + 1), x)
 
 
 @dataclass(frozen=True)
@@ -182,13 +187,7 @@ class ProductSpec:
 
 
 def split_products(
-    spec: ProductSpec,
-    system,
-    x,
-    theta: float | None = None,
-    t: float | None = None,
-    *,
-    full: bool = False,
+    spec: ProductSpec, phi: ExpPoly, x, *, full: bool = False
 ) -> tuple[np.ndarray, ...]:
     """Evaluate (P1, P2, Psharp, Pflat) at x; P1 = Psharp*Pflat, P1*P2 = full.
 
@@ -197,14 +196,13 @@ def split_products(
     once and multiplied into its block's running product and into the full
     one, in the order of k.
     """
-    poly = _phi_poly(system, theta, t)
-    r = 1.0 / system.branching
+    r = 1.0 / len(phi.lambdas)
     n, m, ell = spec.n, spec.m, spec.ell
     x = np.asarray(x, dtype=float)
     p_sharp, p_flat, p2 = (np.ones(x.shape, dtype=complex) for _ in range(3))
     whole = np.ones(x.shape, dtype=complex) if full else None
     for k in range(1, n + 1):
-        factor = poly(r**k * x)
+        factor = phi(r**k * x)
         block = p_sharp if k < n - m - ell else p_flat if k < n - m else p2
         block *= factor
         if full:
@@ -223,23 +221,20 @@ class SsvCover:
     grid_step: float
 
 
-def ssv_scan(
-    system,
-    spec: ProductSpec,
-    threshold: float,
-    grid_size: int,
-    theta: float | None = None,
-    t: float | None = None,
-) -> SsvCover:
-    """Scan |P2| <= threshold on a uniform grid over I, padded one grid step."""
-    if grid_size < 1000:
-        raise FavlabError("grid_size must be at least 1000")
-    poly = _phi_poly(system, theta, t)
-    L = system.branching
-    lo, hi = float(L) ** (spec.n - spec.m), float(L) ** spec.n
-    xs = np.linspace(lo, hi, grid_size)
+def low_block_interval(phi: ExpPoly, spec: ProductSpec) -> tuple[float, float]:
+    """The sample block I = [L^(n-m), L^n] of the low block P2."""
+    L = float(len(phi.lambdas))
+    return L ** (spec.n - spec.m), L**spec.n
+
+
+def _low_block(phi: ExpPoly, spec: ProductSpec, xs: np.ndarray) -> np.ndarray:
+    return _scale_product(phi, range(spec.n - spec.m, spec.n + 1), xs)
+
+
+def ssv_cover(xs: np.ndarray, p2: np.ndarray, threshold: float) -> SsvCover:
+    """Cover of |P2| <= threshold from P2 sampled on the uniform grid xs,
+    each small sample padded by one grid step."""
     step = xs[1] - xs[0]
-    p2 = _scale_product(poly, 1.0 / L, range(spec.n - spec.m, spec.n + 1), xs)
     small = xs[np.abs(p2) <= threshold]
     cover = interval_union(np.column_stack((small - step, small + step)))
     return SsvCover(
@@ -250,16 +245,22 @@ def ssv_scan(
     )
 
 
+def ssv_scan(phi: ExpPoly, spec: ProductSpec, threshold: float, grid_size: int) -> SsvCover:
+    """Scan |P2| <= threshold on a uniform grid over I, padded one grid step."""
+    if grid_size < 1000:
+        raise FavlabError("grid_size must be at least 1000")
+    xs = np.linspace(*low_block_interval(phi, spec), grid_size)
+    return ssv_cover(xs, _low_block(phi, spec, xs), threshold)
+
+
 def ssv_small_points(
-    system,
+    phi: ExpPoly,
     spec: ProductSpec,
     threshold: float,
     grid_size: int,
     focus: Sequence[float] = (),
     focus_halfwidth: float = 0.05,
     focus_points: int = 10000,
-    theta: float | None = None,
-    t: float | None = None,
 ) -> np.ndarray:
     """Sample points of I where |P2| dips below threshold.
 
@@ -267,9 +268,7 @@ def ssv_small_points(
     abscissas (typically certified zero locations), so dips far narrower
     than the global grid step are still detected.
     """
-    poly = _phi_poly(system, theta, t)
-    L = system.branching
-    lo, hi = float(L) ** (spec.n - spec.m), float(L) ** spec.n
+    lo, hi = low_block_interval(phi, spec)
     parts = [np.linspace(lo, hi, grid_size)]
     for c in focus:
         a = max(lo, c - focus_halfwidth)
@@ -277,8 +276,7 @@ def ssv_small_points(
         if b > a:
             parts.append(np.linspace(a, b, focus_points))
     xs = np.concatenate(parts)
-    p2 = _scale_product(poly, 1.0 / L, range(spec.n - spec.m, spec.n + 1), xs)
-    return xs[np.abs(p2) <= threshold]
+    return xs[np.abs(_low_block(phi, spec, xs)) <= threshold]
 
 
 def parseval_check(
@@ -302,7 +300,7 @@ def parseval_check(
     xs = np.linspace(0.0, radius, npts)
     h = shadow.shadow_half_length(system, depth, theta)
     box = 2.0 * h * np.sinc(h * xs / np.pi)
-    fhat = (L**depth) * box * nu_hat_eval(system, theta=theta, depth=depth, x=xs)
+    fhat = (L**depth) * box * nu_hat_eval(phi_theta_poly(system, theta), depth, xs)
     integrand = np.abs(fhat) ** 2
     step = xs[1] - xs[0]
     simpson = (
@@ -379,14 +377,13 @@ def lattice_phi(tform: TForm, y1, y2):
     return acc / tform.branching
 
 
-def dist_bound_fit(system, grid: int, exclusion: float = 0.05) -> float:
+def dist_bound_fit(tform: TForm, grid: int, exclusion: float = 0.05) -> float:
     """Largest b with |Phi(y)| <= 1 - b*dist(y, Z^2) on the sampled domain.
 
     Near the lattice the left side is tangent to 1 only to second order, so
     the ratio (1-|Phi|)/dist degenerates there; points with dist below
     `exclusion` are left out to make the fit refinement-stable.
     """
-    tf = system if isinstance(system, TForm) else t_form(system)
     ys = np.linspace(0.0, 1.0, grid, endpoint=False)
     d1 = np.minimum(ys, 1.0 - ys)
     best = math.inf
@@ -395,7 +392,7 @@ def dist_bound_fit(system, grid: int, exclusion: float = 0.05) -> float:
         keep = dist >= exclusion
         if not np.any(keep):
             continue
-        vals = np.abs(lattice_phi(tf, y1, ys[keep]))
+        vals = np.abs(lattice_phi(tform, y1, ys[keep]))
         ratio = (1.0 - vals) / dist[keep]
         best = min(best, float(ratio.min()))
     return best

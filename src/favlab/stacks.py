@@ -16,11 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import ifs, shadow, spectral
+from . import ifs, shadow
 from ._parallel import ordered_map
 from .errors import FavlabError
 from .ifs import SimilaritySystem
-from .spectral import ProductSpec
+from .spectral import ProductSpec, TForm
 
 
 @dataclass(frozen=True)
@@ -263,7 +263,7 @@ def bootstrap_report(
 
 
 def bad_direction_scan(
-    system,
+    tform: TForm,
     spec: ProductSpec,
     tau: float,
     t_grid: Sequence[float],
@@ -278,9 +278,7 @@ def bad_direction_scan(
     derivative bound so each cell oscillates by under a tenth of the
     threshold.
     """
-    spec = spec if isinstance(spec, ProductSpec) else ProductSpec(*spec)
-    tf = system if isinstance(system, spectral.TForm) else spectral.t_form(system)
-    L = tf.branching
+    L = tform.branching
     thr = math.exp(-tau * spec.ell)
     y_lo, y_hi = 1.0, float(L) ** spec.m
     if x_grid <= 0:
@@ -292,7 +290,7 @@ def bad_direction_scan(
     ys = np.linspace(y_lo, y_hi, x_grid)
 
     def one_t(t: float) -> bool:
-        poly = tf.poly(t)
+        poly = tform.poly(t)
         acc = np.ones_like(ys, dtype=complex)
         for j in range(1, spec.ell + 1):
             acc *= poly(float(L) ** j * ys)

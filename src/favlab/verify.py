@@ -20,6 +20,10 @@ from .shadow import Interval, interval_union
 from .spectral import ExpPoly
 
 
+def _report(suite: str, trials: int, worst: float, ok: bool) -> dict:
+    return {"suite": suite, "trials": trials, "worst_case": float(worst), "pass": bool(ok)}
+
+
 def _rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise FavlabError(f"seed {seed} is negative")
@@ -62,9 +66,8 @@ def suite_blaschke(trials: int, seed: int, threads: int | None = None) -> dict:
         rep = lemmas.blaschke_check(p)
         return rep.zero_count - rep.bound
 
-    margins = ordered_map(margin, polys, threads)
-    worst = float(max(margins))
-    return {"suite": "blaschke", "trials": trials, "worst_case": worst, "pass": worst <= 0.0}
+    worst = max(ordered_map(margin, polys, threads))
+    return _report("blaschke", trials, worst, worst <= 0.0)
 
 
 def suite_cover(trials: int, seed: int, threads: int | None = None) -> dict:
@@ -78,9 +81,8 @@ def suite_cover(trials: int, seed: int, threads: int | None = None) -> dict:
         rep = lemmas.small_value_cover_check(poly, delta)
         return rep.worst_margin if rep.small_samples else -math.inf
 
-    margins = ordered_map(margin, jobs, threads)
-    worst = float(max(margins))
-    return {"suite": "cover", "trials": trials, "worst_case": worst, "pass": worst <= 0.0}
+    worst = max(ordered_map(margin, jobs, threads))
+    return _report("cover", trials, worst, worst <= 0.0)
 
 
 def suite_turan(trials: int, seed: int, threads: int | None = None) -> dict:
@@ -104,20 +106,14 @@ def suite_turan(trials: int, seed: int, threads: int | None = None) -> dict:
         raw = [(s, min(s + w, length)) for s, w in zip(starts, widths)]
         subset = interval_union(raw)
         jobs.append(lemmas.TuranTrial(poly, Interval(0.0, length), subset))
-    ratios = ordered_map(lemmas.turan_ratio, jobs, threads)
-    worst = float(max(ratios))
-    return {
-        "suite": "turan",
-        "trials": trials,
-        "worst_case": worst,
-        "pass": worst <= baselines.TURAN_A_CEILING,
-    }
+    worst = max(ordered_map(lemmas.turan_ratio, jobs, threads))
+    return _report("turan", trials, worst, worst <= baselines.TURAN_A_CEILING)
 
 
 def suite_doubling(trials: int, seed: int, threads: int | None = None) -> dict:
     """Full-box vs half-box sups of the slope-form sum at random parameters."""
     rng = _rng(seed)
-    system = ifs.preset("gasket")
+    tform = spectral.t_form(ifs.preset("gasket"))
     jobs = [
         (float(rng.uniform(0.0, 1.0)), float(rng.uniform(1.0, 30.0)), int(rng.integers(0, 6)))
         for _ in range(trials)
@@ -125,12 +121,12 @@ def suite_doubling(trials: int, seed: int, threads: int | None = None) -> dict:
 
     def one(job) -> float:
         t, xp, k = job
-        return lemmas.doubling_ratio(system, t, xp, k=k)
+        return lemmas.doubling_ratio(tform.poly(t), xp, k=k)
 
     ratios = ordered_map(one, jobs, threads)
-    worst = float(max(ratios))
+    worst = max(ratios)
     ok = min(ratios) >= 1.0 and worst <= baselines.DOUBLING_RATIO_CEILING
-    return {"suite": "doubling", "trials": trials, "worst_case": worst, "pass": bool(ok)}
+    return _report("doubling", trials, worst, ok)
 
 
 def _clustered_frequencies(rng: np.random.Generator) -> np.ndarray:
@@ -163,19 +159,14 @@ def suite_cetsq(trials: int, seed: int, threads: int | None = None) -> dict:
         return ratio, lhs / (freqs.size * per_unit)
 
     out = ordered_map(one, jobs, threads)
-    worst_ratio = float(max(r for r, _ in out))
+    worst_ratio = max(r for r, _ in out)
     worst_coroll = float(max(c for _, c in out))
     ok = (
         degenerate_ok
         and worst_ratio <= baselines.CETSQ_RATIO_CEILING
         and worst_coroll <= baselines.CET_COROLLARY_CEILING
     )
-    return {
-        "suite": "cetsq",
-        "trials": trials,
-        "worst_case": worst_ratio,
-        "pass": bool(ok),
-    }
+    return _report("cetsq", trials, worst_ratio, ok)
 
 
 def _max_per_unit_interval(freqs: np.ndarray) -> int:
@@ -201,33 +192,23 @@ def suite_keyobs(
     a = baselines.KEY_OBS_SHARP_A if a is None else a
     side = max(trials, 1000)
     worst = spectral.key_obs_check(a, side)
-    return {
-        "suite": "keyobs",
-        "trials": side * side,
-        "worst_case": float(worst),
-        "pass": worst >= -1e-12,
-    }
+    return _report("keyobs", side * side, worst, worst >= -1e-12)
 
 
 def suite_sine(trials: int, seed: int, threads: int | None = None) -> dict:
     grid = max(trials, 10**6)
     worst = spectral.sine_identity_check(grid)
-    return {"suite": "sine", "trials": grid, "worst_case": float(worst), "pass": worst < 1e-10}
+    return _report("sine", grid, worst, worst < 1e-10)
 
 
 def suite_dist(trials: int, seed: int, threads: int | None = None) -> dict:
     """Lattice-distance slope fit: positive and stable under refinement."""
     grid = max(trials, 200)
-    system = ifs.preset("gasket")
-    b1 = spectral.dist_bound_fit(system, grid)
-    b2 = spectral.dist_bound_fit(system, 2 * grid)
+    tform = spectral.t_form(ifs.preset("gasket"))
+    b1 = spectral.dist_bound_fit(tform, grid)
+    b2 = spectral.dist_bound_fit(tform, 2 * grid)
     stable = abs(b2 - b1) <= 0.05 * max(b1, 1e-12)
-    return {
-        "suite": "dist",
-        "trials": grid,
-        "worst_case": float(b2),
-        "pass": bool(b2 > 0.0 and stable),
-    }
+    return _report("dist", grid, b2, b2 > 0.0 and stable)
 
 
 SUITES: dict[str, Callable[..., dict]] = {

@@ -153,7 +153,7 @@ def test_criterion_07_character_sum_oracle():
         n = int(rng.integers(0, 7))
         theta = float(rng.uniform(0, np.pi))
         x = float(rng.uniform(-(L ** (n + 1)), L ** (n + 1)))
-        got = spectral.nu_hat_eval(system, theta, n, x)
+        got = spectral.nu_hat_eval(spectral.phi_theta_poly(system, theta), n, x)
         proj = (ifs.piece_centers(system, n) * np.exp(-1j * theta)).real
         brute = np.mean(np.exp(-1j * proj * x))
         worst = max(worst, abs(got - brute))
@@ -192,13 +192,12 @@ def test_criterion_09_ssv_structure():
     small_total = 0
     def_threshold = 3.0 ** (-spec.alpha * spec.m**2)
     for t in t_grid:
-        cover = spectral.ssv_scan(tf, spec, 3.0**-spec.ell, 200_000, t=float(t))
+        phi = tf.poly(float(t))
+        cover = spectral.ssv_scan(phi, spec, 3.0**-spec.ell, 200_000)
         worst_components = max(worst_components, cover.component_count)
-        cert, _ = lemmas.ssv_certified_cover(tf, spec, t=float(t))
+        cert, _ = lemmas.ssv_certified_cover(phi, spec)
         centers = [0.5 * (iv.lo + iv.hi) for iv in cert.intervals]
-        small = spectral.ssv_small_points(
-            tf, spec, def_threshold, 200_000, focus=centers, t=float(t)
-        )
+        small = spectral.ssv_small_points(phi, spec, def_threshold, 200_000, focus=centers)
         small_total += small.size
         containment_ok = containment_ok and all(cert.contains(x) for x in small)
     ok = worst_components <= ceiling and containment_ok and small_total > 0

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from favlab import cli, verify
+from favlab import cli, ifs, spectral, verify
 
 
 def run(argv):
@@ -266,3 +266,85 @@ def test_bad_config_exits_2_with_message(argv, override, message, tmp_path, caps
     code, out = run(argv + ["--config", str(cfg)])
     assert code == 2 and out == ""
     assert message in capsys.readouterr().err
+
+
+def gasket_file(tmp_path, ratio):
+    """A --system-file gasket whose three maps share the given ratio."""
+    g = ifs.preset("gasket")
+    maps = [ifs.GeneratorMap(center=m.center, ratio=ratio, shape=m.shape) for m in g.maps]
+    path = tmp_path / "sys.json"
+    path.write_text(ifs.system_to_json(ifs.build_system(maps, label="gasket-r")))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectral", "--t", "0.37", "--n", "8", "--m", "2", "--ell", "3", "--grid", "50"],
+        ["spectral", "--theta", "0.3", "--n", "8", "--m", "2", "--ell", "3", "--grid", "50"],
+        ["scan", "--check", "baddir", "--m", "1", "--ell", "2", "--t-grid", "4"],
+    ],
+)
+def test_transform_rejects_ratio_other_than_one_over_l(argv, tmp_path, capsys):
+    code, out = run(argv + ["--system-file", gasket_file(tmp_path, 0.3)])
+    assert code == 2 and out == ""
+    assert "the transform needs ratio 1/L = 1/3, got ratio 0.3" in capsys.readouterr().err
+    code, out = run(argv + ["--system-file", gasket_file(tmp_path, 1.0 / 3.0)])
+    assert code == 0 and out
+
+
+def test_spectral_threshold_reuses_the_low_block(monkeypatch):
+    # With --grid >= 1000 the small-value scan reads P2 from the products:
+    # phi is evaluated once per scale.  Below 1000 it evaluates P2 (scales
+    # n-m..n) again on its own 1000-point grid.
+    calls = []
+    call = spectral.ExpPoly.__call__
+    monkeypatch.setattr(spectral.ExpPoly, "__call__", lambda self, z: calls.append(1) or call(self, z))
+    for grid, extra in (("2000", 0), ("500", 3)):
+        calls.clear()
+        code, _ = run(SPECTRAL + ["--grid", grid, "--threshold", "0.3"])
+        assert code == 0 and len(calls) == 8 + extra
+
+
+CAP = "must be a positive integer, got -5"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, message",
+    [
+        (SCAN + ["--check", "product"], "K", "0", "must be a positive integer, got 0"),
+        (SCAN + ["--check", "product"], "M", "0", "must be a positive integer, got 0"),
+        (SCAN + ["--check", "escan"], "K", "0", "must be a positive integer, got 0"),
+        (FAVARD, "target-rel-error", "nan", "must be a positive finite number, got nan"),
+        (FAVARD, "target-rel-error", "0", "must be a positive finite number, got 0.0"),
+        (FAVARD, "target-rel-error", "inf", "must be a positive finite number, got inf"),
+        (FAVARD, "refine-limit", "-1", "must be a nonnegative integer, got -1"),
+        (FAVARD, "cap", "-5", CAP),
+        (["shadow", "--preset", "gasket", "--n", "2", "--theta", "0.2"], "cap", "-5", CAP),
+        (SCAN + ["--check", "bootstrap"], "cap", "-5", CAP),
+    ],
+)
+def test_bad_numeric_flag_exits_2_through_argv_and_config(
+    argv, flag, value, message, tmp_path, capsys
+):
+    code, out = run(argv + [f"--{flag}", value])
+    assert code == 2 and out == ""
+    assert message in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: float(value) if flag == "target-rel-error" else int(value)}))
+    code, out = run(argv + ["--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert f"config key {flag!r}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectral", "--t", "0.37", "--n", "6", "--m", "2", "--ell", "2", "--grid", "50"],
+        ["scan", "--check", "baddir", "--m", "1", "--ell", "2", "--t-grid", "4"],
+    ],
+)
+def test_slope_form_of_a_two_map_system_exits_2(argv, capsys):
+    code, out = run(argv + ["--preset", "random-2-seed1"])
+    assert code == 2 and out == ""
+    assert "the slope form anchors on maps (0, 1, 2); the system has 2" in capsys.readouterr().err

@@ -228,3 +228,9 @@ def test_gasket_series_power_exponent_in_unit_interval():
     series = [(n, favard.favard_length(g, n, cfg).value) for n in range(1, 6)]
     fit = favard.fit_decay(series, "power")
     assert 0.0 < fit.params[1] < 1.0
+
+
+@pytest.mark.parametrize("kwargs", [{"target_rel_error": math.nan}, {"refinement_limit": -1}])
+def test_quadrature_config_rejects_nan_target_and_negative_limit(kwargs):
+    with pytest.raises(FavlabError):
+        favard.QuadratureConfig(**kwargs)

@@ -5,7 +5,10 @@ sweep was vectorised, and those of the gasket n=10 profile (several
 `emit.CHUNK_ROWS` chunks) and the angle-form spectral run from the per-field
 CSV writers before the column writer replaced them; any change to a profile,
 a merged interval union, a product magnitude or a number format shows up
-here.  Refreeze only for an intended output change.
+here.  The last four (the baddir scan, the doubling and dist suites, and a
+spectral run whose grid is below the small-value scan's 1000 points) were
+frozen before the phase function became one `ExpPoly` argument.  Refreeze
+only for an intended output change.
 """
 
 import contextlib
@@ -90,6 +93,32 @@ GOLDEN = [
         0,
         "37f0c8024a952e61ce0d426459ff80934393bcf1ae65a26bc55d597e92551267",
         '',
+    ),
+    (
+        ["scan", "--check", "baddir", "--preset", "gasket", "--m", "2", "--ell", "4",
+         "--tau", "0.05", "--t-grid", "50"],
+        0,
+        "6eb9d00e5fbd8baaf83828144d267b132320586e00a42dd844124991d77de9e7",
+        '',
+    ),
+    (
+        ["verify", "--suite", "doubling", "--trials", "30", "--seed", "3"],
+        0,
+        "b9262308dd6d4617bb1fa768bf98e7dbfa92ea5306cec73c7f70702373ea610b",
+        '',
+    ),
+    (
+        ["verify", "--suite", "dist", "--trials", "200"],
+        0,
+        "e00db718e23b06f4bd039c723330f896bee35838de85bf3eedcf45dc759587e8",
+        '',
+    ),
+    (
+        ["spectral", "--preset", "gasket", "--t", "0.37", "--n", "8", "--m", "2",
+         "--ell", "3", "--grid", "500", "--threshold", "0.3"],
+        0,
+        "1d8cb390d5cf24326b16d7f78a6b029a124211e6c848bd10392e6b9a5c0334fc",
+        'small-value components: 2\n',
     ),
 ]
 

@@ -143,13 +143,13 @@ def test_turan_randomized_sweep():
 
 
 def test_doubling_ratio_at_least_one():
-    g = ifs.preset("gasket")
+    tf = spectral.t_form(ifs.preset("gasket"))
     rng = np.random.Generator(np.random.Philox(55))
     for _ in range(25):
         t = float(rng.uniform(0, 1))
         xp = float(rng.uniform(1, 30))
         k = int(rng.integers(0, 6))
-        assert lemmas.doubling_ratio(g, t, xp, k=k) >= 1.0
+        assert lemmas.doubling_ratio(tf.poly(t), xp, k=k) >= 1.0
 
 
 def test_doubling_constant_function_is_one():
@@ -198,12 +198,11 @@ def test_ssv_certified_cover_contains_small_value_samples():
     threshold = 3.0 ** (-spec.alpha * spec.m**2)
     found_any = 0
     for t in (0.5, 2 / 7):
-        cert, zeros = lemmas.ssv_certified_cover(tf, spec, t=t)
+        phi = tf.poly(t)
+        cert, zeros = lemmas.ssv_certified_cover(phi, spec)
         assert len(zeros) >= 1
         centers = [0.5 * (iv.lo + iv.hi) for iv in cert.intervals]
-        small = spectral.ssv_small_points(
-            tf, spec, threshold, 100000, focus=centers, t=t
-        )
+        small = spectral.ssv_small_points(phi, spec, threshold, 100000, focus=centers)
         found_any += small.size
         for x in small:
             assert cert.contains(x)

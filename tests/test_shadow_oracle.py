@@ -116,10 +116,10 @@ def test_level_intervals_endpoints_are_python_floats():
 
 @pytest.mark.parametrize("threshold", [0.05, 0.3, 1.0])
 def test_ssv_scan_cover_equals_loop_union(threshold):
-    tf = spectral.t_form(ifs.preset("gasket"))
+    phi = spectral.t_form(ifs.preset("gasket")).poly(0.37)
     spec = spectral.ProductSpec(8, 2, 3)
-    cover = spectral.ssv_scan(tf, spec, threshold, 2000, t=0.37)
-    small = spectral.ssv_small_points(tf, spec, threshold, 2000, t=0.37)
+    cover = spectral.ssv_scan(phi, spec, threshold, 2000)
+    small = spectral.ssv_small_points(phi, spec, threshold, 2000)
     step = cover.grid_step
     assert cover.intervals == oracles.interval_union((x - step, x + step) for x in small)
 

@@ -17,12 +17,12 @@ def test_phi_at_zero_is_one():
     for name in ("gasket", "corner4"):
         system = ifs.preset(name)
         for theta in (0.0, 0.3, 2.0):
-            assert spectral.phi_eval(system, 0.0, theta=theta) == pytest.approx(1.0)
+            assert spectral.phi_theta_poly(system, theta)(0.0) == pytest.approx(1.0)
 
 
 def test_phi_slope_form_cube_roots_zero():
     tf = spectral.t_form(ifs.preset("gasket"))
-    val = spectral.phi_eval(tf, 2 * np.pi / 3, t=2.0)
+    val = tf.poly(2.0)(2 * np.pi / 3)
     assert abs(val) < 1e-15
 
 
@@ -30,7 +30,7 @@ def test_phi_bounded_by_one():
     rng = np.random.Generator(np.random.Philox(31))
     g = ifs.preset("gasket")
     xs = rng.uniform(-1e4, 1e4, 1000)
-    assert np.max(np.abs(spectral.phi_eval(g, xs, theta=0.9))) <= 1 + 1e-12
+    assert np.max(np.abs(spectral.phi_theta_poly(g, 0.9)(xs))) <= 1 + 1e-12
 
 
 def test_gasket_frequencies_match_projected_level1_centers():
@@ -45,17 +45,17 @@ def test_gasket_frequencies_match_projected_level1_centers():
 
 
 def test_nu_hat_basics():
-    g = ifs.preset("gasket")
-    assert spectral.nu_hat_eval(g, 0.4, 5, 0.0) == pytest.approx(1.0)
+    phi = spectral.phi_theta_poly(ifs.preset("gasket"), 0.4)
+    assert spectral.nu_hat_eval(phi, 5, 0.0) == pytest.approx(1.0)
     x = 7.7
-    one = spectral.nu_hat_eval(g, 0.4, 1, x)
-    assert one == pytest.approx(spectral.phi_eval(g, x / 3, theta=0.4))
-    assert abs(spectral.nu_hat_eval(g, 0.4, 8, 123.0)) <= 1 + 1e-12
+    one = spectral.nu_hat_eval(phi, 1, x)
+    assert one == pytest.approx(phi(x / 3))
+    assert abs(spectral.nu_hat_eval(phi, 8, 123.0)) <= 1 + 1e-12
 
 
 def test_nu_hat_equals_character_sum():
     g = ifs.preset("gasket")
-    val = spectral.nu_hat_eval(g, 0.0, 3, 5.0)
+    val = spectral.nu_hat_eval(spectral.phi_theta_poly(g, 0.0), 3, 5.0)
     assert abs(val - charsum_oracle(g, 0.0, 3, 5.0)) < 1e-12
 
 
@@ -68,7 +68,7 @@ def test_nu_hat_character_sum_random_pairs():
             n = int(rng.integers(0, 7))
             theta = float(rng.uniform(0, np.pi))
             x = float(rng.uniform(-(L ** (n + 1)), L ** (n + 1)))
-            got = spectral.nu_hat_eval(system, theta, n, x)
+            got = spectral.nu_hat_eval(spectral.phi_theta_poly(system, theta), n, x)
             assert abs(got - charsum_oracle(system, theta, n, x)) < 1e-10
 
 
@@ -78,8 +78,8 @@ def test_theta_to_t_preserves_modulus():
     for theta in (0.1, 0.3, 0.8):
         t, xscale = spectral.theta_to_t(g, theta)
         for x in (0.5, 3.0, 50.0):
-            a = abs(spectral.phi_eval(g, x, theta=theta))
-            b = abs(spectral.phi_eval(tf, xscale * x, t=t))
+            a = abs(spectral.phi_theta_poly(g, theta)(x))
+            b = abs(tf.poly(t)(xscale * x))
             assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -96,8 +96,9 @@ def test_split_products_multiply_back():
     spec = spectral.ProductSpec(12, 3, 6)
     rng = np.random.Generator(np.random.Philox(33))
     xs = rng.uniform(1.0, 3.0**12, 1000)
-    p1, p2, ps, pf = spectral.split_products(spec, g, xs, theta=0.3)
-    full = spectral.nu_hat_eval(g, 0.3, 12, xs)
+    phi = spectral.phi_theta_poly(g, 0.3)
+    p1, p2, ps, pf = spectral.split_products(spec, phi, xs)
+    full = spectral.nu_hat_eval(phi, 12, xs)
     assert np.max(np.abs(p1 * p2 - full)) < 1e-12
     assert np.max(np.abs(ps * pf - p1)) < 1e-10
 
@@ -106,12 +107,13 @@ def test_split_products_against_direct_factor_oracle():
     g = ifs.preset("gasket")
     spec = spectral.ProductSpec(12, 3, 6)
     x = 3.0**10
-    p1, p2, ps, pf = spectral.split_products(spec, g, x, theta=0.3)
+    phi = spectral.phi_theta_poly(g, 0.3)
+    p1, p2, ps, pf = spectral.split_products(spec, phi, x)
 
     def direct(lo, hi):
         acc = 1.0 + 0.0j
         for k in range(lo, hi + 1):
-            acc *= complex(spectral.phi_eval(g, 3.0**-k * x, theta=0.3))
+            acc *= complex(phi(3.0**-k * x))
         return acc
 
     assert abs(p1 - direct(1, 8)) < 1e-10
@@ -123,20 +125,20 @@ def test_split_products_against_direct_factor_oracle():
 @pytest.mark.parametrize("slope", [False, True])
 def test_split_products_full_evaluates_each_scale_once(slope, monkeypatch):
     g = ifs.preset("gasket")
-    target, kw = (spectral.t_form(g), {"t": 0.37}) if slope else (g, {"theta": 0.3})
+    phi = spectral.t_form(g).poly(0.37) if slope else spectral.phi_theta_poly(g, 0.3)
     spec = spectral.ProductSpec(12, 3, 6)
     xs = np.linspace(3.0**9, 3.0**12, 777)
 
     def running(lo, hi):
         acc = np.ones(xs.shape, dtype=complex)
         for k in range(lo, hi + 1):
-            acc *= spectral.phi_eval(target, (1.0 / 3.0) ** k * xs, **kw)
+            acc *= phi((1.0 / 3.0) ** k * xs)
         return acc
 
     calls = []
     call = spectral.ExpPoly.__call__
     monkeypatch.setattr(spectral.ExpPoly, "__call__", lambda self, z: calls.append(1) or call(self, z))
-    p1, p2, ps, pf, full = spectral.split_products(spec, target, xs, **kw, full=True)
+    p1, p2, ps, pf, full = spectral.split_products(spec, phi, xs, full=True)
     assert len(calls) == spec.n
     monkeypatch.undo()
     assert ps.tobytes() == running(1, 2).tobytes()
@@ -144,8 +146,8 @@ def test_split_products_full_evaluates_each_scale_once(slope, monkeypatch):
     assert p2.tobytes() == running(9, 12).tobytes()
     assert p1.tobytes() == (ps * pf).tobytes()
     assert full.tobytes() == running(1, 12).tobytes()
-    assert full.tobytes() == spectral.nu_hat_eval(target, depth=12, x=xs, **kw).tobytes()
-    blocks = spectral.split_products(spec, target, xs, **kw)
+    assert full.tobytes() == spectral.nu_hat_eval(phi, 12, xs).tobytes()
+    blocks = spectral.split_products(spec, phi, xs)
     assert [b.tobytes() for b in blocks] == [b.tobytes() for b in (p1, p2, ps, pf)]
 
 
@@ -153,23 +155,24 @@ def test_split_degenerate_low_block_single_factor():
     g = ifs.preset("gasket")
     spec = spectral.ProductSpec(6, 0, 2)
     x = 42.0
-    _, p2, _, _ = spectral.split_products(spec, g, x, theta=0.5)
-    assert p2 == pytest.approx(complex(spectral.phi_eval(g, 3.0**-6 * x, theta=0.5)))
+    phi = spectral.phi_theta_poly(g, 0.5)
+    _, p2, _, _ = spectral.split_products(spec, phi, x)
+    assert p2 == pytest.approx(complex(phi(3.0**-6 * x)))
 
 
 def test_ssv_scan_threshold_extremes_and_monotonicity():
-    tf = spectral.t_form(ifs.preset("gasket"))
+    phi = spectral.t_form(ifs.preset("gasket")).poly(0.37)
     spec = spectral.ProductSpec(6, 2, 3)
-    empty = spectral.ssv_scan(tf, spec, 0.0, 2000, t=0.37)
+    empty = spectral.ssv_scan(phi, spec, 0.0, 2000)
     assert empty.component_count == 0
-    everything = spectral.ssv_scan(tf, spec, 1.0, 2000, t=0.37)
+    everything = spectral.ssv_scan(phi, spec, 1.0, 2000)
     assert everything.component_count == 1
     span = 3.0**6 - 3.0**4
     assert everything.intervals.measure == pytest.approx(
         span + 2 * everything.grid_step, rel=1e-12
     )
-    small = spectral.ssv_scan(tf, spec, 0.01, 2000, t=0.37)
-    large = spectral.ssv_scan(tf, spec, 0.05, 2000, t=0.37)
+    small = spectral.ssv_scan(phi, spec, 0.01, 2000)
+    large = spectral.ssv_scan(phi, spec, 0.05, 2000)
     for iv in small.intervals.intervals:
         assert any(c.lo <= iv.lo and iv.hi <= c.hi for c in large.intervals.intervals)
 
@@ -220,9 +223,9 @@ def test_sine_identity():
 
 
 def test_dist_bound_positive_and_stable():
-    g = ifs.preset("gasket")
-    b1 = spectral.dist_bound_fit(g, 300)
-    b2 = spectral.dist_bound_fit(g, 600)
+    tf = spectral.t_form(ifs.preset("gasket"))
+    b1 = spectral.dist_bound_fit(tf, 300)
+    b2 = spectral.dist_bound_fit(tf, 600)
     assert b1 > 0
     assert abs(b2 - b1) <= 0.05 * b1
 
@@ -259,3 +262,31 @@ def test_ergodic_generic_average_near_two():
 def test_exp_poly_validation():
     with pytest.raises(FavlabError):
         spectral.ExpPoly(lambdas=(1j,), coefficients=(1.0, 1.0))
+
+
+def test_ssv_cover_on_split_products_low_block_equals_ssv_scan():
+    phi = spectral.t_form(ifs.preset("gasket")).poly(0.37)
+    spec = spectral.ProductSpec(8, 2, 3)
+    xs = np.linspace(*spectral.low_block_interval(phi, spec), 2000)
+    _, p2, _, _ = spectral.split_products(spec, phi, xs)
+    for threshold in (0.05, 0.3):
+        scan = spectral.ssv_scan(phi, spec, threshold, 2000)
+        assert spectral.ssv_cover(xs, p2, threshold) == scan
+
+
+@pytest.mark.parametrize(
+    "name", ["gasket", "corner4", "random-3-seed1", "random-4-seed5", "random-6-seed2"]
+)
+def test_presets_have_ratio_one_over_l_for_both_phase_forms(name):
+    system = ifs.preset(name)
+    assert spectral.phi_theta_poly(system, 0.3)(0.0) == pytest.approx(1.0)
+    assert spectral.t_form(system).poly(0.37)(0.0) == pytest.approx(1.0)
+
+
+def test_phase_constructors_reject_ratio_other_than_one_over_l():
+    g = ifs.preset("gasket")
+    maps = [ifs.GeneratorMap(center=m.center, ratio=0.3, shape=m.shape) for m in g.maps]
+    system = ifs.build_system(maps)
+    for build in (lambda: spectral.phi_theta_poly(system, 0.3), lambda: spectral.t_form(system)):
+        with pytest.raises(FavlabError, match="ratio 1/L = 1/3, got ratio 0.3"):
+            build()

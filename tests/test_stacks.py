@@ -110,12 +110,12 @@ def test_bootstrap_fit_residual_regression():
 
 
 def test_bad_direction_scan_bound_and_monotone():
-    g = ifs.preset("gasket")
+    tf = spectral.t_form(ifs.preset("gasket"))
     spec = spectral.ProductSpec(8, 2, 4)
     ts = np.linspace(0.0, 1.0, 101)
-    rep = stacks.bad_direction_scan(g, spec, 0.05, ts)
+    rep = stacks.bad_direction_scan(tf, spec, 0.05, ts)
     assert rep.h_measure <= rep.bound
-    rep_hi = stacks.bad_direction_scan(g, spec, 0.10, ts)
+    rep_hi = stacks.bad_direction_scan(tf, spec, 0.10, ts)
     assert rep_hi.h_measure >= rep.h_measure
     # offenders can only appear as tau grows (threshold shrinks)
     for lo, hi in zip(rep.offenders, rep_hi.offenders):
@@ -124,8 +124,8 @@ def test_bad_direction_scan_bound_and_monotone():
 
 def test_bad_direction_tau_zero_degenerate():
     # threshold 1 means only exact-modulus-one excursions count
-    g = ifs.preset("gasket")
+    tf = spectral.t_form(ifs.preset("gasket"))
     spec = spectral.ProductSpec(6, 1, 2)
-    rep = stacks.bad_direction_scan(g, spec, 0.0, np.linspace(0.1, 0.9, 9), x_grid=2000)
+    rep = stacks.bad_direction_scan(tf, spec, 0.0, np.linspace(0.1, 0.9, 9), x_grid=2000)
     assert rep.threshold == 1.0
     assert rep.h_measure <= 0.8 + 1e-12

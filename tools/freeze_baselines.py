@@ -20,7 +20,7 @@ def doubling_sweep():
     for t in np.linspace(0.0, 1.0, 100):
         for xp in np.linspace(1.0, 30.0, 100):
             for k in range(6):
-                r = lemmas.doubling_ratio(tf, float(t), float(xp), k=k, density=25.0)
+                r = lemmas.doubling_ratio(tf.poly(float(t)), float(xp), k=k, density=25.0)
                 worst = max(worst, r)
     print(f"doubling sweep max ratio: {worst!r}  ({time.time()-t0:.0f}s)")
     print("  -> DOUBLING_RATIO_CEILING = above * 1.10")
@@ -54,7 +54,7 @@ def ssv_baseline():
         ]
     )
     for t in sweep:
-        cover = spectral.ssv_scan(tf, spec, thr, 200_000, t=float(t))
+        cover = spectral.ssv_scan(tf.poly(float(t)), spec, thr, 200_000)
         worst = max(worst, cover.component_count / 3.0**spec.m)
     print(f"ssv components per L^m ({sweep.size}-pt t sweep): {worst!r}  ({time.time()-t0:.0f}s)")
     print("  -> SSV_COMPONENTS_PER_LM = above * 1.25")
