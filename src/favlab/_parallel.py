@@ -20,10 +20,13 @@ def default_threads() -> int:
 
 
 def ordered_map(fn, items, threads: int | None = None) -> list:
-    """Apply fn to each item, in parallel, returning results in input order."""
+    """Apply fn to each item, in parallel, returning results in input order.
+
+    At most one worker per item is started; a count below 2 runs serially.
+    """
     items = list(items)
-    n = default_threads() if threads is None else max(1, int(threads))
-    if n == 1 or len(items) <= 1:
+    n = min(default_threads() if threads is None else int(threads), len(items))
+    if n <= 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))

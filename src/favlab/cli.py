@@ -10,6 +10,7 @@ byte-identical output regardless of --threads.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -73,11 +74,18 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--json", action="store_true", help="machine-readable errors")
-    p.add_argument("--threads", type=int, default=None, help="worker threads")
+    p.add_argument("--threads", type=_positive, default=None, help="worker threads")
     p.add_argument("--config", default=None, help="JSON file overriding flags")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The favlab argument parser, built once per process and shared.
+
+    Reuse is safe because parsing leaves the parser unchanged and no handler
+    changes an argument value in place (the `--K`/`--M` default list is the
+    same object on every call that leaves the flag out).
+    """
     ap = argparse.ArgumentParser(prog="favlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -115,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--threshold", type=float, default=None, help="small-value cutoff")
+    p.add_argument("--threshold", type=_positive_finite, default=None, help="small-value cutoff")
     p.add_argument("--grid", type=_positive, default=10000)
     _add_common_flags(p)
 
@@ -140,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=_positive, nargs="+", default=[2])
     p.add_argument("--M", type=_positive, nargs="+", default=[2])
     p.add_argument("--theta-grid", type=_positive, default=64)
-    p.add_argument("--k-exponent", type=float, default=3.0)
+    p.add_argument("--k-exponent", type=_finite, default=3.0)
     p.add_argument("--theta", type=_finite, default=0.2)
     p.add_argument("--l-max", type=int, default=3)
     p.add_argument("--m", type=int, default=2)

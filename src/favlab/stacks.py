@@ -209,14 +209,59 @@ def l2_bound_report(
     )
 
 
+_RHO_GRID = np.linspace(0.001, 0.999, 999)
+# Longer series skip the screen, whose arrays hold 999 floats per depth.  Only
+# base depth 0 makes them in practice: the default enumeration cap of 2^26
+# pieces keeps l_max * N at 26 or less.
+_SCREEN_MAX_DEPTHS = 64
+
+
+def _screen_residuals(ls: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """RMS residual of the two-column fit at every grid rho, in one array pass.
+
+    Gram-Schmidt on the columns (tail, then geom) rather than normal
+    equations: at rho = 0.001 the tail column spans 1e-3 down to 1e-3^l,
+    which squaring would push below the round-off of the geom column.
+    With l_max = 1 the columns are parallel and every residual is nan.
+    """
+    tail = _RHO_GRID[:, None] ** ls
+    geom = (1.0 - tail) / (1.0 - _RHO_GRID[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = tail / np.linalg.norm(tail, axis=1)[:, None]
+        g_perp = geom - np.sum(geom * u, axis=1)[:, None] * u
+        v = g_perp / np.linalg.norm(g_perp, axis=1)[:, None]
+        r = ys - (u @ ys)[:, None] * u
+        r -= np.sum(r * v, axis=1)[:, None] * v
+    return np.sqrt(np.mean(r * r, axis=1))
+
+
 def _fit_geometric(ls: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     """Least squares for y_l ~ a (1-rho^l)/(1-rho) + b rho^l over rho in (0,1).
 
-    rho is scanned on a grid, the amplitudes solve a small linear system per
-    candidate; returns (a, rho, rms residual) of the best candidate.
+    rho is scanned on a 999-point grid; returns (a, rho, rms residual) of the
+    first candidate with the smallest residual.  Screen, then confirm: one
+    array pass computes every candidate's residual in closed form, and the
+    per-candidate lstsq step runs, in grid order, only on the rho screened
+    within a margin of the screened minimum (plus any screened as nan).
+
+    The pick equals that of lstsq on the whole grid whenever every screened
+    residual s is within margin/2 of the lstsq residual e: the first argmin
+    i* of e then has s[i*] < e[i*] + margin/2 <= min e + margin/2 < min s +
+    margin, so i* and every tie with it are confirmed.  Both are stable
+    solves, and for l_max <= 64 the design's condition number is at most
+    8.1e3 (at rho = 0.001), so s and e differ by about 1e-11 * max|y| at
+    most, against a margin of 1e-9 * max(1, max|y|).  Data the model fits
+    exactly at many rho (l_max <= 2, zero or constant series) confirm every
+    candidate and cost what the full loop costs.
     """
+    if ls.size <= _SCREEN_MAX_DEPTHS:
+        screened = _screen_residuals(ls, ys)
+    else:
+        screened = np.full(_RHO_GRID.size, math.nan)
+    margin = 1e-9 * max(1.0, float(np.max(np.abs(ys))))
+    lowest = np.min(screened, initial=math.inf, where=np.isfinite(screened))
     best = (0.0, 0.5, math.inf)
-    for rho in np.linspace(0.001, 0.999, 999):
+    for rho in _RHO_GRID[~(screened > lowest + margin)]:
         tail = rho**ls
         geom = (1.0 - tail) / (1.0 - rho)
         design = np.column_stack([geom, tail])

@@ -2,8 +2,10 @@
 
 These are the per-cell and per-pair Python loops that the array code in
 `favlab.shadow` replaced, and the per-field CSV writers that the column
-writer in `favlab.emit` replaced, and the scalar and complex-node needle
-tests that the projected-residual descent in `favlab.favard` replaced.
+writer in `favlab.emit` replaced, the scalar and complex-node needle
+tests that the projected-residual descent in `favlab.favard` replaced, and
+the full-grid geometric fit that the screened fit in `favlab.stacks`
+replaced.
 They define the expected output: the array versions must return equal
 (`==`) results, and the writers equal bytes, on every input.
 """
@@ -11,6 +13,7 @@ They define the expected output: the array versions must return equal
 from __future__ import annotations
 
 import csv
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -192,3 +195,22 @@ def hits_batch(
         node = child[keep]
     hits[np.unique(trial)] = True
     return hits
+
+
+def fit_geometric(ls: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    """Least squares for y_l ~ a (1-rho^l)/(1-rho) + b rho^l over rho in (0,1).
+
+    rho is scanned on a grid, the amplitudes solve a small linear system per
+    candidate; returns (a, rho, rms residual) of the best candidate.
+    """
+    best = (0.0, 0.5, math.inf)
+    for rho in np.linspace(0.001, 0.999, 999):
+        tail = rho**ls
+        geom = (1.0 - tail) / (1.0 - rho)
+        design = np.column_stack([geom, tail])
+        coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
+        fit = design @ coef
+        resid = float(np.sqrt(np.mean((fit - ys) ** 2)))
+        if resid < best[2]:
+            best = (float(coef[0]), float(rho), resid)
+    return best

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from favlab import cli, ifs, spectral, verify
+from favlab import _parallel, cli, ifs, spectral, verify
 
 
 def run(argv):
@@ -307,6 +307,7 @@ def test_spectral_threshold_reuses_the_low_block(monkeypatch):
 
 
 CAP = "must be a positive integer, got -5"
+FLOAT_FLAGS = ("target-rel-error", "threshold", "k-exponent")
 
 
 @pytest.mark.parametrize(
@@ -322,16 +323,24 @@ CAP = "must be a positive integer, got -5"
         (FAVARD, "cap", "-5", CAP),
         (["shadow", "--preset", "gasket", "--n", "2", "--theta", "0.2"], "cap", "-5", CAP),
         (SCAN + ["--check", "bootstrap"], "cap", "-5", CAP),
+        (SPECTRAL, "threshold", "nan", "must be a positive finite number, got nan"),
+        (SPECTRAL, "threshold", "inf", "must be a positive finite number, got inf"),
+        (SPECTRAL, "threshold", "-inf", "must be a positive finite number, got -inf"),
+        (SCAN + ["--check", "escan"], "k-exponent", "nan", "must be a finite number, got nan"),
+        (SCAN + ["--check", "escan"], "k-exponent", "inf", "must be a finite number, got inf"),
+        (SCAN + ["--check", "escan"], "k-exponent", "-inf", "must be a finite number, got -inf"),
+        (SCAN + ["--check", "escan"], "threads", "0", "must be a positive integer, got 0"),
+        (FAVARD, "threads", "-1", "must be a positive integer, got -1"),
     ],
 )
 def test_bad_numeric_flag_exits_2_through_argv_and_config(
     argv, flag, value, message, tmp_path, capsys
 ):
-    code, out = run(argv + [f"--{flag}", value])
+    code, out = run(argv + [f"--{flag}={value}"])  # "=" keeps "-inf" a value, not a flag
     assert code == 2 and out == ""
     assert message in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({flag: float(value) if flag == "target-rel-error" else int(value)}))
+    cfg.write_text(json.dumps({flag: float(value) if flag in FLOAT_FLAGS else int(value)}))
     code, out = run(argv + ["--config", str(cfg)])
     assert code == 2 and out == ""
     assert f"config key {flag!r}: {message}" in capsys.readouterr().err
@@ -348,3 +357,53 @@ def test_slope_form_of_a_two_map_system_exits_2(argv, capsys):
     code, out = run(argv + ["--preset", "random-2-seed1"])
     assert code == 2 and out == ""
     assert "the slope form anchors on maps (0, 1, 2); the system has 2" in capsys.readouterr().err
+
+
+def test_threads_start_at_most_one_worker_per_item(monkeypatch):
+    seen = []
+
+    class Recording(_parallel.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+            super().__init__(max_workers=min(max_workers, 2))
+
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", Recording)
+    assert _parallel.ordered_map(abs, [-1, -2, -3], threads=10**6) == [1, 2, 3]
+    assert _parallel.ordered_map(abs, [-1], threads=10**6) == [1]
+    assert seen == [3]
+    code, text = run(SCAN + ["--check", "escan", "--theta-grid", "4", "--threads", str(10**6)])
+    assert code == 0 and json.loads(text)["grid"] == 4
+    assert seen == [3, 4]
+
+
+def test_cached_parser_gives_the_bytes_of_a_fresh_one(monkeypatch, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n": 0, "grid": 16}')
+    product = ["scan", "--check", "product", "--preset", "corner4", "--N", "2",
+               "--theta-grid", "8"]
+    calls = [
+        FAVARD,
+        product + ["--K", "3"],
+        product,
+        ["favard", "--preset", "gasket", "--n", "3", "--config", str(cfg)],
+        ["favard", "--preset", "gasket"],
+        ["nonsense"],
+        product + ["--M", "1", "3"],
+        product,
+        ["shadow", "--preset", "gasket", "--n", "1", "--theta", "0.3"],
+        ["gen", "--preset", "corner4"],
+    ]
+
+    def sequence():
+        results = []
+        for argv in calls:
+            code, out = run(argv)
+            results.append((code, out, capsys.readouterr().err))
+        return results
+
+    cached = sequence()
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cached == sequence()
+    assert [code for code, _, _ in cached] == [0, 0, 0, 0, 2, 2, 0, 0, 0, 0]
+    assert json.loads(cached[2][1])["pairs"] == [[2, 2]]
