@@ -216,6 +216,10 @@ def piece_size(system: SimilaritySystem, depth: int) -> float:
 def check_cap(system: SimilaritySystem, depth: int, cap: int = ENUMERATION_CAP) -> int:
     if depth < 0:
         raise FavlabError(f"depth {depth} is negative")
+    # L >= 2, so L^depth >= 2^depth > cap once depth passes the bit length of
+    # cap; refuse before building a power that can run to thousands of digits.
+    if depth > cap.bit_length():
+        raise EnumerationCapExceeded(f"{system.branching}^{depth} pieces exceeds cap {cap}")
     count = system.branching**depth
     if count > cap:
         raise EnumerationCapExceeded(

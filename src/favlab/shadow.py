@@ -8,14 +8,18 @@ level sets and L2 norms are plain sums over its cells.
 
 The sweep is array code throughout.  `from_events` sorts the events, starts
 a new breakpoint wherever the gap to the previous event exceeds the merge
-tolerance, and sums each cluster's deltas with `np.add.reduceat`.
-`step_function` canonicalizes with masks: it starts at the first cell wider
-than the tolerance, drops slivers, merges runs of equal values and trims zero
-cells at both ends.  The sliver rule is greedy: a cell is dropped when its
-right end lies within the tolerance of the last kept breakpoint.  Profiles
-from `from_events` and `pointwise_max` never contain such cells (their
-breakpoints are spaced more than the tolerance apart), so the short loop that
-applies the rule runs only over the slivers of hand-made or CSV input.
+tolerance, and sums each cluster's deltas with `np.add.reduceat`.  Its
+breakpoints are spaced more than the tolerance apart, so when both end cells
+are nonzero (always, for shadows longer than the tolerance) it yields the
+canonical form directly by dropping the interior clusters whose deltas sum to
+0.  Other event input, and hand-made, CSV and `pointwise_max` cells, go
+through `step_function`, which canonicalizes with masks: it starts at the
+first cell wider than the tolerance, drops slivers, merges runs of equal
+values and trims zero cells at both ends.  The sliver rule is greedy: a cell
+is dropped when its right end lies within the tolerance of the last kept
+breakpoint.  Profiles from `from_events` and `pointwise_max` never contain
+such cells, so the short loop that applies the rule runs only over the
+slivers of hand-made or CSV input.
 `interval_union` sorts (lo, hi) pairs and starts a new component wherever lo
 exceeds the running maximum of the previous right ends by the tolerance.
 
@@ -203,22 +207,35 @@ def from_events(
     deltas: np.ndarray,
     merge_tolerance: float = MERGE_TOLERANCE,
 ) -> StepFunction:
-    """Build a profile from +-1 endpoint events by one sweep.
+    """Build a profile from endpoint events by one sweep, in canonical form.
 
     Events closer than merge_tolerance collapse to a single breakpoint, so
     exact endpoint coincidences become genuine stacking instead of slivers.
+    The breakpoints are then spaced more than merge_tolerance apart, so when
+    both end cells are nonzero the canonical form only drops the interior
+    breakpoints whose cluster sums to 0.  Input whose first or last cell
+    comes out 0 (unbalanced deltas, or shadows shorter than the tolerance)
+    goes through `step_function` instead.
     """
     if positions.size == 0:
         return _zero()
-    order = np.argsort(positions, kind="stable")
+    order = positions.argsort(kind="stable")
     pos = positions[order]
     fresh = np.empty(pos.size, dtype=bool)
     fresh[0] = True
-    np.greater(np.diff(pos), merge_tolerance, out=fresh[1:])
-    starts = np.flatnonzero(fresh)
-    delta_per_bp = np.add.reduceat(deltas[order], starts)
-    vals = np.cumsum(delta_per_bp)[:-1]
-    return step_function(pos[starts], vals, merge_tolerance)
+    np.greater(pos[1:] - pos[:-1], merge_tolerance, out=fresh[1:])
+    starts = fresh.nonzero()[0]
+    jumps = np.add.reduceat(deltas[order], starts)
+    vals = jumps[:-1].cumsum()
+    if vals.size == 0 or vals[0] == 0 or vals[-1] == 0:
+        return step_function(pos[starts], vals, merge_tolerance)
+    keep = jumps != 0
+    keep[-1] = True
+    b = pos[starts[keep]]
+    v = vals[keep[:-1]]
+    b.setflags(write=False)
+    v.setflags(write=False)
+    return StepFunction(b, v)
 
 
 def project_piece(piece: Piece, theta: float, shape: str) -> Interval:
@@ -261,9 +278,8 @@ def multiplicity(
     proj = projected_centers(system, depth, theta, cap)
     half = shadow_half_length(system, depth, theta)
     positions = np.concatenate([proj - half, proj + half])
-    deltas = np.concatenate(
-        [np.ones(proj.size, dtype=np.int64), -np.ones(proj.size, dtype=np.int64)]
-    )
+    deltas = np.ones(positions.size, dtype=np.int64)
+    deltas[proj.size :] = -1
     return from_events(positions, deltas, merge_tolerance)
 
 
@@ -318,7 +334,8 @@ def value_at(f: StepFunction, x: float) -> int:
 
 
 def _cell_lengths(f: StepFunction) -> np.ndarray:
-    return np.diff(f.breakpoints) if not f.is_zero else np.empty(0)
+    b = f.breakpoints
+    return b[1:] - b[:-1]
 
 
 def mass(f: StepFunction) -> float:
@@ -336,7 +353,7 @@ def level_measure(f: StepFunction, k: int, strict: bool = False) -> float:
     if f.is_zero:
         return 0.0
     sel = f.values > k if strict else f.values >= k
-    return float(np.sum(_cell_lengths(f)[sel]))
+    return float(_cell_lengths(f)[sel].sum())
 
 
 def level_intervals(f: StepFunction, k: int, strict: bool = False) -> IntervalUnion:

@@ -285,10 +285,12 @@ def bootstrap_report(
     The fitted model is a geometric series plus an exponential remainder,
     the shape produced by iterating the one-step covering estimate.
     """
+    if base_depth < 1:
+        raise FavlabError(f"base depth N must be at least 1, got {base_depth}")
     if l_max < 1:
         raise FavlabError("l_max must be at least 1")
+    ifs.check_cap(system, base_depth * l_max, cap)
     depths = tuple(l * base_depth for l in range(1, l_max + 1))
-    ifs.check_cap(system, depths[-1], cap)
     measures = tuple(
         shadow.support_measure(shadow.multiplicity(system, d, theta, cap))
         for d in depths

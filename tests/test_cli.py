@@ -346,6 +346,35 @@ def test_bad_numeric_flag_exits_2_through_argv_and_config(
     assert f"config key {flag!r}: {message}" in capsys.readouterr().err
 
 
+BUFFON = ["buffon", "--preset", "corner4", "--n", "1", "--trials", "10", "--seed", "1"]
+BOOT = ["scan", "--check", "bootstrap", "--preset", "gasket"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, code, message",
+    [
+        (["shadow", "--preset", "gasket", "--n", "1", "--theta", "0.3"], "n", "10000", 3,
+         "3^10000 pieces exceeds cap 67108864"),
+        (FAVARD, "n", "10000", 3, "3^10000 pieces exceeds cap 67108864"),
+        (BUFFON, "n", "10000", 3, "4^10000 pieces exceeds cap 67108864"),
+        (BOOT + ["--l-max", "2"], "N", "5000", 3, "3^10000 pieces exceeds cap 67108864"),
+        (BOOT, "N", "0", 2, "base depth N must be at least 1, got 0"),
+        (BOOT + ["--N", "1"], "l-max", "100000", 3, "3^100000 pieces exceeds cap 67108864"),
+    ],
+)
+def test_out_of_range_depth_exits_with_message_through_argv_and_config(
+    argv, flag, value, code, message, tmp_path, capsys
+):
+    got, out = run(argv + [f"--{flag}={value}"])
+    err = capsys.readouterr().err
+    assert got == code and out == "" and message in err and "Traceback" not in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: int(value)}))
+    got, out = run(argv + ["--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert got == code and out == "" and message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

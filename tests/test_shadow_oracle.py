@@ -6,6 +6,7 @@ and runs of equal values.
 """
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -153,6 +154,49 @@ def test_from_events_equals_loop_on_profiles(name, depths, theta):
         f = shadow.from_events(positions, deltas)
         assert f == oracles.from_events(positions, deltas)
         assert f == shadow.multiplicity(system, depth, theta)
+
+
+GOLDEN_ANGLES = (0.2, 0.7, 0.77)  # angles of the golden CLI commands
+TILING = math.atan(0.5)  # corner4's shadows abut end to end: zero-net clusters
+RANDOM_ANGLES = tuple(np.random.Generator(np.random.Philox(808)).uniform(0.0, np.pi, 64))
+ROUTE_ANGLES = GOLDEN_ANGLES + COINCIDENCE_ANGLES + (TILING,) + RANDOM_ANGLES
+
+
+@pytest.mark.parametrize("name", ["gasket", "corner4", "random-3-seed7"])
+def test_multiplicity_equals_loop_route(name):
+    system = ifs.preset(name)
+    for theta in ROUTE_ANGLES:
+        for depth in range(8):
+            f = shadow.multiplicity(system, depth, theta)
+            g = oracles.from_events(*events(system, depth, theta))
+            assert f == g, (name, theta, depth)
+
+
+def test_tiling_angle_has_zero_net_clusters():
+    positions, _ = events(ifs.preset("corner4"), 3, TILING)
+    pos = np.sort(positions)
+    clusters = 1 + np.count_nonzero(np.diff(pos) > TOL)
+    f = shadow.multiplicity(ifs.preset("corner4"), 3, TILING)
+    assert clusters > f.breakpoints.size
+
+
+def test_multiplicity_does_not_call_step_function(monkeypatch):
+    calls = []
+    real = shadow.step_function
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shadow, "step_function", counted)
+    for name in ("gasket", "corner4", "random-3-seed7"):
+        for theta in GOLDEN_ANGLES + COINCIDENCE_ANGLES + (TILING,):
+            for depth in range(6):
+                shadow.multiplicity(ifs.preset(name), depth, theta)
+    assert calls == []
+    # The fallback: a last cell of value 0 goes through step_function.
+    shadow.from_events(np.array([0.0, 1.0, 2.0]), np.array([1, -1, 1]))
+    assert len(calls) == 1
 
 
 def test_csv_with_slivers_reads_back_as_the_loop_does():
