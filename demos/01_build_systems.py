@@ -21,12 +21,17 @@ for i, m in enumerate(g.maps):
 
 print("\npiece centers are nested affine sums: center(w) = sum ratio^(k-1) c_{w_k}")
 for word in ([], [1], [1, 1], [1, 0, 2]):
-    print(f"  word {word}: {ifs.piece_center(g, word):.6f}")
+    # The depth-n centers are one array in lexicographic word order, so the
+    # word read as a base-L numeral is its index.
+    index = 0
+    for letter in word:
+        index = index * g.branching + letter
+    print(f"  word {word}: {ifs.piece_centers(g, len(word))[index]:.6f}")
 
 print("\ndepth-n enumeration is lexicographic; counts are exactly L^n:")
 for n in range(4):
-    pieces = list(ifs.enumerate_pieces(g, n))
-    print(f"  n={n}: {len(pieces)} pieces of size {pieces[0].size:.6f}")
+    centers = ifs.piece_centers(g, n)
+    print(f"  n={n}: {centers.size} pieces of size {ifs.piece_size(g, n):.6f}")
 
 print("\nsystems serialize to a small JSON document:")
 print(" ", ifs.system_to_json(ifs.preset("corner4")))

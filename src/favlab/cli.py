@@ -29,7 +29,7 @@ EXIT_CAP = 3
 
 def _load_system(args) -> ifs.SimilaritySystem:
     if getattr(args, "system_file", None):
-        with open(args.system_file, "r", encoding="utf-8") as fh:
+        with open(args.system_file, "rb") as fh:
             return ifs.system_from_json(fh.read())
     if getattr(args, "preset", None):
         return ifs.preset(args.preset)
@@ -279,7 +279,7 @@ def _cmd_spectral(args, stdout) -> int:
             cover = spectral.ssv_cover(xs, products[1], args.threshold)
         else:
             cover = spectral.ssv_scan(phi, spec, args.threshold, 1000)
-        print(f"small-value components: {cover.component_count}", file=sys.stderr)
+        print(f"small-value components: {cover.intervals.count}", file=sys.stderr)
     return EXIT_OK
 
 

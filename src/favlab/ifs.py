@@ -3,7 +3,7 @@
 A system is a list of L homothety maps z -> center_l + ratio*z applied to a
 root region (disc of radius root_size, or axis-parallel square of half-side
 root_size, both centered at the origin).  The depth-n set is the union of the
-L^n images of the root under n-fold compositions; pieces are enumerated in
+L^n images of the root under n-fold compositions; the centers are one array in
 lexicographic word order over the alphabet 0..L-1.
 """
 
@@ -13,7 +13,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,22 +71,6 @@ class SimilaritySystem:
         return np.array([m.center for m in self.maps], dtype=complex)
 
 
-@dataclass(frozen=True)
-class Word:
-    """Index word of one depth-n piece; letters in [0, L)."""
-
-    letters: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Piece:
-    """Depth-n image of the root: center, size (radius or half-side), depth."""
-
-    center: complex
-    size: float
-    depth: int
-
-
 def _center_norm(center: complex, shape: str) -> float:
     # Squares are axis-parallel, so containment is a sup-norm condition;
     # Euclidean norm would wrongly reject corner placements.
@@ -110,6 +94,8 @@ def build_system(
     maps = tuple(maps)
     if not maps:
         raise EmptySystem("system has no maps")
+    if not (np.isfinite(root_size) and root_size > 0.0):
+        raise ContainmentViolation(f"root size {root_size} is not a positive finite number")
     shape = maps[0].shape
     ratio = maps[0].ratio
     if shape not in (DISC, SQUARE):
@@ -117,12 +103,13 @@ def build_system(
     for i, m in enumerate(maps):
         if m.shape != shape:
             raise MixedShapes(f"map {i} has shape {m.shape!r}, expected {shape!r}")
-        if m.ratio != ratio:
-            raise MixedShapes(f"map {i} has ratio {m.ratio}, expected {ratio}")
+        # Range before equality: a nan ratio is unequal to itself.
         if not (0.0 < m.ratio < 1.0):
             raise ContainmentViolation(f"map {i}: ratio {m.ratio} outside (0, 1)")
+        if m.ratio != ratio:
+            raise MixedShapes(f"map {i} has ratio {m.ratio}, expected {ratio}")
         reach = _center_norm(m.center, shape) + m.ratio * root_size
-        if reach > root_size + tolerance:
+        if not (reach <= root_size + tolerance):  # false for a nan center
             raise ContainmentViolation(
                 f"map {i}: center {m.center} with ratio {m.ratio} "
                 f"escapes the root region by {reach - root_size:.3g}"
@@ -191,24 +178,6 @@ def preset(name: str) -> SimilaritySystem:
     raise UnknownPreset(f"unknown preset {name!r}")
 
 
-def piece_center(system: SimilaritySystem, word: Word | Sequence[int]) -> complex:
-    """Center of the piece indexed by `word`: sum_k ratio^(k-1) * center_{w_k}.
-
-    Equals the n-fold map composition applied to 0; the empty word gives the
-    root center 0.
-    """
-    letters = word.letters if isinstance(word, Word) else tuple(word)
-    L = system.branching
-    z = 0.0 + 0.0j
-    scale = 1.0
-    for k, letter in enumerate(letters):
-        if not 0 <= letter < L:
-            raise IndexError(f"letter {letter} at position {k} outside [0, {L})")
-        z += scale * system.maps[letter].center
-        scale *= system.ratio
-    return z
-
-
 def piece_size(system: SimilaritySystem, depth: int) -> float:
     return system.root_size * system.ratio**depth
 
@@ -252,17 +221,6 @@ def piece_centers(
     return (prev[:, None] + step[None, :]).ravel()
 
 
-def enumerate_pieces(
-    system: SimilaritySystem, depth: int, cap: int = ENUMERATION_CAP
-) -> Iterator[Piece]:
-    """Yield the L^depth pieces of the given depth in lexicographic word order."""
-    check_cap(system, depth, cap)
-    size = piece_size(system, depth)
-    centers = piece_centers(system, depth, cap)
-    for c in centers:
-        yield Piece(center=complex(c), size=size, depth=depth)
-
-
 def system_to_json(system: SimilaritySystem) -> str:
     """Serialize per the system-definition schema (17 significant digits)."""
     obj = {
@@ -275,13 +233,29 @@ def system_to_json(system: SimilaritySystem) -> str:
     return json.dumps(obj, sort_keys=True, default=float)
 
 
-def system_from_json(text: str) -> SimilaritySystem:
-    """Parse a system-definition JSON document and validate it."""
-    obj = json.loads(text)
-    maps = [
-        GeneratorMap(center=complex(re_, im), ratio=float(obj["ratio"]), shape=obj["shape"])
-        for re_, im in obj["centers"]
-    ]
-    return build_system(
-        maps, label=obj.get("label", ""), root_size=float(obj.get("root_size", 1.0))
-    )
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def system_from_json(text: str | bytes) -> SimilaritySystem:
+    """Parse and validate a system-definition JSON document.
+
+    Anything but an object with "shape", a numeric "ratio", [x, y] number pairs
+    as "centers", an optional string "label" and numeric "root_size" raises FavlabError.
+    """
+    try:
+        obj = json.loads(text)
+        if not isinstance(obj, dict) or not isinstance(obj.get("label", ""), str):
+            raise TypeError("the document must be a JSON object with a string label")
+        maps = [
+            GeneratorMap(complex(_number(x), _number(y)), _number(obj["ratio"]), obj["shape"])
+            for x, y in obj["centers"]
+        ]
+        root_size = _number(obj.get("root_size", 1.0))
+    except KeyError as exc:
+        raise FavlabError(f"system file lacks the key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FavlabError(f"system file is malformed: {exc}") from None
+    return build_system(maps, label=obj.get("label", ""), root_size=root_size)

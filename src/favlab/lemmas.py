@@ -22,7 +22,7 @@ from .errors import (
     FavlabError,
     PreconditionUnmet,
 )
-from .shadow import Interval, IntervalUnion, interval_union
+from .shadow import IntervalUnion, interval_union
 from .spectral import ExpPoly, ProductSpec
 
 ZERO_TOLERANCE = 1e-9
@@ -391,35 +391,32 @@ def supremum_on_interval(f, lo: float, hi: float, density: float = 1000.0) -> fl
 
 @dataclass(frozen=True)
 class TuranTrial:
-    """One supremum-comparison trial: exponential sum, interval, subset."""
+    """One supremum-comparison trial: exponential sum, one-component interval, subset."""
 
     poly: ExpPoly
-    interval: Interval
+    interval: IntervalUnion
     subset: IntervalUnion
 
     def __post_init__(self):
         if self.subset.measure <= 0:
             raise FavlabError("subset must have positive measure")
-        for iv in self.subset.intervals:
-            if iv.lo < self.interval.lo - 1e-12 or iv.hi > self.interval.hi + 1e-12:
-                raise FavlabError("subset must sit inside the interval")
+        lo, hi = self.interval.lo[0], self.interval.hi[0]
+        if self.subset.lo[0] < lo - 1e-12 or self.subset.hi[-1] > hi + 1e-12:
+            raise FavlabError("subset must sit inside the interval")
 
 
 def turan_ratio(trial: TuranTrial, density: float = 1000.0) -> float:
     """Smallest A making sup_I |f| <= e^(max|Re lam| |I|) (A|I|/|E|)^L sup_E |f|."""
     f = trial.poly
-    big = supremum_on_interval(f, trial.interval.lo, trial.interval.hi, density)
-    small = max(
-        supremum_on_interval(f, iv.lo, iv.hi, density) for iv in trial.subset.intervals
-    )
+    big = supremum_on_interval(f, trial.interval.lo[0], trial.interval.hi[0], density)
+    spans = zip(trial.subset.lo.tolist(), trial.subset.hi.tolist())
+    small = max(supremum_on_interval(f, lo, hi, density) for lo, hi in spans)
     if small <= 0:
         raise FavlabError("sup over subset vanished")
     n_terms = len(f.lambdas)
-    growth = math.exp(
-        max(abs(lam.real) for lam in f.lambdas) * trial.interval.length
-    )
+    growth = math.exp(max(abs(lam.real) for lam in f.lambdas) * trial.interval.measure)
     ratio = big / (growth * small)
-    return (trial.subset.measure / trial.interval.length) * ratio ** (1.0 / n_terms)
+    return (trial.subset.measure / trial.interval.measure) * ratio ** (1.0 / n_terms)
 
 
 def box_sup(f, x0: float, x1: float, y0: float, y1: float, density: float = 60.0) -> float:

@@ -21,7 +21,9 @@ breakpoint.  Profiles from `from_events` and `pointwise_max` never contain
 such cells, so the short loop that applies the rule runs only over the
 slivers of hand-made or CSV input.
 `interval_union` sorts (lo, hi) pairs and starts a new component wherever lo
-exceeds the running maximum of the previous right ends by the tolerance.
+exceeds the running maximum of the previous right ends by the tolerance; the
+`IntervalUnion` it returns is two read-only float64 arrays, lo and hi.  Scalar
+per-piece and per-point references live only in tests/oracles.py.
 
 `write_step_csv` emits a profile through `favlab.emit`: each breakpoint is
 formatted once with %.17g, and its string serves as one cell's cell_hi and
@@ -42,44 +44,36 @@ import numpy as np
 
 from . import emit, ifs
 from .errors import FavlabError
-from .ifs import Piece, SimilaritySystem
+from .ifs import SimilaritySystem
 
 MERGE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
+@dataclass(frozen=True, eq=False)
+class IntervalUnion:
+    """Sorted, disjoint intervals [lo[i], hi[i]] in two read-only float64 arrays."""
+
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __post_init__(self):
-        if self.hi < self.lo:
-            raise FavlabError(f"interval [{self.lo}, {self.hi}] is reversed")
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-
-@dataclass(frozen=True)
-class IntervalUnion:
-    """Sorted, pairwise-disjoint intervals (gaps above merge tolerance)."""
-
-    intervals: tuple[Interval, ...]
+        self.lo.setflags(write=False)
+        self.hi.setflags(write=False)
 
     @property
     def measure(self) -> float:
-        return float(sum(iv.length for iv in self.intervals))
+        return float((self.hi - self.lo).sum())
 
     @property
     def count(self) -> int:
-        return len(self.intervals)
+        return self.lo.size
 
-    def contains(self, x: float) -> bool:
-        return any(iv.contains(x) for iv in self.intervals)
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, IntervalUnion)
+            and np.array_equal(self.lo, other.lo)
+            and np.array_equal(self.hi, other.hi)
+        )
 
 
 def interval_union(
@@ -89,14 +83,13 @@ def interval_union(
     """Merge arbitrary (lo, hi) pairs into a canonical disjoint union.
 
     `raw` is any iterable of pairs or a (k, 2) array.  Reversed pairs are
-    dropped; pairs closer than merge_tolerance join one component.  The
-    endpoints come back as Python floats.
+    dropped; pairs closer than merge_tolerance join one component.
     """
     pairs = np.asarray(raw if isinstance(raw, np.ndarray) else list(raw), dtype=float)
     pairs = pairs.reshape(-1, 2)
     pairs = pairs[pairs[:, 1] >= pairs[:, 0]]
     if pairs.shape[0] == 0:
-        return IntervalUnion(())
+        return IntervalUnion(np.empty(0), np.empty(0))
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     lo = pairs[order, 0]
     reach = np.maximum.accumulate(pairs[order, 1])
@@ -105,9 +98,7 @@ def interval_union(
     np.greater(lo[1:], reach[:-1] + merge_tolerance, out=fresh[1:])
     starts = np.flatnonzero(fresh)
     ends = np.append(starts[1:], lo.size) - 1
-    return IntervalUnion(
-        tuple(Interval(a, b) for a, b in zip(lo[starts].tolist(), reach[ends].tolist()))
-    )
+    return IntervalUnion(lo[starts], reach[ends])
 
 
 class StepFunction:
@@ -238,20 +229,6 @@ def from_events(
     return StepFunction(b, v)
 
 
-def project_piece(piece: Piece, theta: float, shape: str) -> Interval:
-    """Shadow of one piece on the line of angle theta.
-
-    Discs: center +- size.  Squares: center +- size*(|cos| + |sin|), the
-    support radius of an axis-parallel square in that direction.
-    """
-    c = (piece.center * np.exp(-1j * theta)).real
-    if shape == ifs.SQUARE:
-        half = piece.size * (abs(np.cos(theta)) + abs(np.sin(theta)))
-    else:
-        half = piece.size
-    return Interval(c - half, c + half)
-
-
 def shadow_half_length(system: SimilaritySystem, depth: int, theta: float) -> float:
     """Half-length of a single depth-n shadow interval."""
     size = ifs.piece_size(system, depth)
@@ -329,10 +306,6 @@ def values_at(f: StepFunction, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def value_at(f: StepFunction, x: float) -> int:
-    return int(values_at(f, np.array([x]))[0])
-
-
 def _cell_lengths(f: StepFunction) -> np.ndarray:
     b = f.breakpoints
     return b[1:] - b[:-1]
@@ -358,8 +331,6 @@ def level_measure(f: StepFunction, k: int, strict: bool = False) -> float:
 
 def level_intervals(f: StepFunction, k: int, strict: bool = False) -> IntervalUnion:
     """The level set {f >= k} (or {f > k}) as an interval union."""
-    if f.is_zero:
-        return IntervalUnion(())
     sel = f.values > k if strict else f.values >= k
     return interval_union(np.column_stack((f.breakpoints[:-1][sel], f.breakpoints[1:][sel])))
 

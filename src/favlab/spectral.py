@@ -217,7 +217,6 @@ class SsvCover:
 
     intervals: IntervalUnion
     threshold: float
-    component_count: int
     grid_step: float
 
 
@@ -237,12 +236,7 @@ def ssv_cover(xs: np.ndarray, p2: np.ndarray, threshold: float) -> SsvCover:
     step = xs[1] - xs[0]
     small = xs[np.abs(p2) <= threshold]
     cover = interval_union(np.column_stack((small - step, small + step)))
-    return SsvCover(
-        intervals=cover,
-        threshold=float(threshold),
-        component_count=cover.count,
-        grid_step=float(step),
-    )
+    return SsvCover(intervals=cover, threshold=float(threshold), grid_step=float(step))
 
 
 def ssv_scan(phi: ExpPoly, spec: ProductSpec, threshold: float, grid_size: int) -> SsvCover:

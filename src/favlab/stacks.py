@@ -39,6 +39,8 @@ class EScanConfig:
     K_exponent: float = 3.0
 
     def __post_init__(self):
+        if self.N < 1:
+            raise FavlabError(f"depth N must be at least 1, got {self.N}")
         if self.K < 1:
             raise FavlabError("K must be at least 1")
         if not self.theta_grid:
@@ -107,6 +109,8 @@ def product_inequality_report(
     stacked set is nonempty and both denominators are positive; empty stacked
     sets pass vacuously (ratio 0), empty denominators are skipped as nan.
     """
+    if max_depth < 1:
+        raise FavlabError(f"depth N must be at least 1, got {max_depth}")
     pairs = tuple((int(k), int(m)) for k, m in pairs)
     thetas = tuple(float(t) for t in theta_grid)
 

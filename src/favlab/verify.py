@@ -16,7 +16,7 @@ import numpy as np
 from . import baselines, ifs, lemmas, spectral
 from ._parallel import ordered_map
 from .errors import FavlabError
-from .shadow import Interval, interval_union
+from .shadow import interval_union
 from .spectral import ExpPoly
 
 
@@ -103,9 +103,8 @@ def suite_turan(trials: int, seed: int, threads: int | None = None) -> dict:
         want = rng.uniform(0.1, 0.6) * length
         starts = np.sort(rng.uniform(0.0, length, pieces))
         widths = np.full(pieces, want / pieces)
-        raw = [(s, min(s + w, length)) for s, w in zip(starts, widths)]
-        subset = interval_union(raw)
-        jobs.append(lemmas.TuranTrial(poly, Interval(0.0, length), subset))
+        subset = interval_union(np.column_stack((starts, np.minimum(starts + widths, length))))
+        jobs.append(lemmas.TuranTrial(poly, interval_union([(0.0, length)]), subset))
     worst = max(ordered_map(lemmas.turan_ratio, jobs, threads))
     return _report("turan", trials, worst, worst <= baselines.TURAN_A_CEILING)
 

@@ -8,13 +8,23 @@ the full-grid geometric fit that the screened fit in `favlab.stacks`
 replaced.
 They define the expected output: the array versions must return equal
 (`==`) results, and the writers equal bytes, on every input.
+
+The library holds interval unions and pieces only as arrays: an
+`IntervalUnion` is two float64 arrays lo and hi, and the pieces of a depth
+are `ifs.piece_centers` plus `ifs.piece_size`.  The scalar per-object
+helpers live only here: `Piece`, `piece_center` and `enumerate_pieces` (one
+object per word), `project_piece` (one piece's shadow as a (lo, hi) tuple),
+`value_at` (one point's profile value) and `union_contains` (membership of
+one point in a union).
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,10 +33,73 @@ from favlab.errors import FavlabError
 from favlab.ifs import SimilaritySystem
 from favlab.shadow import (
     MERGE_TOLERANCE,
-    Interval,
     IntervalUnion,
     StepFunction,
 )
+
+
+@dataclass(frozen=True)
+class Piece:
+    """Depth-n image of the root: center, size (radius or half-side), depth."""
+
+    center: complex
+    size: float
+    depth: int
+
+
+def piece_center(system: SimilaritySystem, word: Sequence[int]) -> complex:
+    """Center of the piece indexed by `word`: sum_k ratio^(k-1) * center_{w_k}.
+
+    Equals the n-fold map composition applied to 0; the empty word gives the
+    root center 0.
+    """
+    L = system.branching
+    z = 0.0 + 0.0j
+    scale = 1.0
+    for k, letter in enumerate(word):
+        if not 0 <= letter < L:
+            raise IndexError(f"letter {letter} at position {k} outside [0, {L})")
+        z += scale * system.maps[letter].center
+        scale *= system.ratio
+    return z
+
+
+def enumerate_pieces(system: SimilaritySystem, depth: int) -> Iterator[Piece]:
+    """Yield the L^depth pieces in lexicographic word order, one per word."""
+    size = ifs.piece_size(system, depth)
+    for word in itertools.product(range(system.branching), repeat=depth):
+        yield Piece(center=piece_center(system, word), size=size, depth=depth)
+
+
+def project_piece(piece: Piece, theta: float, shape: str) -> tuple[float, float]:
+    """Shadow (lo, hi) of one piece on the line of angle theta.
+
+    Discs: center +- size.  Squares: center +- size*(|cos| + |sin|), the
+    support radius of an axis-parallel square in that direction.
+    """
+    c = (piece.center * np.exp(-1j * theta)).real
+    if shape == ifs.SQUARE:
+        half = piece.size * (abs(np.cos(theta)) + abs(np.sin(theta)))
+    else:
+        half = piece.size
+    return c - half, c + half
+
+
+def value_at(f: StepFunction, x: float) -> int:
+    """Profile value at x by a scan over the cells [b_i, b_{i+1}).
+
+    0 outside the hull; the right hull endpoint belongs to the last cell.
+    """
+    b = f.breakpoints.tolist()
+    for i, v in enumerate(f.values.tolist()):
+        if b[i] <= x < b[i + 1]:
+            return v
+    return int(f.values[-1]) if b and x == b[-1] else 0
+
+
+def union_contains(u: IntervalUnion, x: float) -> bool:
+    """Does some closed component [lo, hi] of u hold x?"""
+    return any(lo <= x <= hi for lo, hi in zip(u.lo.tolist(), u.hi.tolist()))
 
 
 def step_function(
@@ -105,7 +178,10 @@ def interval_union(
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
-    return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in merged))
+    return IntervalUnion(
+        np.array([lo for lo, _ in merged], dtype=float),
+        np.array([hi for _, hi in merged], dtype=float),
+    )
 
 
 def fmt(x) -> str:

@@ -277,6 +277,67 @@ def gasket_file(tmp_path, ratio):
     return str(path)
 
 
+PAIRS = b'"centers": [[0.5, 0], [-0.5, 0]]'
+MALFORMED = "system file is malformed: "
+
+
+def sysdoc(body: bytes) -> bytes:
+    return b'{"shape": "disc", ' + body + b"}"
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        pytest.param(sysdoc(b'"ratio": 0.3,'), MALFORMED + "Expecting property name", id="json"),
+        pytest.param(sysdoc(b'"ratio": 0.3, "centers": [[0.5, 0], [\xff]]'),
+                     MALFORMED + "'utf-8' codec can't decode byte 0xff", id="not-utf8"),
+        pytest.param(sysdoc(PAIRS), "system file lacks the key 'ratio'", id="no-ratio"),
+        pytest.param(b"[1, 2]", MALFORMED + "the document must be a JSON object", id="array"),
+        pytest.param(sysdoc(b'"ratio": 0.3, "label": 7, ' + PAIRS),
+                     MALFORMED + "the document must be a JSON object with a string label",
+                     id="label"),
+        pytest.param(sysdoc(b'"ratio": 0.3, "centers": [[0.5, 0, 0], [-0.5, 0]]'),
+                     MALFORMED + "too many values to unpack (expected 2)", id="3-coordinates"),
+        pytest.param(sysdoc(b'"ratio": 0.3, "centers": [0.5, -0.5]'),
+                     MALFORMED + "cannot unpack non-iterable float object", id="flat-centers"),
+        pytest.param(sysdoc(b'"ratio": 0.3, "centers": [["a", 0], [-0.5, 0]]'),
+                     MALFORMED + "'a' is not a number", id="text-center"),
+        pytest.param(sysdoc(b'"ratio": 0.3, "centers": [["0.5", 0], [-0.5, 0]]'),
+                     MALFORMED + "'0.5' is not a number", id="numeral-center"),
+        pytest.param(sysdoc(b'"ratio": 0.3, "centers": [[true, 0], [-0.5, 0]]'),
+                     MALFORMED + "True is not a number", id="bool-center"),
+        pytest.param(sysdoc(b'"ratio": "0.3", ' + PAIRS), MALFORMED + "'0.3' is not a number",
+                     id="text-ratio"),
+        pytest.param(sysdoc(b'"ratio": 1' + b"0" * 400 + b", " + PAIRS),
+                     MALFORMED + "int too large to convert to float", id="huge-ratio"),
+        pytest.param(sysdoc(b'"ratio": 0.3, "centers": [[NaN, 0], [0, 0.3]]'),
+                     "center (nan+0j) with ratio 0.3 escapes the root region by nan",
+                     id="nan-center-x"),
+        pytest.param(sysdoc(b'"ratio": 0.3, "centers": [[0, 0.3], [0, NaN]]'),
+                     "center nanj with ratio 0.3 escapes the root region by nan",
+                     id="nan-center-y"),
+        pytest.param(sysdoc(b'"ratio": 0.3, "centers": [[Infinity, 0], [0, 0.3]]'),
+                     "escapes the root region by inf", id="inf-center"),
+        pytest.param(sysdoc(b'"ratio": NaN, ' + PAIRS), "ratio nan outside (0, 1)", id="nan-ratio"),
+        pytest.param(sysdoc(b'"ratio": Infinity, ' + PAIRS), "ratio inf outside (0, 1)",
+                     id="inf-ratio"),
+        pytest.param(sysdoc(b'"ratio": 0.3, "root_size": NaN, ' + PAIRS),
+                     "root size nan is not a positive finite number", id="nan-root"),
+        pytest.param(sysdoc(b'"ratio": 0.3, "root_size": Infinity, ' + PAIRS),
+                     "root size inf is not a positive finite number", id="inf-root"),
+        pytest.param(sysdoc(b'"ratio": 0.3, "root_size": 0, ' + PAIRS),
+                     "root size 0.0 is not a positive finite number", id="zero-root"),
+    ],
+)
+@pytest.mark.parametrize("argv", [["gen"], ["favard", "--n", "2", "--grid", "16"]], ids=["gen", "favard"])
+def test_bad_system_file_exits_2_with_message(argv, document, message, tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    path.write_bytes(document)
+    code, out = run(argv + ["--system-file", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == "" and message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -348,6 +409,7 @@ def test_bad_numeric_flag_exits_2_through_argv_and_config(
 
 BUFFON = ["buffon", "--preset", "corner4", "--n", "1", "--trials", "10", "--seed", "1"]
 BOOT = ["scan", "--check", "bootstrap", "--preset", "gasket"]
+SCAN4 = ["scan", "--preset", "gasket", "--theta-grid", "4", "--check"]
 
 
 @pytest.mark.parametrize(
@@ -360,6 +422,9 @@ BOOT = ["scan", "--check", "bootstrap", "--preset", "gasket"]
         (BOOT + ["--l-max", "2"], "N", "5000", 3, "3^10000 pieces exceeds cap 67108864"),
         (BOOT, "N", "0", 2, "base depth N must be at least 1, got 0"),
         (BOOT + ["--N", "1"], "l-max", "100000", 3, "3^100000 pieces exceeds cap 67108864"),
+        (SCAN4 + ["product"], "N", "0", 2, "depth N must be at least 1, got 0"),
+        (SCAN4 + ["escan"], "N", "0", 2, "depth N must be at least 1, got 0"),
+        (SCAN4 + ["l2"], "N", "0", 2, "depth N must be at least 1, got 0"),
     ],
 )
 def test_out_of_range_depth_exits_with_message_through_argv_and_config(

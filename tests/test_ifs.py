@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from favlab import ifs
 from favlab.errors import (
     ContainmentViolation,
@@ -14,7 +15,7 @@ from favlab.errors import (
 
 
 def compose_maps_oracle(system, word):
-    """Apply the maps left to right to 0 (independent of piece_center)."""
+    """Apply the maps left to right to 0 (independent of oracles.piece_center)."""
     z = 0.0 + 0.0j
     for letter in reversed(word):
         m = system.maps[letter]
@@ -84,10 +85,10 @@ def test_build_rejects_empty_and_single_and_mixed():
 
 def test_piece_center_examples():
     g = ifs.preset("gasket")
-    assert ifs.piece_center(g, []) == 0
+    assert oracles.piece_center(g, []) == 0
     top = 1  # letters 0,1,2 <-> lower right, top, lower left
-    assert abs(ifs.piece_center(g, [top]) - 1j / 3) < 1e-15
-    assert abs(ifs.piece_center(g, [top, top]) - 4j / 9) < 1e-15
+    assert abs(oracles.piece_center(g, [top]) - 1j / 3) < 1e-15
+    assert abs(oracles.piece_center(g, [top, top]) - 4j / 9) < 1e-15
 
 
 def test_piece_center_equals_map_composition_to_depth_20():
@@ -97,38 +98,41 @@ def test_piece_center_equals_map_composition_to_depth_20():
         for _ in range(50):
             depth = int(rng.integers(0, 21))
             word = list(rng.integers(0, system.branching, depth))
-            direct = ifs.piece_center(system, word)
+            direct = oracles.piece_center(system, word)
             assert abs(direct - compose_maps_oracle(system, word)) < 1e-12
 
 
 def test_enumerate_counts_and_sizes():
     g = ifs.preset("gasket")
-    pieces = list(ifs.enumerate_pieces(g, 0))
-    assert len(pieces) == 1 and pieces[0].size == 1.0 and pieces[0].center == 0
+    centers = ifs.piece_centers(g, 0)
+    assert centers.size == 1 and ifs.piece_size(g, 0) == 1.0 and centers[0] == 0
 
-    pieces = list(ifs.enumerate_pieces(g, 2))
-    assert len(pieces) == 9
-    assert all(p.size == (1 / 3) ** 2 for p in pieces)
+    assert ifs.piece_centers(g, 2).size == 9
+    assert ifs.piece_size(g, 2) == (1 / 3) ** 2
 
     c4 = ifs.preset("corner4")
-    pieces = list(ifs.enumerate_pieces(c4, 3))
-    assert len(pieces) == 64
-    assert all(p.size == 0.5 * 0.25**3 for p in pieces)
+    assert ifs.piece_centers(c4, 3).size == 64
+    assert ifs.piece_size(c4, 3) == 0.5 * 0.25**3
 
 
 def test_enumeration_is_lexicographic():
     g = ifs.preset("gasket")
-    centers = [p.center for p in ifs.enumerate_pieces(g, 2)]
+    centers = ifs.piece_centers(g, 2).tolist()
     expected = [
-        ifs.piece_center(g, [a, b]) for a in range(3) for b in range(3)
+        oracles.piece_center(g, [a, b]) for a in range(3) for b in range(3)
     ]
     assert centers == expected
+    for name in ("gasket", "corner4", "random-5-seed11"):
+        system = ifs.preset(name)
+        for depth in range(5):
+            words = [p.center for p in oracles.enumerate_pieces(system, depth)]
+            assert np.abs(ifs.piece_centers(system, depth) - words).max() < 1e-15
 
 
 def test_enumeration_cap():
     g = ifs.preset("gasket")
     with pytest.raises(EnumerationCapExceeded):
-        list(ifs.enumerate_pieces(g, 5, cap=100))
+        ifs.piece_centers(g, 5, cap=100)
 
 
 def test_nesting_on_sampled_words():
@@ -138,8 +142,8 @@ def test_nesting_on_sampled_words():
         for _ in range(40):
             depth = int(rng.integers(1, 8))
             word = list(rng.integers(0, system.branching, depth))
-            child = ifs.piece_center(system, word)
-            parent = ifs.piece_center(system, word[:-1])
+            child = oracles.piece_center(system, word)
+            parent = oracles.piece_center(system, word[:-1])
             gap = abs(child - parent)
             parent_size = ifs.piece_size(system, depth - 1)
             child_size = ifs.piece_size(system, depth)

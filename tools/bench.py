@@ -18,8 +18,10 @@ side's runs, median and quartiles, the change of the medians, the change's
 win count over the pairs, whether that is a gain (at least 10 pairs, wins in
 at least 9 of 10 and a median gap wider than the base's quartile spread) and
 whether the change's median is worse than the base's by more than the bound
-in BENCHMARK.json; and the two traced runs.  perfbench/ is only run, never
-edited.
+in BENCHMARK.json; the two traced runs; and the change in src/ lines between
+the base and the working tree (added, deleted and net, from
+`git diff --numstat`; files git does not track yet count as added).
+perfbench/ is only run, never edited.
 """
 
 from __future__ import annotations
@@ -39,9 +41,23 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+def git(*args: str, cwd: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def src_line_change(base: str, root: Path = ROOT) -> dict:
+    """Lines added and deleted under src/ from commit `base` to the working tree."""
+    added = deleted = 0
+    for line in git("diff", "--numstat", base, "--", "src", cwd=root).splitlines():
+        a, d, _ = line.split("\t", 2)
+        if a != "-":  # binary files have no line counts
+            added += int(a)
+            deleted += int(d)
+    for name in git("ls-files", "--others", "--exclude-standard", "--", "src",
+                    cwd=root).splitlines():
+        added += len((root / name).read_bytes().splitlines())
+    return {"added": added, "deleted": deleted, "net": added - deleted}
 
 
 def export(rev: str, dest: Path) -> None:
@@ -121,6 +137,7 @@ def main(argv: list[str] | None = None) -> int:
         "head": git("rev-parse", "HEAD") + (" + uncommitted changes"
                                             if git("status", "--porcelain") else ""),
         "run_seconds": seconds,
+        "src_lines": src_line_change(base_rev),
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
@@ -160,6 +177,8 @@ def main(argv: list[str] | None = None) -> int:
             flag += " REGRESSION" if m.get("regression") else ""
             print(f"{workload:12s} {name:12s} {m['base']['median']:10.4g} "
                   f"{m['head']['median']:10.4g} {change:>8s} {m['head_wins']}/{m['pairs']}{flag}")
+    lines = report["src_lines"]
+    print(f"src/ lines: +{lines['added']} -{lines['deleted']} (net {lines['net']:+d})")
     print(f"wrote {out.name}")
     return 0
 
