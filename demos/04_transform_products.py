@@ -37,7 +37,7 @@ print(f"  Psharp*Pflat == P1: {abs(ps*pf - p1):.1e}")
 print("\n== small values of the low block, slope 1/2 ==")
 thr = 3.0**-spec.ell
 cover = spectral.ssv_scan(phi, spec, thr, 200_000)
-print(f"  grid scan at threshold 3^-{spec.ell}: {cover.intervals.count} components")
+print(f"  grid scan at threshold 3^-{spec.ell}: {cover.count} components")
 cert, zeros = lemmas.ssv_certified_cover(phi, spec)
 print(f"  localized zeros of phi in the strip: {np.round(np.array(zeros), 5)}")
 print(f"  certified interval cover: {cert.count} intervals of radius 3^(n-m-ell) = 3")

@@ -2,9 +2,9 @@
 
 Subcommands: gen | shadow | favard | buffon | spectral | verify | scan.
 Exit codes: 0 success, 1 verification-suite failure, 2 usage or config
-error, 3 enumeration cap exceeded.  With --json, errors go to stderr as a
-single JSON object.  Identical invocations (same flags, same seed) produce
-byte-identical output regardless of --threads.
+error, 3 enumeration cap exceeded or out of memory.  With --json, errors go
+to stderr as a single JSON object.  Identical invocations (same flags, same
+seed) produce byte-identical output regardless of --threads.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def _cmd_spectral(args, stdout) -> int:
             cover = spectral.ssv_cover(xs, products[1], args.threshold)
         else:
             cover = spectral.ssv_scan(phi, spec, args.threshold, 1000)
-        print(f"small-value components: {cover.intervals.count}", file=sys.stderr)
+        print(f"small-value components: {cover.count}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -378,6 +378,8 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
         return _HANDLERS[args.command](args, stdout)
     except EnumerationCapExceeded as exc:
         return _fail(wants_json, EXIT_CAP, "cap-exceeded", str(exc))
+    except MemoryError as exc:
+        return _fail(wants_json, EXIT_CAP, "out-of-memory", str(exc) or "allocation failed")
     except UnknownPreset as exc:
         return _fail(wants_json, EXIT_USAGE, "unknown-preset", str(exc))
     except FavlabError as exc:

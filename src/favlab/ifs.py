@@ -80,16 +80,13 @@ def _center_norm(center: complex, shape: str) -> float:
 
 
 def build_system(
-    maps: Sequence[GeneratorMap],
-    label: str = "",
-    root_size: float = 1.0,
-    tolerance: float = CONTAINMENT_TOLERANCE,
+    maps: Sequence[GeneratorMap], label: str = "", root_size: float = 1.0
 ) -> SimilaritySystem:
     """Validate maps and assemble a system.
 
     Raises EmptySystem, MixedShapes, or ContainmentViolation.  Containment
     requires each first-level piece to stay inside the root region up to
-    `tolerance` (strict containment is not load-bearing downstream).
+    CONTAINMENT_TOLERANCE (strict containment is not load-bearing downstream).
     """
     maps = tuple(maps)
     if not maps:
@@ -109,7 +106,7 @@ def build_system(
         if m.ratio != ratio:
             raise MixedShapes(f"map {i} has ratio {m.ratio}, expected {ratio}")
         reach = _center_norm(m.center, shape) + m.ratio * root_size
-        if not (reach <= root_size + tolerance):  # false for a nan center
+        if not (reach <= root_size + CONTAINMENT_TOLERANCE):  # false for a nan center
             raise ContainmentViolation(
                 f"map {i}: center {m.center} with ratio {m.ratio} "
                 f"escapes the root region by {reach - root_size:.3g}"

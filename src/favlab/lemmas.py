@@ -23,7 +23,7 @@ from .errors import (
     PreconditionUnmet,
 )
 from .shadow import IntervalUnion, interval_union
-from .spectral import ExpPoly, ProductSpec
+from .spectral import ExpPoly, ProductSpec, simpson
 
 ZERO_TOLERANCE = 1e-9
 RESIDUAL_TOLERANCE = 1e-6
@@ -225,12 +225,7 @@ def zeros_in_rect(
 
 
 def count_zeros(
-    f,
-    center: complex = 0.0,
-    radius: float = 0.5,
-    zero_tol: float = ZERO_TOLERANCE,
-    boundary_tol: float = BOUNDARY_TOLERANCE,
-    jitter_sign: int = -1,
+    f, center: complex = 0.0, radius: float = 0.5, jitter_sign: int = -1
 ) -> ZeroCertificate:
     """Argument-principle zero count on the disc |z - center| < radius.
 
@@ -243,7 +238,7 @@ def count_zeros(
     for attempt in range(MAX_JITTER_ATTEMPTS):
         r = radius * (1.0 + jitter_sign * 0.002 * attempt)
         try:
-            m = _circle_winding(f, center, r, boundary_tol)
+            m = _circle_winding(f, center, r, BOUNDARY_TOLERANCE)
             pad = r * 0.0137
             raw: list[tuple[complex, int]] = []
             _localize(
@@ -252,12 +247,12 @@ def count_zeros(
                 center.real + r + pad,
                 center.imag - r - pad,
                 center.imag + r + pad,
-                zero_tol,
+                ZERO_TOLERANCE,
                 raw,
             )
             inside = [
                 (z, mult)
-                for z, mult in _dedupe(raw, zero_tol)
+                for z, mult in _dedupe(raw, ZERO_TOLERANCE)
                 if abs(z - center) <= r * (1.0 + 1e-9)
             ]
             if sum(mult for _, mult in inside) != m:
@@ -288,17 +283,17 @@ class BlaschkeReport:
     certificate: ZeroCertificate
 
 
-def blaschke_check(f, sup_samples: int = 4096) -> BlaschkeReport:
+def blaschke_check(f) -> BlaschkeReport:
     """Zero count in the half-disc against log2 of the sup on the unit disc.
 
-    Requires |f(0)| >= 1.  The sup is sampled on |z| = 1 (max modulus) and
-    floored by |f(0)|.
+    Requires |f(0)| >= 1.  The sup is sampled at 4096 points of |z| = 1 (max
+    modulus) and floored by |f(0)|.
     """
     base = float(abs(np.asarray(f(np.array([0.0 + 0.0j])))[0]))
     if base < 1.0:
         raise PreconditionUnmet(f"|f(0)| = {base} < 1")
     cert = count_zeros(f, 0.0, 0.5)
-    circle = np.exp(2j * np.pi * np.arange(sup_samples) / sup_samples)
+    circle = np.exp(2j * np.pi * np.arange(4096) / 4096)
     sup = max(float(np.max(np.abs(np.asarray(f(circle))))), base)
     bound = math.log2(sup)
     return BlaschkeReport(
@@ -326,12 +321,13 @@ def _quarter_disc_grid(points: int) -> np.ndarray:
     return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
 
-def small_value_cover_check(f, delta: float, grid: int = 40000) -> CoverReport:
+def small_value_cover_check(f, delta: float) -> CoverReport:
     """Check that {|f| < delta} inside the quarter disc hugs the zeros.
 
     With M zeros in the half disc, the admissible neighborhood radius is
-    eps = (9/16)(3 delta)^(1/M); every sampled point with |f| < delta must
-    lie within eps of a zero.  Requires delta in (0, 1/3) and |f(0)| >= 1.
+    eps = (9/16)(3 delta)^(1/M); every point with |f| < delta, of about 40000
+    sampled, must lie within eps of a zero.  Requires delta in (0, 1/3) and
+    |f(0)| >= 1.
     """
     if not 0.0 < delta < 1.0 / 3.0:
         raise DeltaOutOfRange(f"delta = {delta} outside (0, 1/3)")
@@ -339,7 +335,7 @@ def small_value_cover_check(f, delta: float, grid: int = 40000) -> CoverReport:
     if base < 1.0:
         raise PreconditionUnmet(f"|f(0)| = {base} < 1")
     cert = count_zeros(f, 0.0, 0.5, jitter_sign=+1)
-    pts = _quarter_disc_grid(grid)
+    pts = _quarter_disc_grid(40000)
     vals = np.abs(np.asarray(f(pts)))
     small = pts[vals < delta]
     m = cert.count
@@ -360,11 +356,12 @@ def small_value_cover_check(f, delta: float, grid: int = 40000) -> CoverReport:
     return CoverReport(m, eps, int(small.size), worst, worst <= 0.0)
 
 
-def supremum_on_interval(f, lo: float, hi: float, density: float = 1000.0) -> float:
-    """Max of |f| on [lo, hi]: dense grid plus golden-section refinement."""
+def supremum_on_interval(f, lo: float, hi: float) -> float:
+    """Max of |f| on [lo, hi]: a grid of 1000 points per unit length plus
+    golden-section refinement."""
     if hi < lo:
         raise FavlabError("empty interval")
-    n = max(9, int(density * (hi - lo)) + 1)
+    n = max(9, int(1000.0 * (hi - lo)) + 1)
     xs = np.linspace(lo, hi, n)
     vals = np.abs(np.asarray(f(xs)))
     i = int(np.argmax(vals))
@@ -405,12 +402,12 @@ class TuranTrial:
             raise FavlabError("subset must sit inside the interval")
 
 
-def turan_ratio(trial: TuranTrial, density: float = 1000.0) -> float:
+def turan_ratio(trial: TuranTrial) -> float:
     """Smallest A making sup_I |f| <= e^(max|Re lam| |I|) (A|I|/|E|)^L sup_E |f|."""
     f = trial.poly
-    big = supremum_on_interval(f, trial.interval.lo[0], trial.interval.hi[0], density)
+    big = supremum_on_interval(f, trial.interval.lo[0], trial.interval.hi[0])
     spans = zip(trial.subset.lo.tolist(), trial.subset.hi.tolist())
-    small = max(supremum_on_interval(f, lo, hi, density) for lo, hi in spans)
+    small = max(supremum_on_interval(f, lo, hi) for lo, hi in spans)
     if small <= 0:
         raise FavlabError("sup over subset vanished")
     n_terms = len(f.lambdas)
@@ -458,11 +455,11 @@ def cetsq_ratio(
     frequencies: Sequence[float],
     coefficients: Sequence[complex] | None = None,
     delta: float = 1.0,
-    grid: int = 20001,
 ) -> tuple[float, float, float]:
     """Frequency-cluster L2 bound data.
 
-    lhs  = integral over [0, 1/delta] of |sum c_a e^{i a y}|^2 (Simpson),
+    lhs  = integral over [0, 1/delta] of |sum c_a e^{i a y}|^2 (Simpson on
+           20001 points),
     S    = exact integral of (sum of indicator boxes [a-delta, a+delta])^2,
     ratio = lhs / (S / delta^2).
     """
@@ -475,16 +472,12 @@ def cetsq_ratio(
             raise FavlabError("coefficients must be unimodular")
     if delta <= 0:
         raise FavlabError("delta must be positive")
-    npts = grid if grid % 2 == 1 else grid + 1
-    ys = np.linspace(0.0, 1.0 / delta, npts)
-    vals = coeffs[None, :] * np.exp(1j * freqs[None, :] * ys[:, None])
-    integrand = np.abs(vals.sum(axis=1)) ** 2
-    step = ys[1] - ys[0]
-    lhs = (
-        step
-        / 3.0
-        * (integrand[0] + integrand[-1] + 4 * integrand[1:-1:2].sum() + 2 * integrand[2:-2:2].sum())
-    )
+
+    def integrand(ys: np.ndarray) -> np.ndarray:
+        vals = coeffs[None, :] * np.exp(1j * freqs[None, :] * ys[:, None])
+        return np.abs(vals.sum(axis=1)) ** 2
+
+    lhs = simpson(integrand, 1.0 / delta, 20001)
     positions = np.concatenate([freqs - delta, freqs + delta])
     deltas = np.concatenate(
         [np.ones(freqs.size, dtype=np.int64), -np.ones(freqs.size, dtype=np.int64)]
@@ -495,20 +488,18 @@ def cetsq_ratio(
 
 
 def ssv_certified_cover(
-    phi: ExpPoly,
-    spec: ProductSpec,
-    zero_tol: float = 1e-6,
-    interval_radius: float | None = None,
+    phi: ExpPoly, spec: ProductSpec
 ) -> tuple[IntervalUnion, tuple[complex, ...]]:
     """Interval cover of the small-value set built from localized zeros.
 
     Zeros of phi in the strip around [L^-m/2, L^m + 1] x [-1, 1] are found by
-    contour subdivision; rescaling by L^(n-m+j), j = 0..m, maps them to the
-    zeros of the low-frequency block P2 over I = [L^(n-m), L^n].  Each zero
-    contributes the interval Re +- L^(n-m-ell).
+    contour subdivision to 1e-6; rescaling by L^(n-m+j), j = 0..m, maps them
+    to the zeros of the low-frequency block P2 over I = [L^(n-m), L^n].  Each
+    zero contributes the interval Re +- L^(n-m-ell).
     """
     L = len(phi.lambdas)
     m, n, ell = spec.m, spec.n, spec.ell
+    zero_tol = 1e-6
     lo = 0.5 * float(L) ** (-m)
     hi = float(L) ** m + 1.0
     width = 2.0
@@ -525,7 +516,7 @@ def ssv_certified_cover(
     for z in zeros:
         if all(abs(z - w) > 100.0 * zero_tol for w in deduped):
             deduped.append(z)
-    radius = float(L) ** (n - m - ell) if interval_radius is None else interval_radius
+    radius = float(L) ** (n - m - ell)
     i_lo, i_hi = float(L) ** (n - m), float(L) ** n
     raw = []
     for z in deduped:

@@ -76,14 +76,11 @@ class IntervalUnion:
         )
 
 
-def interval_union(
-    raw: Iterable[tuple[float, float]] | np.ndarray,
-    merge_tolerance: float = MERGE_TOLERANCE,
-) -> IntervalUnion:
+def interval_union(raw: Iterable[tuple[float, float]] | np.ndarray) -> IntervalUnion:
     """Merge arbitrary (lo, hi) pairs into a canonical disjoint union.
 
     `raw` is any iterable of pairs or a (k, 2) array.  Reversed pairs are
-    dropped; pairs closer than merge_tolerance join one component.
+    dropped; pairs closer than MERGE_TOLERANCE join one component.
     """
     pairs = np.asarray(raw if isinstance(raw, np.ndarray) else list(raw), dtype=float)
     pairs = pairs.reshape(-1, 2)
@@ -95,7 +92,7 @@ def interval_union(
     reach = np.maximum.accumulate(pairs[order, 1])
     fresh = np.empty(lo.size, dtype=bool)
     fresh[0] = True
-    np.greater(lo[1:], reach[:-1] + merge_tolerance, out=fresh[1:])
+    np.greater(lo[1:], reach[:-1] + MERGE_TOLERANCE, out=fresh[1:])
     starts = np.flatnonzero(fresh)
     ends = np.append(starts[1:], lo.size) - 1
     return IntervalUnion(lo[starts], reach[ends])
@@ -135,12 +132,12 @@ def _zero() -> StepFunction:
     return StepFunction(np.empty(0), np.empty(0, dtype=np.int64))
 
 
-def _kept_after_slivers(b: np.ndarray, thin: np.ndarray, merge_tolerance: float) -> np.ndarray:
+def _kept_after_slivers(b: np.ndarray, thin: np.ndarray) -> np.ndarray:
     """Mask of the cells [b[c], b[c+1]) that survive the greedy sliver rule.
 
     Cell 0 is wide.  A wide cell is always kept, because the last kept
     breakpoint is at most its left end; a thin one is kept only when its right
-    end lies more than merge_tolerance past the last kept breakpoint.  The loop
+    end lies more than MERGE_TOLERANCE past the last kept breakpoint.  The loop
     visits thin cells only.
     """
     keep = ~thin
@@ -148,17 +145,13 @@ def _kept_after_slivers(b: np.ndarray, thin: np.ndarray, merge_tolerance: float)
     for c in np.flatnonzero(thin).tolist():
         if keep[c - 1]:
             end = b[c]
-        if b[c + 1] - end > merge_tolerance:
+        if b[c + 1] - end > MERGE_TOLERANCE:
             keep[c] = True
             end = b[c + 1]
     return keep
 
 
-def step_function(
-    breakpoints: Sequence[float],
-    values: Sequence[int],
-    merge_tolerance: float = MERGE_TOLERANCE,
-) -> StepFunction:
+def step_function(breakpoints: Sequence[float], values: Sequence[int]) -> StepFunction:
     """Canonicalize raw cell data: drop slivers, merge equal neighbors, trim zeros."""
     bp = np.asarray(breakpoints, dtype=float)
     vals = np.asarray(values, dtype=np.int64)
@@ -167,13 +160,13 @@ def step_function(
     widths = np.diff(bp)
     if np.any(widths < 0):
         raise FavlabError("breakpoints must be nondecreasing")
-    thin = widths <= merge_tolerance
+    thin = widths <= MERGE_TOLERANCE
     if vals.size == 0 or thin.all():
         return _zero()
     first = int(np.argmin(thin))
     b, v, thin = bp[first:], vals[first:], thin[first:]
     if thin.any():
-        keep = _kept_after_slivers(b, thin, merge_tolerance)
+        keep = _kept_after_slivers(b, thin)
         b = np.concatenate((b[:1], b[1:][keep]))
         v = v[keep]
     # Merge runs of equal values: a cell survives when its right neighbour differs.
@@ -193,16 +186,12 @@ def step_function(
     return StepFunction(b, v)
 
 
-def from_events(
-    positions: np.ndarray,
-    deltas: np.ndarray,
-    merge_tolerance: float = MERGE_TOLERANCE,
-) -> StepFunction:
+def from_events(positions: np.ndarray, deltas: np.ndarray) -> StepFunction:
     """Build a profile from endpoint events by one sweep, in canonical form.
 
-    Events closer than merge_tolerance collapse to a single breakpoint, so
+    Events closer than MERGE_TOLERANCE collapse to a single breakpoint, so
     exact endpoint coincidences become genuine stacking instead of slivers.
-    The breakpoints are then spaced more than merge_tolerance apart, so when
+    The breakpoints are then spaced more than MERGE_TOLERANCE apart, so when
     both end cells are nonzero the canonical form only drops the interior
     breakpoints whose cluster sums to 0.  Input whose first or last cell
     comes out 0 (unbalanced deltas, or shadows shorter than the tolerance)
@@ -214,12 +203,12 @@ def from_events(
     pos = positions[order]
     fresh = np.empty(pos.size, dtype=bool)
     fresh[0] = True
-    np.greater(pos[1:] - pos[:-1], merge_tolerance, out=fresh[1:])
+    np.greater(pos[1:] - pos[:-1], MERGE_TOLERANCE, out=fresh[1:])
     starts = fresh.nonzero()[0]
     jumps = np.add.reduceat(deltas[order], starts)
     vals = jumps[:-1].cumsum()
     if vals.size == 0 or vals[0] == 0 or vals[-1] == 0:
-        return step_function(pos[starts], vals, merge_tolerance)
+        return step_function(pos[starts], vals)
     keep = jumps != 0
     keep[-1] = True
     b = pos[starts[keep]]
@@ -245,11 +234,7 @@ def projected_centers(
 
 
 def multiplicity(
-    system: SimilaritySystem,
-    depth: int,
-    theta: float,
-    cap: int = ifs.ENUMERATION_CAP,
-    merge_tolerance: float = MERGE_TOLERANCE,
+    system: SimilaritySystem, depth: int, theta: float, cap: int = ifs.ENUMERATION_CAP
 ) -> StepFunction:
     """Multiplicity profile: how many depth-n shadows cover each point."""
     proj = projected_centers(system, depth, theta, cap)
@@ -257,7 +242,7 @@ def multiplicity(
     positions = np.concatenate([proj - half, proj + half])
     deltas = np.ones(positions.size, dtype=np.int64)
     deltas[proj.size :] = -1
-    return from_events(positions, deltas, merge_tolerance)
+    return from_events(positions, deltas)
 
 
 def maximal_profile(
@@ -327,12 +312,6 @@ def level_measure(f: StepFunction, k: int, strict: bool = False) -> float:
         return 0.0
     sel = f.values > k if strict else f.values >= k
     return float(_cell_lengths(f)[sel].sum())
-
-
-def level_intervals(f: StepFunction, k: int, strict: bool = False) -> IntervalUnion:
-    """The level set {f >= k} (or {f > k}) as an interval union."""
-    sel = f.values > k if strict else f.values >= k
-    return interval_union(np.column_stack((f.breakpoints[:-1][sel], f.breakpoints[1:][sel])))
 
 
 def l2_norm_sq(f: StepFunction) -> float:

@@ -13,8 +13,7 @@ and reads L as the number of its frequencies:
   (1/L)(1 + e^{ix} + e^{itx} + sum e^{i(a_l+b_l t)x}), available once the
   system is put in normalized coordinates where three rescaled centers sit
   at (0,0), (1,0), (0,1).  `t_form` computes the normalized data (a `TForm`,
-  which the sweeps over slopes take) and `theta_to_t` maps an angle to
-  (t, x-scale) such that |phi_theta(x)| = |phi_t(t, xscale*x)|.
+  which the sweeps over slopes take).
 
 Both constructors reject a system whose ratio is not 1/L: the frequencies
 and the scales L^-k below assume it.
@@ -31,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -59,13 +57,6 @@ class ExpPoly:
         for lam, c in zip(self.lambdas, self.coefficients):
             acc += c * np.exp(lam * z)
         return self.normalization * acc
-
-    def derivative_bound(self, im_radius: float = 0.0) -> float:
-        """Upper bound for |d/dz| on the strip |Im z| <= im_radius."""
-        return abs(self.normalization) * sum(
-            abs(c) * abs(lam) * math.exp(abs(lam) * im_radius)
-            for lam, c in zip(self.lambdas, self.coefficients)
-        )
 
 
 def phi_frequencies(system: SimilaritySystem, theta: float) -> np.ndarray:
@@ -106,50 +97,30 @@ class TForm:
         )
 
 
-def t_form(
-    system: SimilaritySystem, anchors: tuple[int, int, int] = (0, 1, 2)
-) -> TForm:
+def t_form(system: SimilaritySystem) -> TForm:
     """Normalized slope-form of a system.
 
-    The rescaled centers u_l = L*center_l are shifted by u_{anchors[0]} and
-    expressed in the basis (u_{a2}-u_{a1}, u_{a3}-u_{a1}); the first three
-    rows become (0,0), (1,0), (0,1) and the rest give the extra (a, b) pairs.
+    The rescaled centers u_l = L*center_l are shifted by u_0 and expressed in
+    the basis (u_1-u_0, u_2-u_0); the first three rows become (0,0), (1,0),
+    (0,1) and the rest give the extra (a, b) pairs.
     """
     _require_ratio_one_over_branching(system)
-    if max(anchors) >= system.branching:
+    if system.branching < 3:
         raise FavlabError(
-            f"the slope form anchors on maps {anchors}; the system has {system.branching}"
+            f"the slope form anchors on maps (0, 1, 2); the system has {system.branching}"
         )
     u = system.branching * system.centers()
-    i1, i2, i3 = anchors
-    v2 = u[i2] - u[i1]
-    v3 = u[i3] - u[i1]
+    v2 = u[1] - u[0]
+    v3 = u[2] - u[0]
     basis = np.array([[v2.real, v3.real], [v2.imag, v3.imag]])
     if abs(np.linalg.det(basis)) < 1e-12:
         raise FavlabError("anchor centers are collinear; pick another triple")
-    rest = [l for l in range(system.branching) if l not in anchors]
     extra = []
-    for l in rest:
-        w = u[l] - u[i1]
+    for l in range(3, system.branching):
+        w = u[l] - u[0]
         ab = np.linalg.solve(basis, np.array([w.real, w.imag]))
         extra.append((float(ab[0]), float(ab[1])))
     return TForm(branching=system.branching, extra=tuple(extra))
-
-
-def theta_to_t(
-    system: SimilaritySystem, theta: float, anchors: tuple[int, int, int] = (0, 1, 2)
-) -> tuple[float, float]:
-    """Map an angle to (t, xscale) with |phi_theta(x)| = |phi_t(t, xscale*x)|."""
-    u = system.branching * system.centers()
-    i1, i2, i3 = anchors
-    v2 = u[i2] - u[i1]
-    v3 = u[i3] - u[i1]
-    d = np.exp(-1j * theta)
-    p2 = (v2 * d).real
-    p3 = (v3 * d).real
-    if abs(p2) < 1e-14:
-        raise FavlabError("direction is orthogonal to the first basis vector")
-    return float(p3 / p2), float(-p2)
 
 
 def _scale_product(phi: ExpPoly, ks: range, x) -> np.ndarray:
@@ -181,10 +152,6 @@ class ProductSpec:
         if self.m + self.ell >= self.n:
             raise SpecInvalid(f"need m + ell < n, got {self.m}+{self.ell} >= {self.n}")
 
-    @property
-    def alpha(self) -> float:
-        return self.ell / self.m if self.m else math.inf
-
 
 def split_products(
     spec: ProductSpec, phi: ExpPoly, x, *, full: bool = False
@@ -211,15 +178,6 @@ def split_products(
     return blocks + (whole,) if full else blocks
 
 
-@dataclass(frozen=True)
-class SsvCover:
-    """Grid-detected small-value set of P2 on I = [L^(n-m), L^n]."""
-
-    intervals: IntervalUnion
-    threshold: float
-    grid_step: float
-
-
 def low_block_interval(phi: ExpPoly, spec: ProductSpec) -> tuple[float, float]:
     """The sample block I = [L^(n-m), L^n] of the low block P2."""
     L = float(len(phi.lambdas))
@@ -230,16 +188,17 @@ def _low_block(phi: ExpPoly, spec: ProductSpec, xs: np.ndarray) -> np.ndarray:
     return _scale_product(phi, range(spec.n - spec.m, spec.n + 1), xs)
 
 
-def ssv_cover(xs: np.ndarray, p2: np.ndarray, threshold: float) -> SsvCover:
+def ssv_cover(xs: np.ndarray, p2: np.ndarray, threshold: float) -> IntervalUnion:
     """Cover of |P2| <= threshold from P2 sampled on the uniform grid xs,
     each small sample padded by one grid step."""
     step = xs[1] - xs[0]
     small = xs[np.abs(p2) <= threshold]
-    cover = interval_union(np.column_stack((small - step, small + step)))
-    return SsvCover(intervals=cover, threshold=float(threshold), grid_step=float(step))
+    return interval_union(np.column_stack((small - step, small + step)))
 
 
-def ssv_scan(phi: ExpPoly, spec: ProductSpec, threshold: float, grid_size: int) -> SsvCover:
+def ssv_scan(
+    phi: ExpPoly, spec: ProductSpec, threshold: float, grid_size: int
+) -> IntervalUnion:
     """Scan |P2| <= threshold on a uniform grid over I, padded one grid step."""
     if grid_size < 1000:
         raise FavlabError("grid_size must be at least 1000")
@@ -247,30 +206,16 @@ def ssv_scan(phi: ExpPoly, spec: ProductSpec, threshold: float, grid_size: int) 
     return ssv_cover(xs, _low_block(phi, spec, xs), threshold)
 
 
-def ssv_small_points(
-    phi: ExpPoly,
-    spec: ProductSpec,
-    threshold: float,
-    grid_size: int,
-    focus: Sequence[float] = (),
-    focus_halfwidth: float = 0.05,
-    focus_points: int = 10000,
-) -> np.ndarray:
-    """Sample points of I where |P2| dips below threshold.
+def simpson(f, hi: float, grid: int) -> float:
+    """Composite Simpson integral of f over [0, hi] on `grid` uniform points.
 
-    The uniform grid is augmented with dense windows around the given focus
-    abscissas (typically certified zero locations), so dips far narrower
-    than the global grid step are still detected.
+    f maps the sample array to the integrand's values; an even `grid` is
+    bumped by one, since the rule needs an odd number of points.
     """
-    lo, hi = low_block_interval(phi, spec)
-    parts = [np.linspace(lo, hi, grid_size)]
-    for c in focus:
-        a = max(lo, c - focus_halfwidth)
-        b = min(hi, c + focus_halfwidth)
-        if b > a:
-            parts.append(np.linspace(a, b, focus_points))
-    xs = np.concatenate(parts)
-    return xs[np.abs(_low_block(phi, spec, xs)) <= threshold]
+    xs = np.linspace(0.0, hi, grid if grid % 2 == 1 else grid + 1)
+    y = f(xs)
+    step = xs[1] - xs[0]
+    return step / 3.0 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-2:2].sum())
 
 
 def parseval_check(
@@ -290,19 +235,14 @@ def parseval_check(
     L = system.branching
     if radius < float(L) ** (depth + 2):
         raise FavlabError("radius must cover [L^(n+2)] for a meaningful tail")
-    npts = grid + 1 if grid % 2 == 0 else grid
-    xs = np.linspace(0.0, radius, npts)
     h = shadow.shadow_half_length(system, depth, theta)
-    box = 2.0 * h * np.sinc(h * xs / np.pi)
-    fhat = (L**depth) * box * nu_hat_eval(phi_theta_poly(system, theta), depth, xs)
-    integrand = np.abs(fhat) ** 2
-    step = xs[1] - xs[0]
-    simpson = (
-        step
-        / 3.0
-        * (integrand[0] + integrand[-1] + 4 * integrand[1:-1:2].sum() + 2 * integrand[2:-2:2].sum())
-    )
-    fourier_side = simpson / np.pi
+    phi = phi_theta_poly(system, theta)
+
+    def integrand(xs: np.ndarray) -> np.ndarray:
+        box = 2.0 * h * np.sinc(h * xs / np.pi)
+        return np.abs((L**depth) * box * nu_hat_eval(phi, depth, xs)) ** 2
+
+    fourier_side = simpson(integrand, radius, grid) / np.pi
     space_side = shadow.l2_norm_sq(shadow.multiplicity(system, depth, theta, cap))
     return float(abs(fourier_side - space_side) / space_side)
 
@@ -347,15 +287,15 @@ def _sin_triple(x: np.ndarray) -> np.ndarray:
     return np.sin(s) + lo * np.cos(s)
 
 
-def sine_identity_check(grid: int, exclude: float = 1e-8) -> float:
+def sine_identity_check(grid: int) -> float:
     """Max over a grid on [0, 2pi] of |sin 3x / sin x - (4cos^2 x - 1)|.
 
-    Points with |sin x| below `exclude` are skipped (the polynomial side is
-    the defined value there).
+    Points with |sin x| below 1e-8 are skipped (the polynomial side is the
+    defined value there).
     """
     xs = np.linspace(0.0, 2.0 * np.pi, grid)
     sx = np.sin(xs)
-    keep = np.abs(sx) >= exclude
+    keep = np.abs(sx) >= 1e-8
     ratio = _sin_triple(xs[keep]) / sx[keep]
     poly = 4.0 * np.cos(xs[keep]) ** 2 - 1.0
     return float(np.max(np.abs(ratio - poly)))
@@ -371,19 +311,19 @@ def lattice_phi(tform: TForm, y1, y2):
     return acc / tform.branching
 
 
-def dist_bound_fit(tform: TForm, grid: int, exclusion: float = 0.05) -> float:
+def dist_bound_fit(tform: TForm, grid: int) -> float:
     """Largest b with |Phi(y)| <= 1 - b*dist(y, Z^2) on the sampled domain.
 
     Near the lattice the left side is tangent to 1 only to second order, so
-    the ratio (1-|Phi|)/dist degenerates there; points with dist below
-    `exclusion` are left out to make the fit refinement-stable.
+    the ratio (1-|Phi|)/dist degenerates there; points with dist below 0.05
+    are left out to make the fit refinement-stable.
     """
     ys = np.linspace(0.0, 1.0, grid, endpoint=False)
     d1 = np.minimum(ys, 1.0 - ys)
     best = math.inf
     for i, y1 in enumerate(ys):
         dist = np.hypot(d1[i], d1)
-        keep = dist >= exclusion
+        keep = dist >= 0.05
         if not np.any(keep):
             continue
         vals = np.abs(lattice_phi(tform, y1, ys[keep]))
@@ -401,10 +341,10 @@ class ErgodicSample:
     classification: str
 
 
-def _rational_angle(lam: float, max_den: int = 10**4, tol: float = 1e-9):
+def _rational_angle(lam: float):
     mu = (lam / (2.0 * np.pi)) % 1.0
-    frac = Fraction(mu).limit_denominator(max_den)
-    if abs(mu - float(frac)) <= tol:
+    frac = Fraction(mu).limit_denominator(10**4)
+    if abs(mu - float(frac)) <= 1e-9:
         return frac
     return None
 

@@ -180,21 +180,16 @@ def e_scan(
 def l2_bound_report(
     system: SimilaritySystem,
     cfg: EScanConfig,
-    sample_thetas: Sequence[float] | None = None,
     cap: int = ifs.ENUMERATION_CAP,
     threads: int | None = None,
 ) -> L2BoundReport:
     """max over sampled exceptional directions and depths of ||f_n||^2 / K.
 
-    When sample_thetas is None, the exceptional directions found by e_scan
-    on the config grid are used; an empty sample yields a vacuous report.
+    The sample is the exceptional directions that e_scan finds on the config
+    grid; an empty sample yields a vacuous report.
     """
-    if sample_thetas is None:
-        scan = e_scan(cfg, system, cap, threads)
-        sample_thetas = [
-            t for t, ok in zip(cfg.theta_grid, scan.membership) if ok
-        ]
-    sample_thetas = list(sample_thetas)
+    scan = e_scan(cfg, system, cap, threads)
+    sample_thetas = [t for t, ok in zip(cfg.theta_grid, scan.membership) if ok]
     if not sample_thetas:
         return L2BoundReport(K=cfg.K, max_ratio=0.0, per_theta=(), vacuous=True)
 

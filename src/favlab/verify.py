@@ -32,17 +32,17 @@ def _rng(seed: int) -> np.random.Generator:
 
 def random_exp_poly(
     rng: np.random.Generator,
-    max_terms: int = 6,
     freq_scale: float = 2.0,
     real_frequencies: bool = False,
     require_base: bool = True,
 ) -> ExpPoly:
-    """Random unimodular-coefficient exponential sum with bounded frequencies.
+    """Random unimodular-coefficient exponential sum of one to six terms with
+    bounded frequencies.
 
     With require_base, coefficients are redrawn until |f(0)| >= 1 (the
     precondition of the disc bounds).
     """
-    n = int(rng.integers(1, max_terms + 1))
+    n = int(rng.integers(1, 7))
     if real_frequencies:
         lams = tuple(complex(v) for v in rng.uniform(-freq_scale, freq_scale, n))
     else:
@@ -90,9 +90,7 @@ def suite_turan(trials: int, seed: int, threads: int | None = None) -> dict:
     rng = _rng(seed)
     jobs = []
     for _ in range(trials):
-        poly = random_exp_poly(
-            rng, max_terms=6, freq_scale=30.0, real_frequencies=True, require_base=False
-        )
+        poly = random_exp_poly(rng, freq_scale=30.0, real_frequencies=True, require_base=False)
         # purely imaginary exponents: e^{i lambda x} with real lambda
         poly = ExpPoly(
             lambdas=tuple(1j * lam.real for lam in poly.lambdas),
@@ -179,18 +177,15 @@ def _max_per_unit_interval(freqs: np.ndarray) -> int:
     return best
 
 
-def suite_keyobs(
-    trials: int, seed: int, threads: int | None = None, a: float | None = None
-) -> dict:
+def suite_keyobs(trials: int, seed: int, threads: int | None = None) -> dict:
     """Two-variable gap inequality at the frozen sharp constant.
 
     `trials` is the grid side (at least 1000); the printed 1/18 variant is
     exercised separately by the acceptance tests, where its failure is
     documented.
     """
-    a = baselines.KEY_OBS_SHARP_A if a is None else a
     side = max(trials, 1000)
-    worst = spectral.key_obs_check(a, side)
+    worst = spectral.key_obs_check(baselines.KEY_OBS_SHARP_A, side)
     return _report("keyobs", side * side, worst, worst >= -1e-12)
 
 

@@ -16,6 +16,14 @@ helpers live only here: `Piece`, `piece_center` and `enumerate_pieces` (one
 object per word), `project_piece` (one piece's shadow as a (lo, hi) tuple),
 `value_at` (one point's profile value) and `union_contains` (membership of
 one point in a union).
+
+The library holds only what its command line, suites and reports call, so
+these test-only helpers live here too: `level_intervals` (a level set of a
+profile as an interval union), `ssv_small_points` (the grid points where the
+low block P2 dips below a threshold), `theta_to_t` (an angle mapped to a
+slope and an x-scale), `derivative_bound` (a derivative bound of an
+`ExpPoly` on a horizontal strip) and `alpha` (the ratio ell/m of a
+`ProductSpec`).
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from favlab import ifs, shadow
+from favlab import ifs, shadow, spectral
 from favlab.errors import FavlabError
 from favlab.ifs import SimilaritySystem
 from favlab.shadow import (
@@ -36,6 +44,7 @@ from favlab.shadow import (
     IntervalUnion,
     StepFunction,
 )
+from favlab.spectral import ExpPoly, ProductSpec
 
 
 @dataclass(frozen=True)
@@ -290,3 +299,64 @@ def fit_geometric(ls: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
         if resid < best[2]:
             best = (float(coef[0]), float(rho), resid)
     return best
+
+
+def level_intervals(f: StepFunction, k: int, strict: bool = False) -> IntervalUnion:
+    """The level set {f >= k} (or {f > k}) as an interval union."""
+    sel = f.values > k if strict else f.values >= k
+    return shadow.interval_union(
+        np.column_stack((f.breakpoints[:-1][sel], f.breakpoints[1:][sel]))
+    )
+
+
+def ssv_small_points(
+    phi: ExpPoly,
+    spec: ProductSpec,
+    threshold: float,
+    grid_size: int,
+    focus: Sequence[float] = (),
+    focus_halfwidth: float = 0.05,
+    focus_points: int = 10000,
+) -> np.ndarray:
+    """Sample points of I = [L^(n-m), L^n] where |P2| dips below threshold.
+
+    The uniform grid is augmented with dense windows around the given focus
+    abscissas (typically certified zero locations), so dips far narrower
+    than the global grid step are still detected.
+    """
+    lo, hi = spectral.low_block_interval(phi, spec)
+    parts = [np.linspace(lo, hi, grid_size)]
+    for c in focus:
+        a = max(lo, c - focus_halfwidth)
+        b = min(hi, c + focus_halfwidth)
+        if b > a:
+            parts.append(np.linspace(a, b, focus_points))
+    xs = np.concatenate(parts)
+    return xs[np.abs(spectral._low_block(phi, spec, xs)) <= threshold]
+
+
+def theta_to_t(system: SimilaritySystem, theta: float) -> tuple[float, float]:
+    """Map an angle to (t, xscale) with |phi_theta(x)| = |phi_t(t, xscale*x)|,
+    for the slope form anchored on maps 0, 1 and 2."""
+    u = system.branching * system.centers()
+    v2 = u[1] - u[0]
+    v3 = u[2] - u[0]
+    d = np.exp(-1j * theta)
+    p2 = (v2 * d).real
+    p3 = (v3 * d).real
+    if abs(p2) < 1e-14:
+        raise FavlabError("direction is orthogonal to the first basis vector")
+    return float(p3 / p2), float(-p2)
+
+
+def derivative_bound(poly: ExpPoly, im_radius: float = 0.0) -> float:
+    """Upper bound for |d/dz| of poly on the strip |Im z| <= im_radius."""
+    return abs(poly.normalization) * sum(
+        abs(c) * abs(lam) * math.exp(abs(lam) * im_radius)
+        for lam, c in zip(poly.lambdas, poly.coefficients)
+    )
+
+
+def alpha(spec: ProductSpec) -> float:
+    """The block ratio ell/m of a product split (inf when m = 0)."""
+    return spec.ell / spec.m if spec.m else math.inf

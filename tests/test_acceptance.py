@@ -191,14 +191,14 @@ def test_criterion_09_ssv_structure():
     worst_components = 0
     containment_ok = True
     small_total = 0
-    def_threshold = 3.0 ** (-spec.alpha * spec.m**2)
+    def_threshold = 3.0 ** (-oracles.alpha(spec) * spec.m**2)
     for t in t_grid:
         phi = tf.poly(float(t))
         cover = spectral.ssv_scan(phi, spec, 3.0**-spec.ell, 200_000)
-        worst_components = max(worst_components, cover.intervals.count)
+        worst_components = max(worst_components, cover.count)
         cert, _ = lemmas.ssv_certified_cover(phi, spec)
         centers = 0.5 * (cert.lo + cert.hi)
-        small = spectral.ssv_small_points(phi, spec, def_threshold, 200_000, focus=centers)
+        small = oracles.ssv_small_points(phi, spec, def_threshold, 200_000, focus=centers)
         small_total += small.size
         containment_ok = containment_ok and all(oracles.union_contains(cert, x) for x in small)
     ok = worst_components <= ceiling and containment_ok and small_total > 0

@@ -38,6 +38,36 @@ def test_cap_exceeded_exits_3():
     assert code == 3
 
 
+HUGE = str(10**15)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["favard", "--preset", "gasket", "--n", "1", "--grid", HUGE],
+        ["spectral", "--preset", "gasket", "--t", "0.37", "--n", "6", "--m", "2", "--ell", "2",
+         "--grid", HUGE],
+        ["scan", "--check", "escan", "--preset", "gasket", "--theta-grid", HUGE],
+        ["scan", "--check", "baddir", "--preset", "gasket", "--t-grid", HUGE],
+        ["verify", "--suite", "sine", "--trials", HUGE],
+        ["verify", "--suite", "keyobs", "--trials", HUGE],
+    ],
+    ids=["favard-grid", "spectral-grid", "escan-theta-grid", "baddir-t-grid", "sine-trials",
+         "keyobs-trials"],
+)
+def test_huge_grid_exits_3_with_one_line_message(argv, capsys):
+    # 10^15 float64 samples need 8 PB, more than a 64-bit address space
+    # holds, so the first allocation fails at once.
+    code, out = run(argv)
+    err = capsys.readouterr().err
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err.startswith("favlab: out-of-memory: ") and err.count("\n") == 1
+    code, out = run(argv + ["--json"])
+    err = capsys.readouterr().err
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == "out-of-memory"
+
+
 def test_bad_usage_exits_2():
     code, _ = run(["favard", "--preset", "gasket"])  # missing --n
     assert code == 2

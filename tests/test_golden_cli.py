@@ -7,8 +7,10 @@ CSV writers before the column writer replaced them; any change to a profile,
 a merged interval union, a product magnitude or a number format shows up
 here.  The last four (the baddir scan, the doubling and dist suites, and a
 spectral run whose grid is below the small-value scan's 1000 points) were
-frozen before the phase function became one `ExpPoly` argument.  Refreeze
-only for an intended output change.
+frozen before the phase function became one `ExpPoly` argument.  The last
+six (the blaschke, cetsq, sine and keyobs suites and the l2 and product scans)
+were frozen before the never-set keyword parameters of the library became
+constants.  Refreeze only for an intended output change.
 """
 
 import contextlib
@@ -119,6 +121,44 @@ GOLDEN = [
         0,
         "1d8cb390d5cf24326b16d7f78a6b029a124211e6c848bd10392e6b9a5c0334fc",
         'small-value components: 2\n',
+    ),
+    (
+        ["verify", "--suite", "blaschke", "--trials", "20", "--seed", "3"],
+        0,
+        "c6fa7239ed2944ac947941ba96453ea912c7da1b63d00e77489537c72bd65cbd",
+        '',
+    ),
+    (
+        ["verify", "--suite", "cetsq", "--trials", "5", "--seed", "3"],
+        0,
+        "10b958ec8ea0815b0ca58f1364c5286c09bfa59a9ef76f2bdb55ff21dde91a8a",
+        '',
+    ),
+    (
+        ["verify", "--suite", "sine", "--trials", "1"],
+        0,
+        "5f2fe95513fb0d6dd8be27d23100943f80c85d58dddea6b39509a9363e382b48",
+        '',
+    ),
+    (
+        ["verify", "--suite", "keyobs", "--trials", "1"],
+        0,
+        "2c223a3bce9c800cd7a3e3b6e0236234bca49fd1420432cc37b2a752554994ca",
+        '',
+    ),
+    (
+        ["scan", "--check", "l2", "--preset", "gasket", "--N", "3", "--K", "8",
+         "--theta-grid", "32"],
+        0,
+        "7daa40182c28f1e162e5e7f3d882bf6a63c36cc6b41eee1cacd05f502e0475ed",
+        '',
+    ),
+    (
+        ["scan", "--check", "product", "--preset", "corner4", "--N", "3", "--K", "1", "2",
+         "--M", "1", "2", "--theta-grid", "16"],
+        0,
+        "2b3996f44961c448eb0893d27cf31bb8a3ad5adb5e7f86fbd6272d7968973b75",
+        '',
     ),
 ]
 

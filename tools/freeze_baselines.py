@@ -55,7 +55,7 @@ def ssv_baseline():
     )
     for t in sweep:
         cover = spectral.ssv_scan(tf.poly(float(t)), spec, thr, 200_000)
-        worst = max(worst, cover.intervals.count / 3.0**spec.m)
+        worst = max(worst, cover.count / 3.0**spec.m)
     print(f"ssv components per L^m ({sweep.size}-pt t sweep): {worst!r}  ({time.time()-t0:.0f}s)")
     print("  -> SSV_COMPONENTS_PER_LM = above * 1.25")
 
