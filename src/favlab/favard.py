@@ -1,9 +1,16 @@
 """Favard length: direction-averaged shadow measure.
 
 Two independent routes are provided.  The quadrature route integrates the
-support measure of the multiplicity profile over theta in [0, pi] with the
-composite trapezoid rule, doubling the grid until successive values agree;
-the reported value is the Richardson extrapolation of the last two levels.
+support measure g(theta) of the multiplicity profile with the composite
+trapezoid rule, doubling the grid until successive values agree; the
+reported value is the Richardson extrapolation of the last two levels.
+
+The rule runs on the symmetry domain [0, pi/fold] that `_domain` reads from
+the centers: [0, pi/6] for the gasket, [0, pi/4] for corner4, [0, pi] for a
+system without symmetry.  Each round equals the full-domain one up to
+rounding, except that an odd grid aliases on [0, pi] for a period pi/q with
+even q (T_N = T_2N, a false convergence), where this rule doubles the grid.
+
 The Monte Carlo route drops random needles (theta, x) and tests membership
 by pruned descent through the piece tree.  All randomness comes from a
 Philox counter-based generator, so results are reproducible bit for bit
@@ -12,6 +19,7 @@ across platforms and thread counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,6 +73,35 @@ def _support_at(system: SimilaritySystem, depth: int, cap: int):
     return g
 
 
+def _domain(system: SimilaritySystem, grid: int) -> tuple[int, int]:
+    """(fold, m): only the modes e^{2ij theta} of g with q | j are nonzero, so
+    the grid-interval rule on [0, pi] is q times the M-interval rule on
+    [0, pi/q], M = lcm(grid, q)/q, and for even g and even M it is 2q times
+    the M/2-interval rule on [0, pi/(2q)].
+
+    A map counts when it sends the centers onto themselves to 1e-12 and keeps
+    the root region: any turn for discs, quarter and half turns for squares
+    (so q <= 2, and every reflection axis jpi/(2q) keeps the square too).  A
+    turn by 2pi/j permutes the outermost centers in orbits of j, so only
+    divisors of their count are tried; sets are compared sorted.
+    """
+    c = system.centers()
+
+    def ordered(z: np.ndarray) -> np.ndarray:
+        return z[np.lexsort((np.round(z.imag, 9), np.round(z.real, 9)))]
+
+    def onto(images: np.ndarray) -> bool:
+        return bool(np.abs(ordered(images) - ordered(c)).max() <= 1e-12)
+
+    rim = np.count_nonzero(np.abs(c) >= np.abs(c).max() - 1e-12)
+    turns = (2, 4) if system.shape == ifs.SQUARE else range(2, system.branching + 1)
+    k = max([j for j in turns if rim % j == 0 and onto(np.exp(2j * np.pi / j) * c)], default=1)
+    q = k if k % 2 else k // 2
+    even = any(onto(np.exp(1j * np.pi * j / q) * c.conj()) for j in range(2 * q))
+    m = math.lcm(grid, q) // q
+    return (2 * q, m // 2) if even and m % 2 == 0 else (q, m)
+
+
 def favard_length(
     system: SimilaritySystem,
     depth: int,
@@ -72,13 +109,16 @@ def favard_length(
     cap: int = ifs.ENUMERATION_CAP,
     threads: int | None = None,
 ) -> FavardResult:
-    """1/pi times the integral over [0, pi] of the shadow measure at depth n."""
+    """1/pi times the integral over [0, pi] of the shadow measure at depth n,
+    by the rule on [0, pi/fold] from `_domain`; `grid` doubles per round."""
     ifs.check_cap(system, depth, cap)
     g = _support_at(system, depth, cap)
-    m = cfg.grid_size
-    thetas = np.linspace(0.0, np.pi, m + 1)
+    fold, m = _domain(system, cfg.grid_size)
+    grid = cfg.grid_size
+    span = np.pi / fold
+    thetas = np.linspace(0.0, span, m + 1)
     vals = np.array(ordered_map(g, thetas, threads))
-    h = np.pi / m
+    h = span / m
     total = h * (0.5 * vals[0] + vals[1:-1].sum() + 0.5 * vals[-1])
     prev = total
     err = np.inf
@@ -88,7 +128,7 @@ def favard_length(
         mid_vals = np.array(ordered_map(g, mids, threads))
         total = 0.5 * total + (h / 2.0) * mid_vals.sum()
         thetas = np.sort(np.concatenate([thetas, mids]))
-        m *= 2
+        grid *= 2
         h /= 2.0
         err = abs(total - prev)
         if err < cfg.target_rel_error * max(abs(total), 1e-300):
@@ -98,12 +138,12 @@ def favard_length(
     # Richardson step for the trapezoid pair (halved step): (4 T_2 - T_1) / 3.
     value = (4.0 * total - prev) / 3.0 if np.isfinite(err) else total
     return FavardResult(
-        value=float(value / np.pi),
-        error_estimate=float(err / np.pi),
+        value=float(fold * value / np.pi),
+        error_estimate=float(fold * err / np.pi),
         depth=depth,
         label=system.label,
         converged=converged,
-        grid=m,
+        grid=grid,
     )
 
 

@@ -5,7 +5,8 @@ These are the per-cell and per-pair Python loops that the array code in
 writer in `favlab.emit` replaced, the scalar and complex-node needle
 tests that the projected-residual descent in `favlab.favard` replaced, and
 the full-grid geometric fit that the screened fit in `favlab.stacks`
-replaced.
+replaced, and the trapezoid over all of [0, pi] that the symmetry-domain
+quadrature in `favlab.favard` replaced.
 They define the expected output: the array versions must return equal
 (`==`) results, and the writers equal bytes, on every input.
 
@@ -36,7 +37,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from favlab import ifs, shadow, spectral
+from favlab import favard, ifs, shadow, spectral
 from favlab.errors import FavlabError
 from favlab.ifs import SimilaritySystem
 from favlab.shadow import (
@@ -280,6 +281,46 @@ def hits_batch(
         node = child[keep]
     hits[np.unique(trial)] = True
     return hits
+
+
+def favard_full_domain(
+    system: SimilaritySystem, depth: int, cfg: favard.QuadratureConfig
+) -> favard.FavardResult:
+    """Favard length by the trapezoid on all of [0, pi], whatever the symmetry."""
+    ifs.check_cap(system, depth)
+
+    def g(theta: float) -> float:
+        return shadow.support_measure(shadow.multiplicity(system, depth, theta))
+
+    m = cfg.grid_size
+    thetas = np.linspace(0.0, np.pi, m + 1)
+    vals = np.array([g(t) for t in thetas])
+    h = np.pi / m
+    total = h * (0.5 * vals[0] + vals[1:-1].sum() + 0.5 * vals[-1])
+    prev = total
+    err = np.inf
+    converged = False
+    for _ in range(cfg.refinement_limit):
+        mids = thetas[:-1] + h / 2.0
+        mid_vals = np.array([g(t) for t in mids])
+        total = 0.5 * total + (h / 2.0) * mid_vals.sum()
+        thetas = np.sort(np.concatenate([thetas, mids]))
+        m *= 2
+        h /= 2.0
+        err = abs(total - prev)
+        if err < cfg.target_rel_error * max(abs(total), 1e-300):
+            converged = True
+            break
+        prev = total
+    value = (4.0 * total - prev) / 3.0 if np.isfinite(err) else total
+    return favard.FavardResult(
+        value=float(value / np.pi),
+        error_estimate=float(err / np.pi),
+        depth=depth,
+        label=system.label,
+        converged=converged,
+        grid=m,
+    )
 
 
 def fit_geometric(ls: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:

@@ -124,6 +124,16 @@ def test_buffon_deterministic_across_thread_counts():
     assert len(outputs) == 1
 
 
+def test_favard_deterministic_across_thread_counts():
+    args = ["favard", "--preset", "gasket", "--n", "4", "--grid", "16"]
+    outputs = set()
+    for threads in ("1", "8"):
+        code, text = run(args + ["--threads", threads])
+        assert code == 0
+        outputs.add(text)
+    assert len(outputs) == 1
+
+
 def test_verify_json_is_byte_identical_and_exit_codes():
     args = ["verify", "--suite", "turan", "--trials", "40", "--seed", "7"]
     _, first = run(args + ["--threads", "1"])

@@ -1,6 +1,7 @@
 """Quadrature vs Monte Carlo vs membership descent, plus decay fits."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -59,6 +60,81 @@ def test_corner4_quarter_turn_symmetry():
     half_idx = 2049  # thetas[2048] == pi/2
     half = 2.0 * np.trapezoid(vals[:half_idx], thetas[:half_idx]) / np.pi
     assert half == pytest.approx(full, rel=1e-6)
+
+
+EQUIVALENCE_CASES = [
+    (name, depth, grid, limit)
+    for name in ("gasket", "corner4", "random-3-seed1")
+    for depth in range(6)
+    for grid, limit in ((16, 6), (64, 4), (128, 3), (256, 2))
+] + [("gasket", depth, 9, 6) for depth in range(6)]
+
+
+@pytest.mark.parametrize("name, depth, grid, limit", EQUIVALENCE_CASES)
+def test_symmetry_domain_matches_full_domain_oracle(name, depth, grid, limit):
+    # For odd q or an even grid the reduced rule computes the full-domain
+    # trapezoid sums, so only rounding may differ.
+    system = ifs.preset(name)
+    cfg = favard.QuadratureConfig(grid_size=grid, refinement_limit=limit, target_rel_error=1e-6)
+    got = favard.favard_length(system, depth, cfg)
+    want = oracles.favard_full_domain(system, depth, cfg)
+    assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
+    assert (got.converged, got.grid) == (want.converged, want.grid)
+    assert abs(got.error_estimate - want.error_estimate) <= 1e-12
+
+
+def rebuilt(system, centers, shape=None):
+    maps = [
+        ifs.GeneratorMap(center=complex(c), ratio=system.ratio, shape=shape or system.shape)
+        for c in centers
+    ]
+    return ifs.build_system(maps, root_size=system.root_size)
+
+
+def test_symmetry_domain_of_presets():
+    assert favard._domain(ifs.preset("gasket"), 128) == (6, 64)
+    assert favard._domain(ifs.preset("corner4"), 128) == (4, 32)
+    for name in [f"random-3-seed{s}" for s in range(1, 21)] + [
+        f"random-5-seed{s}" for s in range(1, 6)
+    ]:
+        assert favard._domain(ifs.preset(name), 128) == (1, 128), name
+
+
+def test_symmetry_domain_of_built_systems():
+    gasket = ifs.preset("gasket")
+    # Rotated off the axis: the third turn stays, the reflection about 0 goes.
+    turned = rebuilt(gasket, gasket.centers() * np.exp(0.1j))
+    assert favard._domain(turned, 128) == (3, 128)
+    pair = ifs.build_system([ifs.GeneratorMap(center=x, ratio=0.5) for x in (-0.5, 0.5)])
+    assert favard._domain(pair, 128) == (2, 64)
+    # Three-fold centers: a third turn keeps discs but not squares, so the
+    # square system keeps only its reflection in the imaginary axis.
+    tri = 0.4 * np.exp(1j * np.pi * (0.5 + 2.0 * np.arange(3) / 3.0))
+    base = ifs.build_system([ifs.GeneratorMap(center=complex(c), ratio=0.25) for c in tri])
+    assert favard._domain(base, 128) == (6, 64)
+    assert favard._domain(rebuilt(base, tri, ifs.SQUARE), 128) == (2, 64)
+    # A symmetry must hold to 1e-12: moving one center by 1e-9 breaks all.
+    assert favard._domain(rebuilt(gasket, gasket.centers() + [0, 1e-9, 0]), 128) == (1, 128)
+
+
+def test_symmetry_detection_cost_stays_near_linear():
+    # Only turns dividing the count of outermost centers are tried, and sets
+    # are compared sorted; an all-pairs test of every turn took 1.6 s at
+    # L = 600 and grows as L^3.
+    system = ifs.preset("random-5000-seed1")
+    start = time.process_time()
+    assert favard._domain(system, 128) == (1, 128)
+    assert time.process_time() - start < 2.0
+
+
+def test_corner4_odd_grid_does_not_converge_falsely():
+    # On [0, pi] an odd grid N gives T_N = T_2N for a pi/2-periodic shadow, so
+    # the first refinement measured 0 and stopped 1% off at grid 9.
+    c4 = ifs.preset("corner4")
+    odd = favard.favard_length(c4, 2, favard.QuadratureConfig(grid_size=9))
+    fine = favard.favard_length(c4, 2, favard.QuadratureConfig(grid_size=128))
+    assert odd.error_estimate > 0
+    assert abs(odd.value - fine.value) <= 1e-3
 
 
 def test_quadrature_config_validation():
