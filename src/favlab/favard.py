@@ -12,9 +12,11 @@ rounding, except that an odd grid aliases on [0, pi] for a period pi/q with
 even q (T_N = T_2N, a false convergence), where this rule doubles the grid.
 
 The Monte Carlo route drops random needles (theta, x) and tests membership
-by pruned descent through the piece tree.  All randomness comes from a
-Philox counter-based generator, so results are reproducible bit for bit
-across platforms and thread counts.
+by pruned descent through the piece tree, in blocks of NEEDLE_BLOCK (2^13)
+needles whose arrays stay cache-sized; a disc system compares every needle
+against one scalar reach.  All randomness comes from a Philox counter-based
+generator, so results are reproducible bit for bit across platforms, thread
+counts and block sizes.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .errors import DegenerateSeries, FavlabError
 from .ifs import SimilaritySystem
 
 # Needles drawn and descended per block by buffon_estimate.
-NEEDLE_BLOCK = 1 << 16
+# 2^13: a level's ~L+6 block-sized arrays fit a 2 MB L2; at 2^16 they spill.
+NEEDLE_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -156,12 +159,12 @@ def _hits_batch(
     sin(theta) Im c_l.  A node at level k then carries only its scaled
     residual u = (x - proj(node)) / r^k: its child l survives when
     |u - p_l| <= root_size * r * width, and the child's residual is
-    (u - p_l) / r, which stays O(1) at every depth.
+    (u - p_l) / r, which stays O(1) at every depth.  A disc has width 1 at
+    every angle, so its reach is one scalar; a square's is per needle.  The
+    last level only marks the needles that keep a child.
     """
-    if system.shape == ifs.SQUARE:
-        widths = np.abs(np.cos(thetas)) + np.abs(np.sin(thetas))
-    else:
-        widths = np.ones_like(thetas)
+    square = system.shape == ifs.SQUARE
+    widths = np.abs(np.cos(thetas)) + np.abs(np.sin(thetas)) if square else 1.0
     alive = np.abs(xs) <= system.root_size * widths
     if depth == 0:
         return alive
@@ -169,25 +172,29 @@ def _hits_batch(
     cos, sin = np.cos(thetas[tid]), np.sin(thetas[tid])
     proj = [cos * c.real + sin * c.imag for c in system.centers()]
     r = system.ratio
-    reach = system.root_size * r * widths[tid]
+    reach = system.root_size * r * (widths[tid] if square else 1.0)
     pos = np.arange(tid.size)  # survivor -> index into tid, proj and reach
     u = xs[tid]
-    for _ in range(depth):
+    hits = np.zeros(thetas.size, dtype=bool)
+    for level in range(depth):
         if pos.size == 0:
             break
+        near = reach[pos] if square else reach
+        if level == depth - 1:
+            for p in proj:
+                hits[tid[pos[np.flatnonzero(np.abs(u - p[pos]) <= near)]]] = True
+            break
         # flatnonzero plus index gathers: boolean-mask compression of these
-        # dense, unpredictable masks is about three times slower.
+        # dense, unpredictable masks makes a whole needle run about twice as
+        # slow at 2^13-needle blocks.
         ds, ps = [], []
-        reach_pos = reach[pos]
         for p in proj:
             d = u - p[pos]
-            k = np.flatnonzero(np.abs(d) <= reach_pos)
+            k = np.flatnonzero(np.abs(d) <= near)
             ds.append(d[k])
             ps.append(pos[k])
         u = np.concatenate(ds) / r
         pos = np.concatenate(ps)
-    hits = np.zeros(thetas.size, dtype=bool)
-    hits[tid[pos]] = True
     return hits
 
 

@@ -216,7 +216,7 @@ def test_batch_hits_matches_complex_descent_oracle(system):
         assert not oracles.hits_batch(system, 1, *blocks[-1]).any()
 
 
-@pytest.mark.parametrize("block", [7, 1 << 16])
+@pytest.mark.parametrize("block", [7, favard.NEEDLE_BLOCK, 1 << 16])
 @pytest.mark.parametrize("trials", [1, 3, 4, 5, 10, 13, 100003, 10**6])
 def test_needle_draws_stream_equals_full_arrays(trials, block, monkeypatch):
     monkeypatch.setattr(favard, "NEEDLE_BLOCK", block)
@@ -227,6 +227,19 @@ def test_needle_draws_stream_equals_full_arrays(trials, block, monkeypatch):
     assert all(t.size == x.size <= block for t, x in blocks)
     assert np.array_equal(np.concatenate([t for t, _ in blocks]), thetas)
     assert np.array_equal(np.concatenate([x for _, x in blocks]), xs)
+
+
+@pytest.mark.parametrize(
+    "preset, depth", [("gasket", 8), ("corner4", 6), ("random-4-seed5", 6)]
+)
+def test_buffon_estimate_is_block_invariant(preset, depth, monkeypatch):
+    # corner4 takes the per-needle square reach, the others the scalar disc one.
+    system = ifs.preset(preset)
+    results = set()
+    for block in (7, 1 << 13, 1 << 16):
+        monkeypatch.setattr(favard, "NEEDLE_BLOCK", block)
+        results.add(favard.buffon_estimate(system, depth, 20003, seed=41))
+    assert len(results) == 1
 
 
 def test_buffon_depth0_exact_and_deterministic():
