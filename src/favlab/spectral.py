@@ -51,11 +51,19 @@ class ExpPoly:
         if len(self.lambdas) != len(self.coefficients):
             raise FavlabError("frequency/coefficient length mismatch")
 
-    def __call__(self, z):
+    def __call__(self, z, acc=None):
+        """The sum at z.  With acc, a partial sum at z of terms that come
+        before these, the terms are added to a copy of acc in place of zero.
+
+        A zero frequency adds its coefficient: e^{0 z} = 1 for finite z.
+        """
         z = np.asarray(z)
-        acc = np.zeros(z.shape, dtype=complex)
+        acc = np.zeros(z.shape, dtype=complex) if acc is None else acc.copy()
         for lam, c in zip(self.lambdas, self.coefficients):
-            acc += c * np.exp(lam * z)
+            if lam == 0:
+                acc += c
+            else:
+                acc += c * np.exp(lam * z)
         return self.normalization * acc
 
 
@@ -81,6 +89,11 @@ def phi_theta_poly(system: SimilaritySystem, theta: float) -> ExpPoly:
     )
 
 
+# The slope-free terms 1 + e^{ix} that every slope form starts with, without
+# the 1/L normalization.
+SLOPE_FREE = ExpPoly(lambdas=(0.0j, 1j), coefficients=(1.0 + 0.0j,) * 2)
+
+
 @dataclass(frozen=True)
 class TForm:
     """Slope-form data: branching L and the (a_l, b_l) rows for l >= 4."""
@@ -89,10 +102,21 @@ class TForm:
     extra: tuple[tuple[float, float], ...] = ()
 
     def poly(self, t: float) -> ExpPoly:
-        lams = [0.0j, 1j, 1j * t] + [1j * (a + b * t) for a, b in self.extra]
+        rest = self.slope_terms(t)
+        return ExpPoly(
+            lambdas=SLOPE_FREE.lambdas + rest.lambdas,
+            coefficients=SLOPE_FREE.coefficients + rest.coefficients,
+            normalization=rest.normalization,
+        )
+
+    def slope_terms(self, t: float) -> ExpPoly:
+        """The terms of poly(t) after SLOPE_FREE, with its 1/L: for every z,
+        slope_terms(t)(z, SLOPE_FREE(z)) is bit-equal to poly(t)(z), so a
+        sweep over slopes evaluates SLOPE_FREE once per point."""
+        lams = [1j * t] + [1j * (a + b * t) for a, b in self.extra]
         return ExpPoly(
             lambdas=tuple(lams),
-            coefficients=(1.0 + 0.0j,) * self.branching,
+            coefficients=(1.0 + 0.0j,) * (self.branching - 2),
             normalization=1.0 / self.branching,
         )
 
@@ -178,8 +202,16 @@ def split_products(
     return blocks + (whole,) if full else blocks
 
 
+def check_scale(branching: int, power: int) -> None:
+    """Refuse a scale L^power beyond the float range before any power is taken."""
+    # The largest float is just below 2^1024.
+    if power * math.log2(branching) >= 1024:
+        raise SpecInvalid(f"scale {branching}^{power} exceeds the float range")
+
+
 def low_block_interval(phi: ExpPoly, spec: ProductSpec) -> tuple[float, float]:
     """The sample block I = [L^(n-m), L^n] of the low block P2."""
+    check_scale(len(phi.lambdas), spec.n)
     L = float(len(phi.lambdas))
     return L ** (spec.n - spec.m), L**spec.n
 

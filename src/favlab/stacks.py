@@ -11,6 +11,7 @@ the transform product stays large.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,9 +19,9 @@ import numpy as np
 
 from . import ifs, shadow
 from ._parallel import ordered_map
-from .errors import FavlabError
+from .errors import FavlabError, SpecInvalid
 from .ifs import SimilaritySystem
-from .spectral import ProductSpec, TForm
+from .spectral import SLOPE_FREE, ProductSpec, TForm, check_scale
 
 
 @dataclass(frozen=True)
@@ -308,6 +309,28 @@ def bootstrap_report(
     )
 
 
+# Grid points of the bad-direction scan held at once.
+SCAN_BLOCK = 1 << 13
+_MAX_X_GRID = 2_000_000
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _scales(branching: int, ell: int, ys: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The arguments z = L^j y for j = 1..ell, each with the slope-free terms at z."""
+    zs = [float(branching) ** j * ys for j in range(1, ell + 1)]
+    return [(z, SLOPE_FREE(z)) for z in zs]
+
+
+def _medium_product(tform: TForm, scales, ys: np.ndarray, t: float) -> np.ndarray:
+    """prod_{j=1..ell} phi_t(L^j y) over ys: slope t continues the slope-free
+    terms of each scale with its own, in the order of `TForm.poly`."""
+    terms = tform.slope_terms(t)
+    acc = np.ones_like(ys, dtype=complex)
+    for z, head in scales:
+        acc *= terms(z, head)
+    return acc
+
+
 def bad_direction_scan(
     tform: TForm,
     spec: ProductSpec,
@@ -322,27 +345,36 @@ def bad_direction_scan(
     (the x in [L^(n-m), L^n] range collapses to this after rescaling, so the
     scan is depth-independent).  x_grid = 0 picks the density from the
     derivative bound so each cell oscillates by under a tenth of the
-    threshold.
+    threshold.  The grid is scanned SCAN_BLOCK points at a time, the
+    slope-free terms once per scale for all the slopes.
     """
     L = tform.branching
+    # The scanned arguments L^j y reach L^(m+ell).
+    check_scale(L, spec.m + spec.ell)
+    if -tau * spec.ell > _LOG_FLOAT_MAX:
+        raise SpecInvalid(f"threshold e^(-tau*ell) = e^{-tau * spec.ell} exceeds the float range")
     thr = math.exp(-tau * spec.ell)
     y_lo, y_hi = 1.0, float(L) ** spec.m
     if x_grid <= 0:
         slope = sum(
             float(L) ** j * 2.0 for j in range(1, spec.ell + 1)
         )  # crude |d/dy| bound for unit-size frequencies
-        x_grid = int((y_hi - y_lo) * slope / (thr / 10.0)) + 2
-        x_grid = min(max(x_grid, 1000), 2_000_000)
+        cells = (y_hi - y_lo) * slope / (thr / 10.0) if thr / 10.0 > 0.0 else math.inf
+        # A bound beyond the float range (inf, or nan from 0 * inf) takes the cap.
+        x_grid = int(cells) + 2 if cells < _MAX_X_GRID else _MAX_X_GRID
+        x_grid = min(max(x_grid, 1000), _MAX_X_GRID)
     ys = np.linspace(y_lo, y_hi, x_grid)
+    ts = [float(t) for t in t_grid]
+    peaks = np.zeros(len(ts))
+    for lo in range(0, x_grid, SCAN_BLOCK):
+        block = ys[lo:lo + SCAN_BLOCK]
+        scales = _scales(L, spec.ell, block)
 
-    def one_t(t: float) -> bool:
-        poly = tform.poly(t)
-        acc = np.ones_like(ys, dtype=complex)
-        for j in range(1, spec.ell + 1):
-            acc *= poly(float(L) ** j * ys)
-        return bool(np.max(np.abs(acc)) > thr)
+        def peak(t: float) -> float:
+            return np.max(np.abs(_medium_product(tform, scales, block, t)))
 
-    offenders = ordered_map(one_t, [float(t) for t in t_grid], threads)
+        peaks = np.maximum(peaks, ordered_map(peak, ts, threads))
+    offenders = tuple(bool(p) for p in peaks > thr)
     span = max(t_grid) - min(t_grid) if len(t_grid) > 1 else 0.0
     h_measure = span * sum(offenders) / len(offenders)
     return BadDirectionReport(
@@ -350,7 +382,7 @@ def bad_direction_scan(
         tau=float(tau),
         threshold=thr,
         t_grid=tuple(float(t) for t in t_grid),
-        offenders=tuple(bool(o) for o in offenders),
+        offenders=offenders,
         h_measure=float(h_measure),
         bound=float(L) ** (-spec.ell / 2.0),
     )

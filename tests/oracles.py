@@ -6,7 +6,11 @@ writer in `favlab.emit` replaced, the scalar and complex-node needle
 tests that the projected-residual descent in `favlab.favard` replaced, and
 the full-grid geometric fit that the screened fit in `favlab.stacks`
 replaced, and the trapezoid over all of [0, pi] that the symmetry-domain
-quadrature in `favlab.favard` replaced.
+quadrature in `favlab.favard` replaced.  The transform layer's loops are
+here too: the exponential sum that took an exponential for every term, the
+cetsq integrand built as one (samples x frequencies) matrix, the split search
+that called f once per candidate line, and the bad-direction scan that
+evaluated the whole slope form once per slope.
 They define the expected output: the array versions must return equal
 (`==`) results, and the writers equal bytes, on every input.
 
@@ -401,3 +405,57 @@ def derivative_bound(poly: ExpPoly, im_radius: float = 0.0) -> float:
 def alpha(spec: ProductSpec) -> float:
     """The block ratio ell/m of a product split (inf when m = 0)."""
     return spec.ell / spec.m if spec.m else math.inf
+
+
+def exp_poly_loop(poly: ExpPoly, z) -> np.ndarray:
+    """`ExpPoly.__call__` with one exponential per term, zero frequencies too."""
+    z = np.asarray(z)
+    acc = np.zeros(z.shape, dtype=complex)
+    for lam, c in zip(poly.lambdas, poly.coefficients):
+        acc += c * np.exp(lam * z)
+    return poly.normalization * acc
+
+
+def cetsq_integrand_matrix(freqs: np.ndarray, coeffs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The cetsq integrand |sum_a c_a e^{i a y}|^2 from one full matrix."""
+    vals = coeffs[None, :] * np.exp(1j * freqs[None, :] * ys[:, None])
+    return np.abs(vals.sum(axis=1)) ** 2
+
+
+def best_split_loop(f, x0, x1, y0, y1) -> tuple[float, float]:
+    """The quadrisection split search with two calls of f per candidate."""
+    ts = np.linspace(0.0, 1.0, 33)
+    best, best_val = (0.5, 0.5), -1.0
+    for frac in (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39, 0.65):
+        xm = x0 + frac * (x1 - x0)
+        ym = y0 + frac * (y1 - y0)
+        vert = xm + 1j * (y0 + ts * (y1 - y0))
+        horiz = (x0 + ts * (x1 - x0)) + 1j * ym
+        low = float(
+            min(np.min(np.abs(np.asarray(f(vert)))), np.min(np.abs(np.asarray(f(horiz)))))
+        )
+        if low > best_val:
+            best_val = low
+            best = (frac, frac)
+    return best
+
+
+def medium_product_loop(tform: spectral.TForm, ell: int, t: float, ys: np.ndarray) -> np.ndarray:
+    """prod_{j=1..ell} phi_t(L^j y), the whole slope form evaluated per scale."""
+    poly = tform.poly(t)
+    acc = np.ones_like(ys, dtype=complex)
+    for j in range(1, ell + 1):
+        acc *= exp_poly_loop(poly, float(tform.branching) ** j * ys)
+    return acc
+
+
+def bad_direction_offenders(
+    tform: spectral.TForm, spec: ProductSpec, tau: float, t_grid: Sequence[float], x_grid: int
+) -> tuple[bool, ...]:
+    """The slopes whose medium block exceeds e^(-tau*ell) on the whole grid."""
+    thr = math.exp(-tau * spec.ell)
+    ys = np.linspace(1.0, float(tform.branching) ** spec.m, x_grid)
+    return tuple(
+        bool(np.max(np.abs(medium_product_loop(tform, spec.ell, float(t), ys))) > thr)
+        for t in t_grid
+    )

@@ -1,8 +1,11 @@
-"""tools/bench.py: the src/ line change between a base commit and the tree."""
+"""tools/bench.py: the src/ line change between a base commit and the tree, and the
+paired comparison of one metric (gain rule, bound check, direction)."""
 
 import importlib.util
 import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("bench", ROOT / "tools" / "bench.py")
@@ -35,3 +38,64 @@ def test_src_line_change_counts_tracked_and_untracked_src_files(tmp_path):
     git(tmp_path, "commit", "-q", "-m", "head")
     assert bench.src_line_change(base, tmp_path) == {"added": 5, "deleted": 1, "net": 4}
     assert bench.src_line_change("HEAD", tmp_path) == {"added": 0, "deleted": 0, "net": 0}
+
+
+BASE = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.0]  # quartiles 9.925, 10.075
+
+
+def test_compare_reports_a_gain_from_ten_pairs_with_a_gap_wider_than_the_base_iqr():
+    head = [b - 1.0 for b in BASE]
+    out = bench.compare(BASE, head, "lower", 0.25)
+    assert out["head_wins"] == 10 and out["pairs"] == 10
+    assert out["base"]["q1"] == pytest.approx(9.925) and out["base"]["q3"] == pytest.approx(10.075)
+    assert out["base"]["median"] == 10.0
+    assert out["head"]["median"] == 9.0
+    assert out["change"] == 9.0 / 10.0 - 1.0
+    assert out["gain"] and not out["regression"]
+
+
+def test_compare_needs_ten_pairs_for_a_gain():
+    head = [b - 1.0 for b in BASE]
+    assert not bench.compare(BASE[:9], head[:9], "lower", 0.25)["gain"]
+
+
+def test_compare_needs_nine_wins_in_ten():
+    head = [b - 1.0 for b in BASE]
+    head[0] = head[1] = 11.0  # two losses: 8 wins of 10
+    out = bench.compare(BASE, head, "lower", 0.25)
+    assert out["head_wins"] == 8 and not out["gain"]
+    head[1] = BASE[1]  # a tie is not a win: still 8 of 10
+    assert bench.compare(BASE, head, "lower", 0.25)["head_wins"] == 8
+    head[1] = BASE[1] - 1.0  # 9 of 10
+    out = bench.compare(BASE, head, "lower", 0.25)
+    assert out["head_wins"] == 9 and out["gain"]
+
+
+def test_compare_needs_a_median_gap_wider_than_the_base_iqr():
+    head = [b - 0.1 for b in BASE]  # wins every pair, but the gap 0.1 < IQR 0.15
+    out = bench.compare(BASE, head, "lower", 0.25)
+    assert out["head_wins"] == 10 and not out["gain"]
+    head = [b - 0.25 for b in BASE]
+    assert bench.compare(BASE, head, "lower", 0.25)["gain"]
+
+
+def test_compare_flags_a_regression_beyond_the_bound_only():
+    assert bench.compare(BASE, [b * 1.2 for b in BASE], "lower", 0.25)["regression"] is False
+    assert bench.compare(BASE, [b * 1.3 for b in BASE], "lower", 0.25)["regression"] is True
+    out = bench.compare(BASE, BASE, "lower", None)
+    assert "bound" not in out and "regression" not in out and not out["gain"]
+
+
+def test_compare_with_higher_better_counts_rises_as_wins():
+    up = [b + 1.0 for b in BASE]
+    out = bench.compare(BASE, up, "higher", 0.25)
+    assert out["head_wins"] == 10 and out["gain"] and not out["regression"]
+    down = [b * 0.7 for b in BASE]
+    out = bench.compare(BASE, down, "higher", 0.25)
+    assert out["head_wins"] == 0 and not out["gain"] and out["regression"]
+    assert bench.compare(BASE, up, "lower", 0.25)["head_wins"] == 0
+
+
+def test_compare_has_no_change_over_a_zero_base_median():
+    out = bench.compare([0.0] * 10, [0.0] * 10, "lower", None)
+    assert out["change"] is None and out["head_wins"] == 0 and not out["gain"]

@@ -480,6 +480,51 @@ def test_out_of_range_depth_exits_with_message_through_argv_and_config(
     assert got == code and out == "" and message in err and "Traceback" not in err
 
 
+DEEP_SPECTRAL = ["spectral", "--preset", "gasket", "--t", "0.3", "--n", "3", "--m", "1",
+                 "--ell", "1", "--grid", "3"]
+BADDIR = ["scan", "--check", "baddir", "--preset", "gasket"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, message",
+    [
+        (DEEP_SPECTRAL, "n", 700, "scale 3^700 exceeds the float range"),
+        (BADDIR, "m", 700, "scale 3^704 exceeds the float range"),
+        (BADDIR, "ell", 700, "scale 3^702 exceeds the float range"),
+        (BADDIR, "tau", -1000, "threshold e^(-tau*ell) = e^4000.0 exceeds the float range"),
+    ],
+)
+def test_scale_beyond_float_range_exits_2_through_argv_and_config(
+    argv, flag, value, message, tmp_path, capsys
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: value}))
+    for given in ([f"--{flag}={value}"], ["--config", str(cfg)]):
+        code, out = run(argv + given)
+        err = capsys.readouterr().err
+        assert (code, out, err) == (2, "", f"favlab: SpecInvalid: {message}\n")
+        code, out = run(argv + given + ["--json"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {"error": "SpecInvalid", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        DEEP_SPECTRAL + ["--n", "646"],
+        # L^(m+ell) = 3^644 is a float, but the grid's derivative bound overflows
+        BADDIR + ["--m", "640", "--t-grid", "1"],
+        # e^(-tau*ell) = e^-4000 underflows to 0
+        BADDIR + ["--tau", "1000", "--t-grid", "2"],
+        BADDIR + ["--ell", "0", "--t-grid", "3"],
+    ],
+)
+def test_scales_at_the_float_limit_run(argv, capsys):
+    code, out = run(argv)
+    assert code == 0 and out and capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -226,3 +226,21 @@ def test_ssv_certified_cover_contains_small_value_samples():
         for x in small:
             assert oracles.union_contains(cert, x)
     assert found_any > 0
+
+
+@pytest.mark.parametrize(
+    "p, q, has_zero",
+    [(1, 2, True), (1, 5, True), (4, 5, True), (7, 11, True),
+     (1, 1, False), (1, 4, False), (2, 5, False)],
+)
+def test_gasket_slope_form_zeros_sit_on_the_kenyon_lattice(p, q, has_zero):
+    # 1 + e^{ix} + e^{itx} vanishes at x = 2 pi q / 3 exactly when e^{ix} and
+    # e^{itx} are the two primitive cube roots of unity: at t = p/q that is
+    # p + q = 0 (mod 3).
+    x = 2.0 * math.pi * q / 3.0
+    phi = spectral.t_form(ifs.preset("gasket")).poly(p / q)
+    zeros = lemmas.zeros_in_rect(phi, x - 0.25, x + 0.25, -0.25, 0.25)
+    if has_zero:
+        assert len(zeros) == 1 and abs(zeros[0] - x) <= 1e-12
+    else:
+        assert zeros == []

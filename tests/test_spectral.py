@@ -1,10 +1,12 @@
 """Transform-side products, identity checks, and orbit sampling."""
 
+import math
+
 import numpy as np
 import oracles
 import pytest
 
-from favlab import ifs, spectral
+from favlab import ifs, lemmas, spectral
 from favlab.errors import FavlabError, SpecInvalid
 
 
@@ -290,3 +292,22 @@ def test_phase_constructors_reject_ratio_other_than_one_over_l():
     for build in (lambda: spectral.phi_theta_poly(system, 0.3), lambda: spectral.t_form(system)):
         with pytest.raises(FavlabError, match="ratio 1/L = 1/3, got ratio 0.3"):
             build()
+
+
+@pytest.mark.parametrize("branching, largest", [(2, 1023), (3, 646), (4, 511), (5, 441)])
+def test_check_scale_admits_exactly_the_powers_that_are_floats(branching, largest):
+    spectral.check_scale(branching, largest)
+    assert math.isfinite(float(branching) ** largest)
+    with pytest.raises(SpecInvalid, match=f"scale {branching}\\^{largest + 1} exceeds"):
+        spectral.check_scale(branching, largest + 1)
+    with pytest.raises(OverflowError):
+        float(branching) ** (largest + 1)
+
+
+def test_deep_specs_are_refused_before_any_power_of_l():
+    phi = spectral.t_form(ifs.preset("gasket")).poly(0.3)
+    spec = spectral.ProductSpec(700, 1, 1)
+    with pytest.raises(SpecInvalid, match="scale 3\\^700 exceeds the float range"):
+        spectral.low_block_interval(phi, spec)
+    with pytest.raises(SpecInvalid, match="scale 3\\^700 exceeds the float range"):
+        lemmas.ssv_certified_cover(phi, spec)
