@@ -28,7 +28,7 @@ proj = np.sort((g.centers() * np.exp(-1j * np.pi / 6)).real)
 print(f"two projected centers coincide: {proj[1]:.12f} == {proj[2]:.12f}")
 for n in (1, 2, 3):
     f = shadow.multiplicity(g, n, np.pi / 6)
-    fstar = shadow.maximal_profile(g, n, np.pi / 6)
+    fstar = shadow.pointwise_max([shadow.multiplicity(g, k, np.pi / 6) for k in range(n + 1)])
     print(f"  depth {n}: peak multiplicity {shadow.max_value(f)}, "
           f"running max profile peak {shadow.max_value(fstar)}")
 

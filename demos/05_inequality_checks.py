@@ -12,8 +12,8 @@ import numpy as np
 from favlab import ifs, lemmas, spectral, verify
 
 print("== zero counting by winding + quadrisection ==")
-cert = lemmas.count_zeros(lambda z: np.asarray(z) ** 2 - 1 / 16, 0.0, 0.5)
-print(f"  z^2 - 1/16 on |z|<1/2: count {cert.count}, zeros {np.round(cert.zeros, 6)}")
+zeros = lemmas.count_zeros(lambda z: np.asarray(z) ** 2 - 1 / 16, 0.0, 0.5).zeros
+print(f"  z^2 - 1/16 on |z|<1/2: count {len(zeros)}, zeros {np.round(zeros, 6)}")
 
 print("\n== zero count vs log2(sup) on the unit disc ==")
 rep = lemmas.blaschke_check(lambda z: 16 * (np.asarray(z) ** 2 - 1 / 16))

@@ -23,14 +23,14 @@ for name, system in (("corner4", c4), ("gasket", g)):
 
 print("\n== exceptional-direction scan ==")
 for K in (2, 4, 8):
-    rep = stacks.e_scan(stacks.EScanConfig(N=4, K=K, theta_grid=grid), g)
+    rep = stacks.e_scan(g, 4, K, grid)
     print(f"  K={K}: {sum(rep.membership)}/{len(grid)} directions exceptional, "
           f"measure estimate {rep.measure_estimate:.4f}")
-big = stacks.e_scan(stacks.EScanConfig(N=3, K=28, theta_grid=grid), g)
+big = stacks.e_scan(g, 3, 28, grid)
 print(f"  K=28 > 3^3: all directions exceptional by emptiness: {all(big.membership)}")
 
 print("\n== L2 bound along exceptional directions ==")
-rep = stacks.l2_bound_report(g, stacks.EScanConfig(N=4, K=8, theta_grid=grid))
+rep = stacks.l2_bound_report(g, 4, 8, grid)
 if rep.vacuous:
     print("  no exceptional directions on this grid (vacuous)")
 else:

@@ -297,17 +297,25 @@ def _scan_product(args, system, thetas) -> dict:
             "worst_at": list(rep.worst_at) if rep.worst_at else None, "checked": rep.checked}
 
 
+def _one_K(args) -> int:
+    if len(args.K) != 1:
+        raise FavlabError(f"--check {args.check} takes one --K value, got {len(args.K)}")
+    return args.K[0]
+
+
 def _scan_escan(args, system, thetas) -> dict:
-    cfg = stacks.EScanConfig(args.N, args.K[0], thetas, args.k_exponent)
-    rep = stacks.e_scan(cfg, system, cap=args.cap, threads=args.threads)
-    return {"N": args.N, "K": args.K[0], "members": int(sum(rep.membership)),
+    K = _one_K(args)
+    rep = stacks.e_scan(system, args.N, K, thetas, args.k_exponent, cap=args.cap,
+                        threads=args.threads)
+    return {"N": args.N, "K": K, "members": int(sum(rep.membership)),
             "grid": len(thetas), "measure_estimate": rep.measure_estimate}
 
 
 def _scan_l2(args, system, thetas) -> dict:
-    cfg = stacks.EScanConfig(args.N, args.K[0], thetas, args.k_exponent)
-    rep = stacks.l2_bound_report(system, cfg, cap=args.cap, threads=args.threads)
-    return {"N": args.N, "K": args.K[0], "vacuous": rep.vacuous, "max_ratio": rep.max_ratio,
+    K = _one_K(args)
+    rep = stacks.l2_bound_report(system, args.N, K, thetas, args.k_exponent, cap=args.cap,
+                                 threads=args.threads)
+    return {"N": args.N, "K": K, "vacuous": rep.vacuous, "max_ratio": rep.max_ratio,
             "sampled": len(rep.per_theta)}
 
 

@@ -222,7 +222,6 @@ def buffon_estimate(
     depth: int,
     trials: int,
     seed: int,
-    cap: int = ifs.ENUMERATION_CAP,
 ) -> tuple[float, float]:
     """Monte Carlo shadow-average: theta ~ U[0, pi), x ~ U[-W, W].
 
@@ -236,7 +235,7 @@ def buffon_estimate(
         raise FavlabError("trials must be at least 1")
     if seed < 0:
         raise FavlabError(f"seed {seed} is negative")
-    ifs.check_cap(system, depth, cap)
+    ifs.check_cap(system, depth)
     reach = system.root_size * (np.sqrt(2.0) if system.shape == ifs.SQUARE else 1.0)
     window = max(1.0, float(reach))
     hit_count = 0

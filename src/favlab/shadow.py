@@ -245,20 +245,6 @@ def multiplicity(
     return from_events(positions, deltas)
 
 
-def maximal_profile(
-    system: SimilaritySystem,
-    max_depth: int,
-    theta: float,
-    min_depth: int = 0,
-    cap: int = ifs.ENUMERATION_CAP,
-) -> StepFunction:
-    """Pointwise maximum of the profiles at depths min_depth..max_depth."""
-    profiles = [
-        multiplicity(system, n, theta, cap) for n in range(min_depth, max_depth + 1)
-    ]
-    return pointwise_max(profiles)
-
-
 def pointwise_max(profiles: Sequence[StepFunction]) -> StepFunction:
     nonzero = [f for f in profiles if not f.is_zero]
     if not nonzero:

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import ifs, shadow
+from . import shadow
 from .errors import FavlabError, SpecInvalid
 from .ifs import SimilaritySystem
 from .shadow import IntervalUnion, interval_union
@@ -256,7 +256,6 @@ def parseval_check(
     depth: int,
     radius: float,
     grid: int,
-    cap: int = ifs.ENUMERATION_CAP,
 ) -> float:
     """Relative gap between the transform-side and space-side L2 masses.
 
@@ -275,7 +274,7 @@ def parseval_check(
         return np.abs((L**depth) * box * nu_hat_eval(phi, depth, xs)) ** 2
 
     fourier_side = simpson(integrand, radius, grid) / np.pi
-    space_side = shadow.l2_norm_sq(shadow.multiplicity(system, depth, theta, cap))
+    space_side = shadow.l2_norm_sq(shadow.multiplicity(system, depth, theta))
     return float(abs(fourier_side - space_side) / space_side)
 
 

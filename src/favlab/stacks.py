@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,33 +25,8 @@ from .spectral import SLOPE_FREE, ProductSpec, TForm, check_scale
 
 
 @dataclass(frozen=True)
-class EScanConfig:
-    """Parameters of the small-level-set direction scan.
-
-    A direction belongs to the exceptional set when the measure of
-    {max profile >= K} is at most K^(-K_exponent).  The maximal profile is
-    taken over depths 1..N; depth 0 is the root shadow and would make the
-    K = 1 case vacuous.
-    """
-
-    N: int
-    K: int
-    theta_grid: tuple[float, ...]
-    K_exponent: float = 3.0
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise FavlabError(f"depth N must be at least 1, got {self.N}")
-        if self.K < 1:
-            raise FavlabError("K must be at least 1")
-        if not self.theta_grid:
-            raise FavlabError("theta grid must be nonempty")
-
-
-@dataclass(frozen=True)
 class ProductCheckReport:
     pairs: tuple[tuple[int, int], ...]
-    thetas: tuple[float, ...]
     worst_ratio: float
     worst_at: tuple[float, int, int] | None
     ratios: tuple[tuple[float, ...], ...]  # per theta, per pair; nan = vacuous
@@ -60,7 +35,6 @@ class ProductCheckReport:
 
 @dataclass(frozen=True)
 class EScanReport:
-    config: EScanConfig
     membership: tuple[bool, ...]
     level_measures: tuple[float, ...]
     measure_estimate: float
@@ -68,7 +42,6 @@ class EScanReport:
 
 @dataclass(frozen=True)
 class L2BoundReport:
-    K: int
     max_ratio: float
     per_theta: tuple[tuple[float, float], ...]  # (theta, max_n l2/K)
     vacuous: bool
@@ -77,7 +50,6 @@ class L2BoundReport:
 @dataclass(frozen=True)
 class BootstrapReport:
     theta: float
-    base_depth: int
     depths: tuple[int, ...]
     measures: tuple[float, ...]
     geom_a: float
@@ -87,13 +59,38 @@ class BootstrapReport:
 
 @dataclass(frozen=True)
 class BadDirectionReport:
-    spec: ProductSpec
-    tau: float
-    threshold: float
-    t_grid: tuple[float, ...]
     offenders: tuple[bool, ...]
     h_measure: float
     bound: float
+
+
+def _per_direction(
+    system: SimilaritySystem,
+    N: int,
+    levels: Sequence[int],
+    theta_grid: Sequence[float],
+    reduce: Callable,
+    cap: int,
+    threads: int | None,
+) -> tuple[tuple[float, ...], list]:
+    """(thetas, [reduce(profiles) per theta]) over the grid, in grid order.
+
+    profiles are the multiplicity profiles of depths 1..N at the direction,
+    each built once.  Depth 0 is the root shadow and would make the K = 1
+    case vacuous, so N must be at least 1, as must every level K.
+    """
+    if N < 1:
+        raise FavlabError(f"depth N must be at least 1, got {N}")
+    if any(k < 1 for k in levels):
+        raise FavlabError("K must be at least 1")
+    thetas = tuple(float(t) for t in theta_grid)
+    if not thetas:
+        raise FavlabError("theta grid must be nonempty")
+
+    def one_theta(theta: float):
+        return reduce([shadow.multiplicity(system, n, theta, cap) for n in range(1, N + 1)])
+
+    return thetas, ordered_map(one_theta, thetas, threads)
 
 
 def product_inequality_report(
@@ -110,13 +107,10 @@ def product_inequality_report(
     stacked set is nonempty and both denominators are positive; empty stacked
     sets pass vacuously (ratio 0), empty denominators are skipped as nan.
     """
-    if max_depth < 1:
-        raise FavlabError(f"depth N must be at least 1, got {max_depth}")
     pairs = tuple((int(k), int(m)) for k, m in pairs)
-    thetas = tuple(float(t) for t in theta_grid)
 
-    def one_theta(theta: float) -> list[float]:
-        fstar = shadow.maximal_profile(system, max_depth, theta, min_depth=1, cap=cap)
+    def ratios(profiles) -> list[float]:
+        fstar = shadow.pointwise_max(profiles)
         out = []
         for k, m in pairs:
             big = shadow.level_measure(fstar, 4 * k * m, strict=True)
@@ -131,7 +125,8 @@ def product_inequality_report(
             out.append(big / (k * fk * fm))
         return out
 
-    rows = ordered_map(one_theta, thetas, threads)
+    levels = [level for pair in pairs for level in pair]
+    thetas, rows = _per_direction(system, max_depth, levels, theta_grid, ratios, cap, threads)
     worst = 0.0
     worst_at = None
     checked = 0
@@ -145,7 +140,6 @@ def product_inequality_report(
                 worst_at = (theta, k, m)
     return ProductCheckReport(
         pairs=pairs,
-        thetas=thetas,
         worst_ratio=worst,
         worst_at=worst_at,
         ratios=tuple(tuple(row) for row in rows),
@@ -154,66 +148,64 @@ def product_inequality_report(
 
 
 def e_scan(
-    cfg: EScanConfig,
     system: SimilaritySystem,
+    N: int,
+    K: int,
+    theta_grid: Sequence[float],
+    k_exponent: float = 3.0,
     cap: int = ifs.ENUMERATION_CAP,
     threads: int | None = None,
 ) -> EScanReport:
-    """Per-direction membership in the exceptional set and its grid measure."""
+    """Per-direction membership in the exceptional set and its grid measure.
 
-    def one_theta(theta: float) -> float:
-        fstar = shadow.maximal_profile(system, cfg.N, theta, min_depth=1, cap=cap)
-        return shadow.level_measure(fstar, cfg.K)
+    A direction is exceptional when the measure of {max profile >= K}, the
+    maximum taken over depths 1..N, is at most K^(-k_exponent).
+    """
 
-    measures = ordered_map(one_theta, cfg.theta_grid, threads)
-    cut = float(cfg.K) ** (-cfg.K_exponent)
+    def level(profiles) -> float:
+        return shadow.level_measure(shadow.pointwise_max(profiles), K)
+
+    thetas, measures = _per_direction(system, N, (K,), theta_grid, level, cap, threads)
+    cut = float(K) ** (-k_exponent)
     member = tuple(m <= cut for m in measures)
-    span = max(cfg.theta_grid) - min(cfg.theta_grid) if len(cfg.theta_grid) > 1 else 0.0
-    estimate = span * sum(member) / len(member) if member else 0.0
+    span = max(thetas) - min(thetas) if len(thetas) > 1 else 0.0
     return EScanReport(
-        config=cfg,
         membership=member,
         level_measures=tuple(float(m) for m in measures),
-        measure_estimate=float(estimate),
+        measure_estimate=float(span * sum(member) / len(member)),
     )
 
 
 def l2_bound_report(
     system: SimilaritySystem,
-    cfg: EScanConfig,
+    N: int,
+    K: int,
+    theta_grid: Sequence[float],
+    k_exponent: float = 3.0,
     cap: int = ifs.ENUMERATION_CAP,
     threads: int | None = None,
 ) -> L2BoundReport:
     """max over sampled exceptional directions and depths of ||f_n||^2 / K.
 
-    The sample is the exceptional directions that e_scan finds on the config
-    grid; an empty sample yields a vacuous report.
+    The sample is the directions of the grid that e_scan finds exceptional;
+    each one's ratio comes from the profiles its membership was read from.
+    An empty sample yields a vacuous report.
     """
-    scan = e_scan(cfg, system, cap, threads)
-    sample_thetas = [t for t, ok in zip(cfg.theta_grid, scan.membership) if ok]
-    if not sample_thetas:
-        return L2BoundReport(K=cfg.K, max_ratio=0.0, per_theta=(), vacuous=True)
+    cut = float(K) ** (-k_exponent)
 
-    def one_theta(theta: float) -> float:
-        best = 0.0
-        for n in range(1, cfg.N + 1):
-            best = max(
-                best, shadow.l2_norm_sq(shadow.multiplicity(system, n, theta, cap))
-            )
-        return best / cfg.K
+    def ratio(profiles) -> float | None:
+        if shadow.level_measure(shadow.pointwise_max(profiles), K) > cut:
+            return None
+        return max(shadow.l2_norm_sq(f) for f in profiles) / K
 
-    ratios = ordered_map(one_theta, sample_thetas, threads)
-    per = tuple((float(t), float(r)) for t, r in zip(sample_thetas, ratios))
-    return L2BoundReport(
-        K=cfg.K, max_ratio=float(max(ratios)), per_theta=per, vacuous=False
-    )
+    thetas, ratios = _per_direction(system, N, (K,), theta_grid, ratio, cap, threads)
+    per = tuple((t, float(r)) for t, r in zip(thetas, ratios) if r is not None)
+    if not per:
+        return L2BoundReport(max_ratio=0.0, per_theta=(), vacuous=True)
+    return L2BoundReport(max_ratio=max(r for _, r in per), per_theta=per, vacuous=False)
 
 
 _RHO_GRID = np.linspace(0.001, 0.999, 999)
-# Longer series skip the screen, whose arrays hold 999 floats per depth.  Only
-# base depth 0 makes them in practice: the default enumeration cap of 2^26
-# pieces keeps l_max * N at 26 or less.
-_SCREEN_MAX_DEPTHS = 64
 
 
 def _screen_residuals(ls: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -250,14 +242,14 @@ def _fit_geometric(ls: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]
     margin, so i* and every tie with it are confirmed.  Both are stable
     solves, and for l_max <= 64 the design's condition number is at most
     8.1e3 (at rho = 0.001), so s and e differ by about 1e-11 * max|y| at
-    most, against a margin of 1e-9 * max(1, max|y|).  Data the model fits
+    most, against a margin of 1e-9 * max(1, max|y|).  l_max stays that
+    small: bootstrap_report fits only after it has enumerated the L^(N*l_max)
+    pieces of its deepest depth, and l_max > 64 would take at least 2^65
+    pieces.  Data the model fits
     exactly at many rho (l_max <= 2, zero or constant series) confirm every
     candidate and cost what the full loop costs.
     """
-    if ls.size <= _SCREEN_MAX_DEPTHS:
-        screened = _screen_residuals(ls, ys)
-    else:
-        screened = np.full(_RHO_GRID.size, math.nan)
+    screened = _screen_residuals(ls, ys)
     margin = 1e-9 * max(1.0, float(np.max(np.abs(ys))))
     lowest = np.min(screened, initial=math.inf, where=np.isfinite(screened))
     best = (0.0, 0.5, math.inf)
@@ -300,7 +292,6 @@ def bootstrap_report(
     a, rho, resid = _fit_geometric(ls, ys)
     return BootstrapReport(
         theta=float(theta),
-        base_depth=base_depth,
         depths=depths,
         measures=measures,
         geom_a=a,
@@ -378,10 +369,6 @@ def bad_direction_scan(
     span = max(t_grid) - min(t_grid) if len(t_grid) > 1 else 0.0
     h_measure = span * sum(offenders) / len(offenders)
     return BadDirectionReport(
-        spec=spec,
-        tau=float(tau),
-        threshold=thr,
-        t_grid=tuple(float(t) for t in t_grid),
         offenders=offenders,
         h_measure=float(h_measure),
         bound=float(L) ** (-spec.ell / 2.0),

@@ -30,29 +30,21 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def random_exp_poly(
-    rng: np.random.Generator,
-    freq_scale: float = 2.0,
-    real_frequencies: bool = False,
-    require_base: bool = True,
-) -> ExpPoly:
+def random_exp_poly(rng: np.random.Generator) -> ExpPoly:
     """Random unimodular-coefficient exponential sum of one to six terms with
-    bounded frequencies.
+    complex frequencies in [-2, 2] + [-2, 2]i.
 
-    With require_base, coefficients are redrawn until |f(0)| >= 1 (the
-    precondition of the disc bounds).
+    Coefficients are redrawn until |f(0)| >= 1 (the precondition of the disc
+    bounds).
     """
     n = int(rng.integers(1, 7))
-    if real_frequencies:
-        lams = tuple(complex(v) for v in rng.uniform(-freq_scale, freq_scale, n))
-    else:
-        re = rng.uniform(-freq_scale, freq_scale, n)
-        im = rng.uniform(-freq_scale, freq_scale, n)
-        lams = tuple(complex(a, b) for a, b in zip(re, im))
+    re = rng.uniform(-2.0, 2.0, n)
+    im = rng.uniform(-2.0, 2.0, n)
+    lams = tuple(complex(a, b) for a, b in zip(re, im))
     for _ in range(1000):
         phases = rng.uniform(0.0, 2.0 * np.pi, n)
         coeffs = tuple(np.exp(1j * p) for p in phases)
-        if not require_base or abs(sum(coeffs)) >= 1.0:
+        if abs(sum(coeffs)) >= 1.0:
             return ExpPoly(lambdas=lams, coefficients=coeffs)
     raise FavlabError("could not draw coefficients with |f(0)| >= 1")
 
@@ -90,12 +82,11 @@ def suite_turan(trials: int, seed: int, threads: int | None = None) -> dict:
     rng = _rng(seed)
     jobs = []
     for _ in range(trials):
-        poly = random_exp_poly(rng, freq_scale=30.0, real_frequencies=True, require_base=False)
-        # purely imaginary exponents: e^{i lambda x} with real lambda
-        poly = ExpPoly(
-            lambdas=tuple(1j * lam.real for lam in poly.lambdas),
-            coefficients=poly.coefficients,
-        )
+        # e^{i lambda x} with real lambda in [-30, 30] and unimodular coefficients
+        n = int(rng.integers(1, 7))
+        lams = tuple(1j * float(v) for v in rng.uniform(-30.0, 30.0, n))
+        coeffs = tuple(np.exp(1j * p) for p in rng.uniform(0.0, 2.0 * np.pi, n))
+        poly = ExpPoly(lambdas=lams, coefficients=coeffs)
         length = rng.uniform(0.5, 3.0)
         pieces = int(rng.integers(1, 5))
         want = rng.uniform(0.1, 0.6) * length

@@ -24,7 +24,8 @@ one point in a union).
 
 The library holds only what its command line, suites and reports call, so
 these test-only helpers live here too: `level_intervals` (a level set of a
-profile as an interval union), `ssv_small_points` (the grid points where the
+profile as an interval union), `maximal_profile` (the pointwise maximum of
+the profiles at several depths), `ssv_small_points` (the grid points where the
 low block P2 dips below a threshold), `theta_to_t` (an angle mapped to a
 slope and an x-scale), `derivative_bound` (a derivative bound of an
 `ExpPoly` on a horizontal strip) and `alpha` (the ratio ell/m of a
@@ -352,6 +353,13 @@ def level_intervals(f: StepFunction, k: int, strict: bool = False) -> IntervalUn
     return shadow.interval_union(
         np.column_stack((f.breakpoints[:-1][sel], f.breakpoints[1:][sel]))
     )
+
+
+def maximal_profile(
+    system: SimilaritySystem, depths: Iterable[int], theta: float
+) -> StepFunction:
+    """The pointwise maximum of the multiplicity profiles at the given depths."""
+    return shadow.pointwise_max([shadow.multiplicity(system, n, theta) for n in depths])
 
 
 def ssv_small_points(

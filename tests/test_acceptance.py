@@ -251,15 +251,15 @@ def test_criterion_10_product_inequality_and_mass_identity():
 def test_criterion_11_exceptional_set_behavior():
     g = ifs.preset("gasket")
     grid = tuple(np.linspace(0.0, np.pi, 64, endpoint=False))
-    full = stacks.e_scan(stacks.EScanConfig(N=3, K=28, theta_grid=grid), g)
+    full = stacks.e_scan(g, 3, 28, grid)
     full_ok = all(full.membership) and all(m == 0.0 for m in full.level_measures)
     estimates = {}
     for K in (2, 4, 8):
-        rep = stacks.e_scan(stacks.EScanConfig(N=4, K=K, theta_grid=grid), g)
+        rep = stacks.e_scan(g, 4, K, grid)
         estimates[K] = rep.measure_estimate
     mono_ok = True
     for theta in grid[::4]:
-        fstar = shadow.maximal_profile(g, 4, theta, min_depth=1)
+        fstar = oracles.maximal_profile(g, range(1, 5), theta)
         levels = [shadow.level_measure(fstar, k) for k in (2, 4, 8, 16)]
         for a, b in zip(levels, levels[1:]):
             if b > a:

@@ -447,6 +447,20 @@ def test_bad_numeric_flag_exits_2_through_argv_and_config(
     assert f"config key {flag!r}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", ["escan", "l2"])
+def test_escan_and_l2_refuse_more_than_one_K(check, tmp_path, capsys):
+    argv = SCAN + ["--check", check, "--theta-grid", "4"]
+    message = f"--check {check} takes one --K value, got 2\n"
+    code, out = run(argv + ["--K", "2", "3"])
+    assert code == 2 and out == "" and capsys.readouterr().err.endswith(": " + message)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"K": [2, 3]}')
+    code, out = run(argv + ["--config", str(cfg)])
+    assert code == 2 and out == "" and capsys.readouterr().err.endswith(": " + message)
+    code, out = run(argv + ["--K", "3"])
+    assert code == 0 and json.loads(out)["K"] == 3
+
+
 BUFFON = ["buffon", "--preset", "corner4", "--n", "1", "--trials", "10", "--seed", "1"]
 BOOT = ["scan", "--check", "bootstrap", "--preset", "gasket"]
 SCAN4 = ["scan", "--preset", "gasket", "--theta-grid", "4", "--check"]

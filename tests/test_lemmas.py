@@ -13,30 +13,29 @@ import oracles
 
 
 def test_count_zeros_identity_map():
-    cert = lemmas.count_zeros(lambda z: np.asarray(z), 0.0, 1.0)
-    assert cert.count == 1
-    assert abs(cert.zeros[0]) < 1e-9
-    assert cert.sup_bound == pytest.approx(1.0, rel=1e-6)
+    zeros = lemmas.count_zeros(lambda z: np.asarray(z), 0.0, 1.0).zeros
+    assert len(zeros) == 1
+    assert abs(zeros[0]) < 1e-9
 
 
 def test_count_zeros_two_roots():
-    cert = lemmas.count_zeros(lambda z: np.asarray(z) ** 2 - 1 / 16, 0.0, 0.5)
-    assert cert.count == 2
-    found = sorted(z.real for z in cert.zeros)
+    zeros = lemmas.count_zeros(lambda z: np.asarray(z) ** 2 - 1 / 16, 0.0, 0.5).zeros
+    assert len(zeros) == 2
+    found = sorted(z.real for z in zeros)
     assert found[0] == pytest.approx(-0.25, abs=1e-8)
     assert found[1] == pytest.approx(0.25, abs=1e-8)
 
 
 def test_count_zeros_multiplicity():
-    cert = lemmas.count_zeros(lambda z: np.asarray(z) ** 2, 0.0, 0.5)
-    assert cert.count == 2
+    zeros = lemmas.count_zeros(lambda z: np.asarray(z) ** 2, 0.0, 0.5).zeros
+    assert len(zeros) == 2
 
 
 def test_count_zeros_radius_jitter_stability():
     f = lambda z: np.asarray(z) ** 2 - 1 / 16
-    base = lemmas.count_zeros(f, 0.0, 0.5).count
+    base = len(lemmas.count_zeros(f, 0.0, 0.5).zeros)
     for bump in (-1e-3, 1e-3):
-        assert lemmas.count_zeros(f, 0.0, 0.5 + bump).count == base
+        assert len(lemmas.count_zeros(f, 0.0, 0.5 + bump).zeros) == base
 
 
 def test_count_zeros_slope_form_vs_subdivision_oracle():

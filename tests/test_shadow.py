@@ -83,7 +83,7 @@ def test_gasket_depth1_pi6_exact_double_stack():
 
 def test_maximal_profile_pi6_matches_interval_oracle():
     g = ifs.preset("gasket")
-    fstar = shadow.maximal_profile(g, 2, np.pi / 6)
+    fstar = oracles.maximal_profile(g, range(3), np.pi / 6)
     # oracle: direct enumeration of all 9 depth-2 intervals plus coarser levels
     xs = np.linspace(-1.1, 1.1, 400001)
     best = np.zeros(xs.size, dtype=int)
@@ -102,7 +102,7 @@ def test_maximal_profile_pi6_matches_interval_oracle():
 def test_maximal_profile_dominates_each_depth():
     g = ifs.preset("gasket")
     for theta in (0.0, 0.4, 1.1):
-        fstar = shadow.maximal_profile(g, 3, theta)
+        fstar = oracles.maximal_profile(g, range(4), theta)
         for n in range(4):
             f = shadow.multiplicity(g, n, theta)
             for x in 0.5 * (f.breakpoints[:-1] + f.breakpoints[1:]):
@@ -111,7 +111,7 @@ def test_maximal_profile_dominates_each_depth():
 
 def test_maximal_profile_depth0_is_multiplicity():
     g = ifs.preset("gasket")
-    assert shadow.maximal_profile(g, 0, 0.3) == shadow.multiplicity(g, 0, 0.3)
+    assert oracles.maximal_profile(g, [0], 0.3) == shadow.multiplicity(g, 0, 0.3)
 
 
 def test_corner4_tiling_direction():

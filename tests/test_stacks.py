@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+import oracles
 from favlab import baselines, ifs, shadow, spectral, stacks
 
 
 def test_strict_vs_weak_levels_nested():
     g = ifs.preset("gasket")
     for theta in (0.0, np.pi / 6, 0.8):
-        fstar = shadow.maximal_profile(g, 3, theta, min_depth=1)
+        fstar = oracles.maximal_profile(g, range(1, 4), theta)
         for k in (1, 2, 4):
             strict = shadow.level_measure(fstar, k, strict=True)
             weak = shadow.level_measure(fstar, k)
@@ -53,16 +54,14 @@ def test_product_ratio_stable_under_grid_refinement():
 def test_escan_large_k_gives_full_membership():
     g = ifs.preset("gasket")
     grid = tuple(np.linspace(0, np.pi, 16, endpoint=False))
-    cfg = stacks.EScanConfig(N=2, K=10, theta_grid=grid)  # K > 3^2
-    rep = stacks.e_scan(cfg, g)
+    rep = stacks.e_scan(g, 2, 10, grid)  # K > 3^2
     assert all(rep.membership)
     assert all(m == 0.0 for m in rep.level_measures)
 
 
 def test_escan_angle_zero_not_exceptional_at_k1():
     g = ifs.preset("gasket")
-    cfg = stacks.EScanConfig(N=3, K=1, theta_grid=(0.0, 0.5))
-    rep = stacks.e_scan(cfg, g)
+    rep = stacks.e_scan(g, 3, 1, (0.0, 0.5))
     assert rep.level_measures[0] == pytest.approx(1.2440169358562922, abs=1e-9)
     assert not rep.membership[0]
 
@@ -70,7 +69,7 @@ def test_escan_angle_zero_not_exceptional_at_k1():
 def test_level_set_monotone_in_k():
     g = ifs.preset("gasket")
     for theta in (0.0, 0.7):
-        fstar = shadow.maximal_profile(g, 4, theta, min_depth=1)
+        fstar = oracles.maximal_profile(g, range(1, 5), theta)
         measures = [shadow.level_measure(fstar, k) for k in (1, 2, 4, 8, 16)]
         for a, b in zip(measures, measures[1:]):
             assert b <= a
@@ -79,14 +78,30 @@ def test_level_set_monotone_in_k():
 def test_l2_bound_report_vacuous_and_pointwise_bound():
     g = ifs.preset("gasket")
     grid = tuple(np.linspace(0, np.pi, 12, endpoint=False))
-    rep = stacks.l2_bound_report(g, stacks.EScanConfig(N=2, K=1, theta_grid=grid))
+    rep = stacks.l2_bound_report(g, 2, 1, grid)
     # K=1 leaves no exceptional directions at these depths
     assert rep.vacuous or rep.max_ratio >= 0
     # any direction with max multiplicity <= K obeys the mass bound l2 <= 2K
-    cfg = stacks.EScanConfig(N=3, K=30, theta_grid=grid)
-    rep2 = stacks.l2_bound_report(g, cfg)
+    rep2 = stacks.l2_bound_report(g, 3, 30, grid)
     assert not rep2.vacuous
     assert rep2.max_ratio <= 2.0
+
+
+def test_l2_bound_report_builds_each_profile_once(monkeypatch):
+    g = ifs.preset("gasket")
+    grid = np.linspace(0, np.pi, 64, endpoint=False)
+    calls = []
+    multiplicity = shadow.multiplicity
+    monkeypatch.setattr(shadow, "multiplicity", lambda *a: calls.append(a) or multiplicity(*a))
+    rep = stacks.l2_bound_report(g, 4, 8, grid)
+    assert not rep.vacuous and len(calls) == 4 * 64
+    # the same report from the escan membership and a second pass over the sample
+    member = stacks.e_scan(g, 4, 8, grid).membership
+    expect = [
+        (float(t), max(shadow.l2_norm_sq(multiplicity(g, n, t)) for n in range(1, 5)) / 8)
+        for t, ok in zip(grid, member) if ok
+    ]
+    assert list(rep.per_theta) == expect
 
 
 def test_bootstrap_first_round_is_support_measure():
@@ -127,5 +142,4 @@ def test_bad_direction_tau_zero_degenerate():
     tf = spectral.t_form(ifs.preset("gasket"))
     spec = spectral.ProductSpec(6, 1, 2)
     rep = stacks.bad_direction_scan(tf, spec, 0.0, np.linspace(0.1, 0.9, 9), x_grid=2000)
-    assert rep.threshold == 1.0
     assert rep.h_measure <= 0.8 + 1e-12

@@ -57,8 +57,7 @@ def series(draw):
 @example((depths(1), np.array([1.0])))
 @example((depths(2), np.array([1.0, 0.4])))
 @example((depths(8), np.zeros(8)))
-@example((depths(64), np.cos(depths(64))))  # the longest screened series
-@example((depths(65), np.cos(depths(65))))  # too long to screen: the full loop
+@example((depths(64), np.cos(depths(64))))  # longer than any bootstrap series
 def test_fit_equals_full_grid_loop(data):
     ls, ys = data
     assert stacks._fit_geometric(ls, ys) == oracles.fit_geometric(ls, ys)

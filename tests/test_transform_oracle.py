@@ -39,9 +39,9 @@ def polys() -> list[ExpPoly]:
             for name in ("gasket", "corner4") for theta in (0.0, 0.3, math.pi / 4)]
     out += [verify.random_exp_poly(rng) for _ in range(10)]
     for _ in range(5):  # the turan suite's draws: imaginary exponents up to 30i
-        drawn = verify.random_exp_poly(rng, freq_scale=30.0, real_frequencies=True,
-                                       require_base=False)
-        out.append(ExpPoly(tuple(1j * lam.real for lam in drawn.lambdas), drawn.coefficients))
+        n = int(rng.integers(1, 7))
+        lams = tuple(1j * float(v) for v in rng.uniform(-30.0, 30.0, n))
+        out.append(ExpPoly(lams, tuple(np.exp(1j * p) for p in rng.uniform(0.0, 2 * np.pi, n))))
     drawn = verify.random_exp_poly(rng)
     out.append(ExpPoly((0.0j,) + drawn.lambdas, (np.exp(0.4j),) + drawn.coefficients))
     return out
