@@ -2,8 +2,9 @@
 
 Subcommands: gen | shadow | favard | buffon | spectral | verify | scan.
 Exit codes: 0 success, 1 verification-suite failure, 2 usage or config
-error, 3 enumeration cap exceeded or out of memory.  With --json, errors go
-to stderr as a single JSON object.  Identical invocations (same flags, same
+error (and any unexpected exception, as `internal-error`), 3 enumeration
+cap exceeded or out of memory.  With --json, errors go to stderr as a
+single JSON object.  Identical invocations (same flags, same
 seed) produce byte-identical output regardless of --threads.
 """
 
@@ -394,6 +395,8 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
         return _fail(wants_json, EXIT_USAGE, type(exc).__name__, str(exc))
     except OSError as exc:
         return _fail(wants_json, EXIT_USAGE, "io-error", str(exc))
+    except Exception as exc:  # noqa: BLE001 - a bug still exits 2 with one line, never 1
+        return _fail(wants_json, EXIT_USAGE, "internal-error", f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

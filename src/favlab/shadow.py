@@ -25,9 +25,11 @@ exceeds the running maximum of the previous right ends by the tolerance; the
 `IntervalUnion` it returns is two read-only float64 arrays, lo and hi.  Scalar
 per-piece and per-point references live only in tests/oracles.py.
 
-`write_step_csv` emits a profile through `favlab.emit`: each breakpoint is
-formatted once with %.17g, and its string serves as one cell's cell_hi and
-the next cell's cell_lo; rows go out `emit.CHUNK_ROWS` at a time.
+`write_step_csv` emits a profile through `emit.write_cells`: per chunk of
+`emit.CHUNK_ROWS` cells, the breakpoints are formatted once into a matrix of
+NUL-padded %.17g fields (array arithmetic, with `"%.17g" % x` only for zero,
+inf, nan and exponent-notation values), and each field serves as one cell's
+cell_hi and the next cell's cell_lo.
 
 Projection convention: the coordinate of a point c on the line of angle
 theta in [0, pi) is Re(c * e^{-i theta}).
@@ -314,15 +316,12 @@ def write_step_csv(
 ) -> None:
     """CSV rows (cell_lo, cell_hi, value); header comment carries the context.
 
-    Each breakpoint is formatted once: its string is row i's cell_hi and row
+    Each breakpoint is formatted once: its field is row i's cell_hi and row
     i+1's cell_lo.
     """
     stream.write(f"# system={label} n={depth} theta={theta:.17g}\n")
     stream.write("cell_lo,cell_hi,value\n")
-    step = emit.CHUNK_ROWS
-    for lo in range(0, f.values.size, step):
-        bp = emit.float_strings(f.breakpoints[lo : lo + step + 1])
-        emit.write_rows(stream, [bp[:-1], bp[1:], f.values[lo : lo + step]])
+    emit.write_cells(stream, f.breakpoints, f.values)
 
 
 def read_step_csv(stream) -> tuple[StepFunction, dict]:

@@ -99,3 +99,23 @@ def test_compare_with_higher_better_counts_rises_as_wins():
 def test_compare_has_no_change_over_a_zero_base_median():
     out = bench.compare([0.0] * 10, [0.0] * 10, "lower", None)
     assert out["change"] is None and out["head_wins"] == 0 and not out["gain"]
+
+
+def test_compare_flags_a_base_spread_wider_than_the_bound_as_unresolved():
+    wide = [1.0, 1.3, 1.0, 1.1, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]  # spread 0.3 > 0.25 * median 1.0
+    out = bench.compare(wide, wide, "lower", 0.25)
+    assert out["unresolved"] and not out["regression"]
+    assert not bench.compare(BASE, BASE, "lower", 0.25)["unresolved"]  # spread 0.6 < 2.5
+    assert not bench.compare(wide, wide, "lower", 0.35)["unresolved"]  # a wider bound resolves it
+
+
+def test_compare_drops_unresolved_when_every_head_run_beats_every_base_run():
+    wide = [1.0, 1.3, 1.0, 1.1, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    assert not bench.compare(wide, [0.99] * 10, "lower", 0.25)["unresolved"]
+    assert bench.compare(wide, [0.99] * 9 + [1.0], "lower", 0.25)["unresolved"]  # one tie
+    assert not bench.compare(wide, [1.31] * 10, "higher", 0.25)["unresolved"]
+    assert bench.compare(wide, [1.31] * 10, "lower", 0.25)["unresolved"]
+
+
+def test_compare_without_a_bound_has_no_unresolved_flag():
+    assert "unresolved" not in bench.compare(BASE, BASE, "lower", None)

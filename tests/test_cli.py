@@ -207,6 +207,22 @@ def test_json_error_reporting(capsys):
     assert json.loads(err)["error"] == "unknown-preset"
 
 
+def test_unexpected_exception_exits_2_without_traceback(monkeypatch, capsys):
+    def broken(args, stdout):
+        return 1 / 0
+
+    monkeypatch.setitem(cli._HANDLERS, "gen", broken)
+    code, out = run(["gen", "--preset", "gasket"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == "favlab: internal-error: ZeroDivisionError: division by zero\n"
+    code, out = run(["gen", "--preset", "gasket", "--json"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "internal-error",
+                               "message": "ZeroDivisionError: division by zero"}
+
+
 def test_unwritable_path_exits_2(tmp_path):
     target = tmp_path / "no-such-dir" / "x.csv"
     code, _ = run(["favard", "--preset", "gasket", "--n", "0", "--out", str(target)])

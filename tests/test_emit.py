@@ -7,6 +7,7 @@ span several chunks; one profile spans several chunks at the real size.
 
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -119,3 +120,76 @@ def test_hypot_is_bit_equal_to_scalar_abs():
     want = np.array([abs(v) for v in z])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert got.tolist() == [abs(complex(v)) for v in z.tolist()]
+
+
+def written(values) -> list[str]:
+    """The CSV fields `emit.write_csv` writes for one float or int column."""
+    buf = io.StringIO()
+    emit.write_csv(buf, ["v"], [np.asarray(values)])
+    return buf.getvalue().splitlines()[1:]
+
+
+def assert_exact(values):
+    values = np.asarray(values, dtype=float)
+    got = written(values)
+    want = [format(v, ".17g") for v in values.tolist()]
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def test_array_route_every_decade_both_signs():
+    rng = np.random.default_rng(20091231)
+    decades = np.arange(-6, 18)
+    mags = 10.0 ** (decades[:, None] + rng.random((decades.size, 10_000)))
+    assert_exact(np.concatenate([mags.ravel(), -mags.ravel()]))
+
+
+def test_array_route_at_powers_of_ten():
+    powers = 10.0 ** np.arange(-30, 31)
+    near = [powers]
+    for _ in range(3):
+        near += [np.nextafter(near[-1], 0.0), np.nextafter(near[-1], np.inf)]
+    values = np.concatenate(near)
+    assert_exact(np.concatenate([values, -values]))
+
+
+def test_array_route_rounds_half_to_even():
+    # Dyadics whose exact expansion has 18 digits, the last a 5: a tie at 17.
+    assert written([1479051074934628.75, 2097871207572086.25]) == [
+        "1479051074934628.8", "2097871207572086.2"]
+    rng = np.random.default_rng(5)
+    whole = rng.integers(10**15, 2**51, 20_000)
+    ties = np.concatenate([whole + rng.choice([0.25, 0.75], whole.size),
+                           whole // 8 + rng.choice([0.125, 0.375, 0.625, 0.875], whole.size)])
+    assert_exact(np.concatenate([ties, -ties]))
+
+
+def test_array_route_edges_fall_back_to_percent():
+    big = np.nextafter(1e17, [0.0, np.inf])
+    assert_exact([1e17, *big, 1e-4, np.nextafter(1e-4, 0.0), 0.0, -0.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1.5e-310, np.inf, -np.inf, np.nan, 1.0, 0.5])
+    assert written(np.array([2**63 - 1, -(2**63 - 1), -(2**63), 0, -7], dtype=np.int64)) == [
+        "9223372036854775807", "-9223372036854775807", "-9223372036854775808", "0", "-7"]
+
+
+class Discard:
+    def write(self, text):
+        return len(text)
+
+
+def traced_peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_memory_stays_within_the_percent_route_budget():
+    # Peaks of the printf-style writer on the same inputs: 6.46 MiB and 3.2 MiB.
+    columns = list(np.random.default_rng(1).random((6, 20_000)))
+    header = [f"c{j}" for j in range(6)]
+    assert traced_peak_mib(lambda: emit.write_csv(Discard(), header, columns)) <= 6.46
+    f = shadow.multiplicity(ifs.preset("gasket"), 10, 0.77)
+    assert traced_peak_mib(lambda: shadow.write_step_csv(Discard(), f, 0.77, 10, "gasket")) <= 3.2

@@ -18,7 +18,9 @@ side's runs, median and quartiles, the change of the medians, the change's
 win count over the pairs, whether that is a gain (at least 10 pairs, wins in
 at least 9 of 10 and a median gap wider than the base's quartile spread) and
 whether the change's median is worse than the base's by more than the bound
-in BENCHMARK.json; the two traced runs; and the change in src/ lines between
+in BENCHMARK.json, and whether it is unresolved (the base's own runs span
+more than the bound times their median, and not every head run beats every
+base run); the two traced runs; and the change in src/ lines between
 the base and the working tree (added, deleted and net, from
 `git diff --numstat`; files git does not track yet count as added).
 perfbench/ is only run, never edited.
@@ -106,6 +108,11 @@ def compare(base: list[float], head: list[float], better: str, bound: float | No
     if bound is not None:
         out["bound"] = bound
         out["regression"] = sign * (hm - bm) > bound * abs(bm)
+        # The base's own spread is wider than the bound, so a change within
+        # it cannot be told from noise, unless every head run beats every
+        # base run.
+        separated = max(sign * h for h in head) < min(sign * b for b in base)
+        out["unresolved"] = max(base) - min(base) > bound * abs(bm) and not separated
     return out
 
 
@@ -175,6 +182,7 @@ def main(argv: list[str] | None = None) -> int:
             change = "" if m["change"] is None else f"{100 * m['change']:+.1f}%"
             flag = " gain" if m["gain"] else ""
             flag += " REGRESSION" if m.get("regression") else ""
+            flag += " unresolved" if m.get("unresolved") else ""
             print(f"{workload:12s} {name:12s} {m['base']['median']:10.4g} "
                   f"{m['head']['median']:10.4g} {change:>8s} {m['head_wins']}/{m['pairs']}{flag}")
     lines = report["src_lines"]
