@@ -35,6 +35,10 @@ from .ifs import SimilaritySystem
 # Needles drawn and descended per block by buffon_estimate.
 # 2^13: a level's ~L+6 block-sized arrays fit a 2 MB L2; at 2^16 they spill.
 NEEDLE_BLOCK = 1 << 13
+# The most needles buffon_estimate draws.  At 0.3-1 us a needle, 2^32 needles
+# take up to about an hour, and their standard error is already at most
+# 2W/2^17 (W = 1 for every preset); a larger count is refused before any draw.
+NEEDLE_TRIAL_CEILING = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -233,6 +237,8 @@ def buffon_estimate(
     """
     if trials < 1:
         raise FavlabError("trials must be at least 1")
+    if trials > NEEDLE_TRIAL_CEILING:
+        raise FavlabError(f"trials {trials} exceeds the needle ceiling {NEEDLE_TRIAL_CEILING}")
     if seed < 0:
         raise FavlabError(f"seed {seed} is negative")
     ifs.check_cap(system, depth)

@@ -6,13 +6,22 @@ gives L^n intervals; their indicator sum is an integer-valued step function
 single sweep over the 2 L^n endpoint events builds the profile, and measures,
 level sets and L2 norms are plain sums over its cells.
 
-The sweep is array code throughout.  `from_events` sorts the events, starts
-a new breakpoint wherever the gap to the previous event exceeds the merge
-tolerance, and sums each cluster's deltas with `np.add.reduceat`.  Its
-breakpoints are spaced more than the tolerance apart, so when both end cells
-are nonzero (always, for shadows longer than the tolerance) it yields the
-canonical form directly by dropping the interior clusters whose deltas sum to
-0.  Other event input, and hand-made, CSV and `pointwise_max` cells, go
+The sweep is array code throughout.  `multiplicity` sorts the projected
+centers first, so its events are two sorted runs (the starts c - h, then the
+ends c + h) that the stable argsort in `from_events` merges in linear time.
+`from_events` then starts a new breakpoint wherever the gap to the previous
+event exceeds the merge tolerance, and sums each cluster's deltas with
+`np.add.reduceat`.  Its breakpoints are spaced more than the tolerance
+apart, so when both end cells are nonzero (always, for shadows longer than
+the tolerance) it yields the canonical form directly by dropping the
+interior clusters whose deltas sum to 0.  `multiplicities` builds one
+depth's profiles for many directions at once: one row of projections per
+direction, each row sorted and its two runs merged by one row-wise stable
+argsort, then one cluster sweep over the rows laid end to end, in which each
+row's first event also starts a cluster.  Every row's deltas sum to 0, so
+one running sum gives every row's values; the rows are then split into
+profiles equal to those of `multiplicity`.
+Other event input, and hand-made, CSV and `pointwise_max` cells, go
 through `step_function`, which canonicalizes with masks: it starts at the
 first cell wider than the tolerance, drops slivers, merges runs of equal
 values and trims zero cells at both ends.  The sliver rule is greedy: a cell
@@ -20,6 +29,10 @@ is dropped when its right end lies within the tolerance of the last kept
 breakpoint.  Profiles from `from_events` and `pointwise_max` never contain
 such cells, so the short loop that applies the rule runs only over the
 slivers of hand-made or CSV input.
+`pointwise_max` merges the profiles' breakpoints with one stable sort (each
+profile's breakpoints are a sorted run) and reads every profile at the
+merged cells' midpoints by one lookup in a table of their values, each
+padded with a 0 on both sides, at the `searchsorted` index.
 `interval_union` sorts (lo, hi) pairs and starts a new component wherever lo
 exceeds the running maximum of the previous right ends by the tolerance; the
 `IntervalUnion` it returns is two read-only float64 arrays, lo and hi.  Scalar
@@ -188,6 +201,19 @@ def step_function(breakpoints: Sequence[float], values: Sequence[int]) -> StepFu
     return StepFunction(b, v)
 
 
+def _clusters(pos: np.ndarray, deltas: np.ndarray, heads) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster starts and delta sums of events sorted within rows laid end to end.
+
+    A cluster starts at each row head (the index of a row's first event) and
+    wherever the gap to the previous event exceeds MERGE_TOLERANCE.
+    """
+    fresh = np.empty(pos.size, dtype=bool)
+    np.greater(pos[1:] - pos[:-1], MERGE_TOLERANCE, out=fresh[1:])
+    fresh[heads] = True
+    starts = fresh.nonzero()[0]
+    return starts, np.add.reduceat(deltas, starts)
+
+
 def from_events(positions: np.ndarray, deltas: np.ndarray) -> StepFunction:
     """Build a profile from endpoint events by one sweep, in canonical form.
 
@@ -203,11 +229,7 @@ def from_events(positions: np.ndarray, deltas: np.ndarray) -> StepFunction:
         return _zero()
     order = positions.argsort(kind="stable")
     pos = positions[order]
-    fresh = np.empty(pos.size, dtype=bool)
-    fresh[0] = True
-    np.greater(pos[1:] - pos[:-1], MERGE_TOLERANCE, out=fresh[1:])
-    starts = fresh.nonzero()[0]
-    jumps = np.add.reduceat(deltas[order], starts)
+    starts, jumps = _clusters(pos, deltas[order], 0)
     vals = jumps[:-1].cumsum()
     if vals.size == 0 or vals[0] == 0 or vals[-1] == 0:
         return step_function(pos[starts], vals)
@@ -239,7 +261,7 @@ def multiplicity(
     system: SimilaritySystem, depth: int, theta: float, cap: int = ifs.ENUMERATION_CAP
 ) -> StepFunction:
     """Multiplicity profile: how many depth-n shadows cover each point."""
-    proj = projected_centers(system, depth, theta, cap)
+    proj = np.sort(projected_centers(system, depth, theta, cap))
     half = shadow_half_length(system, depth, theta)
     positions = np.concatenate([proj - half, proj + half])
     deltas = np.ones(positions.size, dtype=np.int64)
@@ -247,36 +269,81 @@ def multiplicity(
     return from_events(positions, deltas)
 
 
+def multiplicities(
+    system: SimilaritySystem, depth: int, thetas: Sequence[float], cap: int
+) -> list[StepFunction]:
+    """[multiplicity(system, depth, theta, cap) for theta in thetas], equal
+    arrays, from one sort and one sweep over all the directions' events.
+
+    Row i holds the projections (c * e^{-i theta_i}).real, bit-equal to
+    `projected_centers`; each sorted row's starts and ends are two sorted runs
+    that one stable argsort merges.  Every row's deltas sum to 0, so one
+    running sum over the rows laid end to end gives every row's values.  The
+    profiles' arrays are read-only views into two arrays that all rows share.
+    """
+    centers = ifs.piece_centers(system, depth, cap)
+    rot = np.array([np.exp(-1j * t) for t in thetas])
+    half = np.array([shadow_half_length(system, depth, t) for t in thetas])[:, None]
+    proj = np.sort((centers * rot[:, None]).real, axis=1)
+    events = np.concatenate((proj - half, proj + half), axis=1)
+    order = events.argsort(axis=1, kind="stable")
+    pos = np.take_along_axis(events, order, axis=1).ravel()
+    heads = np.arange(0, pos.size, events.shape[1])
+    starts, jumps = _clusters(pos, np.where(order < proj.shape[1], 1, -1).ravel(), heads)
+    vals = jumps.cumsum()
+    # Row r's clusters are first[r]..last[r], and the running sum is 0 after
+    # its last one.  When its first and last cells are nonzero, the first and
+    # last clusters have nonzero jumps, so the kept clusters hold its
+    # breakpoints as `from_events` keeps them.
+    first = starts.searchsorted(heads)
+    last = starts.searchsorted(heads + events.shape[1]) - 1
+    kept = (jumps != 0).nonzero()[0]
+    b_all = pos[starts[kept]]
+    v_all = vals[kept]
+    b_all.setflags(write=False)
+    v_all.setflags(write=False)
+    ends = kept.searchsorted(last, side="right").tolist()
+    out = []
+    for lo, hi, c0, c1 in zip([0] + ends[:-1], ends, first.tolist(), last.tolist()):
+        if c1 == c0 or vals[c0] == 0 or vals[c1 - 1] == 0:
+            out.append(step_function(pos[starts[c0 : c1 + 1]], vals[c0:c1]))
+        else:
+            out.append(StepFunction(b_all[lo:hi], v_all[lo : hi - 1]))
+    return out
+
+
 def pointwise_max(profiles: Sequence[StepFunction]) -> StepFunction:
+    """The maximum of the profiles at each point, in canonical form.
+
+    Its cells lie between the merged breakpoints of all the profiles.  The
+    values of every profile, each padded with a 0 on both sides, form one
+    array, and each profile is read at the cell midpoints by one lookup at
+    the `searchsorted` index.  A midpoint equal to a profile's right hull
+    end reads its last cell.
+    """
     nonzero = [f for f in profiles if not f.is_zero]
     if not nonzero:
         return _zero()
-    all_bp = np.unique(np.concatenate([f.breakpoints for f in nonzero]))
+    all_bp = np.concatenate([f.breakpoints for f in nonzero])
+    all_bp.sort(kind="stable")
     keep = np.empty(all_bp.size, dtype=bool)
     keep[0] = True
-    np.greater(np.diff(all_bp), MERGE_TOLERANCE, out=keep[1:])
+    np.greater(all_bp[1:] - all_bp[:-1], MERGE_TOLERANCE, out=keep[1:])
     bp = all_bp[keep]
     mids = 0.5 * (bp[:-1] + bp[1:])
-    best = np.zeros(mids.size, dtype=np.int64)
-    for f in nonzero:
-        np.maximum(best, values_at(f, mids), out=best)
-    return step_function(bp, best)
-
-
-def values_at(f: StepFunction, xs: np.ndarray) -> np.ndarray:
-    """Profile values at the given points (0 outside the hull)."""
-    xs = np.asarray(xs, dtype=float)
-    if f.is_zero:
-        return np.zeros(xs.shape, dtype=np.int64)
-    idx = np.searchsorted(f.breakpoints, xs, side="right") - 1
-    inside = (idx >= 0) & (idx < f.values.size)
-    out = np.zeros(xs.shape, dtype=np.int64)
-    out[inside] = f.values[idx[inside]]
-    # Right hull endpoint belongs to the last cell.
-    on_edge = xs == f.breakpoints[-1]
-    if np.any(on_edge):
-        out[on_edge] = f.values[-1]
-    return out
+    table = np.zeros(sum(f.values.size + 1 for f in nonzero) + 1, dtype=np.int64)
+    idx = np.empty((len(nonzero), mids.size), dtype=np.intp)
+    off = 0
+    for row, f in zip(idx, nonzero):
+        b, m = f.breakpoints, f.values.size
+        table[off + 1 : off + m + 1] = f.values
+        row[:] = b.searchsorted(mids, side="right")
+        row += off
+        edge = mids.searchsorted(b[-1])
+        if edge < mids.size and mids[edge] == b[-1]:
+            row[edge] = off + m
+        off += m + 1
+    return step_function(bp, table.take(idx).max(axis=0))
 
 
 def _cell_lengths(f: StepFunction) -> np.ndarray:

@@ -64,6 +64,10 @@ class BadDirectionReport:
     bound: float
 
 
+# Endpoint events of the directions whose profiles are built at once.
+SCAN_EVENTS = 1 << 16
+
+
 def _per_direction(
     system: SimilaritySystem,
     N: int,
@@ -78,6 +82,11 @@ def _per_direction(
     profiles are the multiplicity profiles of depths 1..N at the direction,
     each built once.  Depth 0 is the root shadow and would make the K = 1
     case vacuous, so N must be at least 1, as must every level K.
+
+    The grid is walked in chunks of directions whose depth-N events number
+    about SCAN_EVENTS (at least one direction): `shadow.multiplicities`
+    builds each depth's profiles for the whole chunk, and the reduce is
+    mapped over the chunk's directions, one item a direction.
     """
     if N < 1:
         raise FavlabError(f"depth N must be at least 1, got {N}")
@@ -86,11 +95,16 @@ def _per_direction(
     thetas = tuple(float(t) for t in theta_grid)
     if not thetas:
         raise FavlabError("theta grid must be nonempty")
-
-    def one_theta(theta: float):
-        return reduce([shadow.multiplicity(system, n, theta, cap) for n in range(1, N + 1)])
-
-    return thetas, ordered_map(one_theta, thetas, threads)
+    # Depth by depth, so that the first depth over the cap names itself.
+    pieces = max(ifs.check_cap(system, n, cap) for n in range(1, N + 1))
+    chunk = max(1, SCAN_EVENTS // (2 * pieces))
+    out = []
+    for lo in range(0, len(thetas), chunk):
+        part = thetas[lo : lo + chunk]
+        by_depth = [shadow.multiplicities(system, n, part, cap) for n in range(1, N + 1)]
+        out += ordered_map(reduce, [list(p) for p in zip(*by_depth)], threads)
+        del by_depth  # free this chunk's profiles before the next chunk is built
+    return thetas, out
 
 
 def product_inequality_report(
@@ -108,21 +122,20 @@ def product_inequality_report(
     sets pass vacuously (ratio 0), empty denominators are skipped as nan.
     """
     pairs = tuple((int(k), int(m)) for k, m in pairs)
+    stacked = sorted({lv for k, m in pairs for lv in (k, m, 4 * k * m)})
 
     def ratios(profiles) -> list[float]:
         fstar = shadow.pointwise_max(profiles)
+        above = {lv: shadow.level_measure(fstar, lv, strict=True) for lv in stacked}
         out = []
         for k, m in pairs:
-            big = shadow.level_measure(fstar, 4 * k * m, strict=True)
+            big, fk, fm = above[4 * k * m], above[k], above[m]
             if big == 0.0:
                 out.append(0.0)
-                continue
-            fk = shadow.level_measure(fstar, k, strict=True)
-            fm = shadow.level_measure(fstar, m, strict=True)
-            if fk <= 0.0 or fm <= 0.0:
+            elif fk <= 0.0 or fm <= 0.0:
                 out.append(math.nan)
-                continue
-            out.append(big / (k * fk * fm))
+            else:
+                out.append(big / (k * fk * fm))
         return out
 
     levels = [level for pair in pairs for level in pair]

@@ -208,9 +208,30 @@ SUITES: dict[str, Callable[..., dict]] = {
 }
 
 
+# The largest `trials` each suite admits; run_suite refuses more before any draw.
+TRIAL_CEILINGS = {
+    # The randomized suites draw every trial into a list before they map it.
+    # A trial takes 2-10 ms and about a KB, so 10^5 trials take 3-15 minutes.
+    "blaschke": 10**5,
+    "cover": 10**5,
+    "turan": 10**5,
+    "doubling": 10**5,
+    # About 60 ms and up to 7 KB of frequencies a trial: 10^4 take 10 minutes.
+    "cetsq": 10**4,
+    # The grid side: side^2 gap values at about 70 ns each, 10 minutes at 10^5.
+    "keyobs": 10**5,
+    # Grid points, about 62 bytes each at the peak: 10^7 points take 620 MB.
+    "sine": 10**7,
+    # The side of two grids, 5 side^2 lattice sums at about 100 ns: a minute at 10^4.
+    "dist": 10**4,
+}
+
+
 def run_suite(name: str, trials: int, seed: int, threads: int | None = None) -> dict:
     if name not in SUITES:
         raise FavlabError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if trials < 1:
         raise FavlabError(f"trials must be at least 1, got {trials}")
+    if trials > TRIAL_CEILINGS[name]:
+        raise FavlabError(f"trials {trials} exceeds the {name} ceiling {TRIAL_CEILINGS[name]}")
     return SUITES[name](trials, seed, threads)

@@ -19,8 +19,11 @@ The library holds interval unions and pieces only as arrays: an
 are `ifs.piece_centers` plus `ifs.piece_size`.  The scalar per-object
 helpers live only here: `Piece`, `piece_center` and `enumerate_pieces` (one
 object per word), `project_piece` (one piece's shadow as a (lo, hi) tuple),
-`value_at` (one point's profile value) and `union_contains` (membership of
-one point in a union).
+`value_at` (one point's profile value), `values_at` (the profile values at
+an array of points, by masks) and `union_contains` (membership of one point
+in a union).  `pointwise_max` is the maximum of profiles as the library
+took it before it read every profile by one padded lookup: `np.unique` on
+the breakpoints and one `values_at` per profile.
 
 The library holds only what its command line, suites and reports call, so
 these test-only helpers live here too: `level_intervals` (a level set of a
@@ -110,6 +113,39 @@ def value_at(f: StepFunction, x: float) -> int:
         if b[i] <= x < b[i + 1]:
             return v
     return int(f.values[-1]) if b and x == b[-1] else 0
+
+
+def values_at(f: StepFunction, xs: np.ndarray) -> np.ndarray:
+    """Profile values at the given points (0 outside the hull), by masks."""
+    xs = np.asarray(xs, dtype=float)
+    if f.is_zero:
+        return np.zeros(xs.shape, dtype=np.int64)
+    idx = np.searchsorted(f.breakpoints, xs, side="right") - 1
+    inside = (idx >= 0) & (idx < f.values.size)
+    out = np.zeros(xs.shape, dtype=np.int64)
+    out[inside] = f.values[idx[inside]]
+    # Right hull endpoint belongs to the last cell.
+    on_edge = xs == f.breakpoints[-1]
+    if np.any(on_edge):
+        out[on_edge] = f.values[-1]
+    return out
+
+
+def pointwise_max(profiles: Sequence[StepFunction]) -> StepFunction:
+    """The pointwise maximum through `np.unique` and one `values_at` per profile."""
+    nonzero = [f for f in profiles if not f.is_zero]
+    if not nonzero:
+        return StepFunction(np.empty(0), np.empty(0, dtype=np.int64))
+    all_bp = np.unique(np.concatenate([f.breakpoints for f in nonzero]))
+    keep = np.empty(all_bp.size, dtype=bool)
+    keep[0] = True
+    np.greater(np.diff(all_bp), MERGE_TOLERANCE, out=keep[1:])
+    bp = all_bp[keep]
+    mids = 0.5 * (bp[:-1] + bp[1:])
+    best = np.zeros(mids.size, dtype=np.int64)
+    for f in nonzero:
+        np.maximum(best, values_at(f, mids), out=best)
+    return shadow.step_function(bp, best)
 
 
 def union_contains(u: IntervalUnion, x: float) -> bool:

@@ -1,5 +1,6 @@
-"""tools/bench.py: the src/ line change between a base commit and the tree, and the
-paired comparison of one metric (gain rule, bound check, direction)."""
+"""tools/bench.py: the src/ line change between a base commit and the tree, the
+paired comparison of one metric (gain rule, bound check, direction), and the
+spread of the traced runs."""
 
 import importlib.util
 import subprocess
@@ -119,3 +120,25 @@ def test_compare_drops_unresolved_when_every_head_run_beats_every_base_run():
 
 def test_compare_without_a_bound_has_no_unresolved_flag():
     assert "unresolved" not in bench.compare(BASE, BASE, "lower", None)
+
+
+def test_traced_spread_keeps_min_median_and_max_of_each_side(monkeypatch):
+    calls = []
+
+    def fake_run_bench(tree, workload, seed, seconds, trace):
+        calls.append((tree, workload, seed, seconds, trace))
+        k = sum(c[0] == tree for c in calls)  # this side's run number, from 1
+        shift = 0.0 if tree == "base-tree" else 10.0
+        return {"env": {}, "metrics": {"stacks.scan_s": shift + [3.0, 1.0, 2.0, 5.0][k - 1],
+                                       "shadow.events": 7}}
+
+    monkeypatch.setattr(bench, "run_bench", fake_run_bench)
+    monkeypatch.setattr(bench, "TRACED_RUNS", 3)
+    out = bench.traced_spread({"base": "base-tree", "head": "head-tree"}, "stacking", 5, 2.0)
+    assert out["base"]["stacks.scan_s"] == {"min": 1.0, "median": 2.0, "max": 3.0}
+    assert out["head"]["stacks.scan_s"] == {"min": 11.0, "median": 12.0, "max": 13.0}
+    assert out["head"]["shadow.events"] == {"min": 7, "median": 7, "max": 7}
+    # Three traced runs a side at one seed, the side that goes first alternating.
+    assert [c[0] for c in calls] == ["base-tree", "head-tree", "head-tree", "base-tree",
+                                     "base-tree", "head-tree"]
+    assert {c[1:] for c in calls} == {("stacking", 5, 2.0, 1)}

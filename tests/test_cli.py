@@ -2,10 +2,11 @@
 
 import io
 import json
+import time
 
 import pytest
 
-from favlab import _parallel, cli, ifs, spectral, verify
+from favlab import _parallel, cli, favard, ifs, spectral, verify
 
 
 def run(argv):
@@ -49,11 +50,8 @@ HUGE = str(10**15)
          "--grid", HUGE],
         ["scan", "--check", "escan", "--preset", "gasket", "--theta-grid", HUGE],
         ["scan", "--check", "baddir", "--preset", "gasket", "--t-grid", HUGE],
-        ["verify", "--suite", "sine", "--trials", HUGE],
-        ["verify", "--suite", "keyobs", "--trials", HUGE],
     ],
-    ids=["favard-grid", "spectral-grid", "escan-theta-grid", "baddir-t-grid", "sine-trials",
-         "keyobs-trials"],
+    ids=["favard-grid", "spectral-grid", "escan-theta-grid", "baddir-t-grid"],
 )
 def test_huge_grid_exits_3_with_one_line_message(argv, capsys):
     # 10^15 float64 samples need 8 PB, more than a 64-bit address space
@@ -66,6 +64,28 @@ def test_huge_grid_exits_3_with_one_line_message(argv, capsys):
     err = capsys.readouterr().err
     assert code == 3 and out == "" and err.count("\n") == 1
     assert json.loads(err)["error"] == "out-of-memory"
+
+
+TRIAL_ROUTES = {"buffon": ["buffon", "--preset", "gasket", "--n", "3", "--seed", "1"]} | {
+    suite: ["verify", "--suite", suite] for suite in verify.SUITES
+}
+# The largest trial counts the tests, demos and benchmark use on each route.
+TRIALS_IN_USE = {"buffon": 10**6, "blaschke": 500, "cover": 300, "turan": 500,
+                 "doubling": 200, "cetsq": 120, "keyobs": 1, "sine": 1, "dist": 200}
+
+
+@pytest.mark.parametrize("route", sorted(TRIAL_ROUTES))
+def test_trials_above_the_ceiling_exit_2_at_once(route, capsys):
+    ceiling = (favard.NEEDLE_TRIAL_CEILING if route == "buffon"
+               else verify.TRIAL_CEILINGS[route])
+    assert TRIALS_IN_USE[route] <= ceiling
+    for trials in (HUGE, str(ceiling + 1)):
+        start = time.perf_counter()
+        code, out = run(TRIAL_ROUTES[route] + ["--trials", trials])
+        err = capsys.readouterr().err
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert f"trials {trials} exceeds the " in err and f"ceiling {ceiling}" in err
 
 
 def test_bad_usage_exits_2():

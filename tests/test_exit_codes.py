@@ -8,10 +8,12 @@ through argv, and the same values as JSON numbers and as strings through
 without `internal-error`: `cli.main` turns any unexpected exception into
 exit 2 with that kind, so the table would otherwise stop catching crashes.
 
-10^15 is left out.  `buffon --trials` and `verify --suite blaschke --trials`
-loop or draw once per trial, so at 10^15 they would run without bound
-instead of exiting; the grids that 10^15 overflows at once are covered by
-`test_huge_grid_exits_3_with_one_line_message` in test_cli.py.
+10^15 is left out, because not every flag is known to refuse it at once.
+The two kinds that are have their own tests in test_cli.py: trial counts
+above their ceilings exit 2 before any draw
+(`test_trials_above_the_ceiling_exit_2_at_once`), and the grids that 10^15
+overflows exit 3 at the first allocation
+(`test_huge_grid_exits_3_with_one_line_message`).
 """
 
 import argparse

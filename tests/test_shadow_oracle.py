@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from favlab import ifs, shadow, spectral
 from favlab.errors import FavlabError
+from test_kenyon import slope_line
 
 TOL = shadow.MERGE_TOLERANCE
 WIDTHS = st.one_of(
@@ -224,3 +225,79 @@ def test_csv_with_slivers_reads_back_as_the_loop_does():
     assert f == oracles.step_function(bp, [5, 1, 2, 4, 1, 3])
     assert list(f.values) == [1, 4, 1]
     assert list(f.breakpoints) == [1e-13, 0.5, 0.5000000000012, 1.0]
+
+
+def bits(f):
+    """A profile's breakpoints as their float64 bit patterns, and its values."""
+    return f.breakpoints.view(np.uint64).tolist(), f.values.tolist()
+
+
+# Tiling (1/2, 2, 1/5) and non-tiling (1, 1/4, 2/5) slopes of the gasket,
+# where many endpoint events coincide.
+KENYON_ANGLES = tuple(slope_line(t)[0] for t in (0.5, 2.0, 0.2, 1.0, 0.25, 0.4))
+ROW_ANGLES = COINCIDENCE_ANGLES + KENYON_ANGLES + (TILING,) + GENERIC_ANGLES + RANDOM_ANGLES[:8]
+
+
+@pytest.mark.parametrize("name", ["gasket", "corner4", "random-3-seed1", "random-5-seed2"])
+def test_multiplicities_equal_multiplicity_bit_for_bit(name):
+    system = ifs.preset(name)
+    for depth in range(8):
+        # Directions per call, so that one call holds at most 2^18 events.
+        step = max(1, 2**17 // system.branching**depth)
+        for lo in range(0, len(ROW_ANGLES), step):
+            thetas = ROW_ANGLES[lo : lo + step]
+            rows = shadow.multiplicities(system, depth, thetas, ifs.ENUMERATION_CAP)
+            assert len(rows) == len(thetas)
+            for theta, f in zip(thetas, rows):
+                assert bits(f) == bits(shadow.multiplicity(system, depth, theta)), (theta, depth)
+
+
+def test_multiplicities_rows_through_step_function_and_no_rows():
+    # Pieces of radius 1e-7^depth: from depth 2 every shadow is shorter than
+    # the tolerance, so each row's first cell comes out 0 and the row takes
+    # the step_function route; two centers 1e-13 apart stack at depth 1.
+    maps = [ifs.GeneratorMap(c, 1e-7) for c in (0.5, -0.5, 0.5 + 1e-13)]
+    system = ifs.build_system(maps)
+    thetas = (0.0, 0.3, np.pi / 2)
+    for depth in range(4):
+        rows = shadow.multiplicities(system, depth, thetas, ifs.ENUMERATION_CAP)
+        for theta, f in zip(thetas, rows):
+            assert bits(f) == bits(shadow.multiplicity(system, depth, theta))
+    assert [f.is_zero for f in shadow.multiplicities(system, 2, thetas, 100)] == [True] * 3
+    assert shadow.multiplicities(system, 3, (), ifs.ENUMERATION_CAP) == []
+
+
+@st.composite
+def profile_lists(draw):
+    return [shadow.step_function(*draw(raw_cells())) for _ in range(draw(st.integers(0, 5)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile_lists())
+def test_pointwise_max_equals_values_at_route(profiles):
+    assert bits(shadow.pointwise_max(profiles)) == bits(oracles.pointwise_max(profiles))
+
+
+def test_pointwise_max_equals_values_at_route_on_profiles():
+    for name in ("gasket", "corner4", "random-3-seed1"):
+        system = ifs.preset(name)
+        for theta in ROW_ANGLES:
+            fs = [shadow.multiplicity(system, n, theta) for n in range(6)]
+            for depths in (fs, fs[1:], fs[3:], fs[5:]):
+                assert bits(shadow.pointwise_max(depths)) == bits(oracles.pointwise_max(depths))
+
+
+def test_pointwise_max_reads_a_right_hull_end_at_a_midpoint():
+    # Steps of e = 2^-40 < tolerance: 1 + e and 1 + 2e merge into 1, and 1 + 4e
+    # (2e past its neighbour) stays, so the merged cell [1, 1 + 4e) has its
+    # midpoint exactly at 1 + 2e, the right hull end of the third profile.
+    e = 2.0**-40
+    profiles = [
+        shadow.step_function([0.0, 1.0], [1]),
+        shadow.step_function([0.5, 1.0 + e], [2]),
+        shadow.step_function([0.25, 1.0 + 2 * e], [3]),
+        shadow.step_function([1.0 + 4 * e, 3.0], [1]),
+    ]
+    f = shadow.pointwise_max(profiles)
+    assert bits(f) == bits(oracles.pointwise_max(profiles))
+    assert list(f.breakpoints) == [0.0, 0.25, 1.0 + 4 * e, 3.0] and list(f.values) == [1, 3, 1]

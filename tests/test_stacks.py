@@ -1,10 +1,14 @@
 """Stacked-level-set reports and direction scans."""
 
+import io
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
-from favlab import baselines, ifs, shadow, spectral, stacks
+from favlab import baselines, cli, ifs, shadow, spectral, stacks
 
 
 def test_strict_vs_weak_levels_nested():
@@ -90,11 +94,18 @@ def test_l2_bound_report_vacuous_and_pointwise_bound():
 def test_l2_bound_report_builds_each_profile_once(monkeypatch):
     g = ifs.preset("gasket")
     grid = np.linspace(0, np.pi, 64, endpoint=False)
-    calls = []
-    multiplicity = shadow.multiplicity
-    monkeypatch.setattr(shadow, "multiplicity", lambda *a: calls.append(a) or multiplicity(*a))
+    built = []
+    multiplicity, multiplicities = shadow.multiplicity, shadow.multiplicities
+
+    def counted(system, depth, thetas, cap):
+        built.extend((t, depth) for t in thetas)
+        return multiplicities(system, depth, thetas, cap)
+
+    monkeypatch.setattr(shadow, "multiplicities", counted)
+    monkeypatch.setattr(shadow, "multiplicity", None)  # the scan builds no profile alone
     rep = stacks.l2_bound_report(g, 4, 8, grid)
-    assert not rep.vacuous and len(calls) == 4 * 64
+    assert not rep.vacuous and len(built) == 4 * 64
+    assert sorted(built) == sorted((float(t), n) for t in grid for n in range(1, 5))
     # the same report from the escan membership and a second pass over the sample
     member = stacks.e_scan(g, 4, 8, grid).membership
     expect = [
@@ -102,6 +113,93 @@ def test_l2_bound_report_builds_each_profile_once(monkeypatch):
         for t, ok in zip(grid, member) if ok
     ]
     assert list(rep.per_theta) == expect
+
+
+def chunk(system, N):
+    """Directions per chunk of the stacking scans at depth N."""
+    return max(1, stacks.SCAN_EVENTS // (2 * system.branching**N))
+
+
+def fstar(system, N, theta):
+    """The maximal profile over depths 1..N by the per-direction routes."""
+    return oracles.pointwise_max([shadow.multiplicity(system, n, theta) for n in range(1, N + 1)])
+
+
+def same_floats(xs, ys):
+    return np.array(xs, dtype=float).view(np.uint64).tolist() == \
+        np.array(ys, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("events", [None, 5 * 54])
+@pytest.mark.parametrize("offset", [-1, 0, 1, "one"])
+def test_scans_on_grids_around_a_chunk_equal_the_per_direction_route(events, offset, monkeypatch):
+    # corner4 at N=4 fills a 2^16-event chunk with 128 directions; the
+    # gasket at N=3 with a budget of 5 * 54 events, with 5.
+    system, N = (ifs.preset("corner4"), 4) if events is None else (ifs.preset("gasket"), 3)
+    if events is not None:
+        monkeypatch.setattr(stacks, "SCAN_EVENTS", events)
+    size = 1 if offset == "one" else chunk(system, N) + offset
+    grid = np.linspace(0.0, np.pi, size, endpoint=False)
+    maxima = [fstar(system, N, float(t)) for t in grid]
+    rep = stacks.e_scan(system, N, 2, grid)
+    assert same_floats(rep.level_measures, [shadow.level_measure(f, 2) for f in maxima])
+    pairs = [(1, 2), (2, 2), (1, 1)]
+    rep = stacks.product_inequality_report(system, N, grid, pairs)
+    expect = []
+    for f in maxima:
+        row = []
+        for k, m in pairs:
+            big, fk, fm = (shadow.level_measure(f, lv, strict=True) for lv in (4 * k * m, k, m))
+            row.append(0.0 if big == 0.0 else math.nan if min(fk, fm) <= 0.0 else big / (k * fk * fm))
+        expect.append(row)
+    assert same_floats(rep.ratios, expect)
+
+
+def test_product_report_measures_each_distinct_level_once(monkeypatch):
+    calls = []
+    level_measure = shadow.level_measure
+
+    def counted(f, k, strict=False):
+        calls.append(k)
+        return level_measure(f, k, strict)
+
+    monkeypatch.setattr(shadow, "level_measure", counted)
+    pairs = [(k, m) for k in (1, 2, 3) for m in (1, 2, 3)]
+    stacks.product_inequality_report(ifs.preset("corner4"), 3, [0.1, 0.9], pairs)
+    levels = {1, 2, 3, 4, 8, 12, 16, 24, 36}
+    assert sorted(calls) == sorted(2 * list(levels))
+
+
+SCANS = [
+    ["product", "--preset", "corner4", "--N", "3", "--K", "1", "2", "--M", "1", "3"],
+    ["escan", "--preset", "gasket", "--N", "4", "--K", "2"],
+    ["l2", "--preset", "corner4", "--N", "3", "--K", "4"],
+]
+
+
+@pytest.mark.parametrize("scan", SCANS, ids=[s[0] for s in SCANS])
+def test_scan_json_is_the_same_at_one_and_two_threads(scan, monkeypatch):
+    monkeypatch.setattr(stacks, "SCAN_EVENTS", 1000)  # several chunks
+    outs = []
+    for threads in ("1", "2"):
+        buf = io.StringIO()
+        argv = ["scan", "--check", *scan, "--theta-grid", "37", "--threads", threads]
+        assert cli.main(argv, stdout=buf) == 0
+        outs.append(buf.getvalue())
+    assert outs[0] == outs[1] and outs[0]
+
+
+def test_deep_scan_peak_memory_is_bounded_by_the_chunk():
+    g, N = ifs.preset("gasket"), 7  # 2 * 3^7 events a direction, 14 directions a chunk
+    stacks.e_scan(g, N, 2, [0.1])  # the piece centers are cached outside the budget
+    peaks = []
+    for size in (chunk(g, N), 8 * chunk(g, N)):
+        tracemalloc.start()
+        stacks.e_scan(g, N, 2, np.linspace(0.0, np.pi, size, endpoint=False))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] <= 128 * stacks.SCAN_EVENTS  # about 80 bytes an event
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_bootstrap_first_round_is_support_measure():

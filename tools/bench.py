@@ -9,9 +9,9 @@ For each workload it runs `perfbench/run.py --trace 0` for the run length
 that BENCHMARK.json declares, once on a clean export of the base commit
 (`git archive`, in a temporary directory removed on every way out) and once
 on the working tree, alternating which side goes first.  Pair i of every
-workload uses seed first-seed + i on both sides.  Each side then makes one
-`--trace 1` run per workload at the first seed, for the per-layer counters
-and times.
+workload uses seed first-seed + i on both sides.  Each side then makes
+TRACED_RUNS `--trace 1` runs per workload at the first seed, again
+alternating which side goes first, for the per-layer counters and times.
 
 It writes BENCH_<label>.json: the environment, and per workload and metric each
 side's runs, median and quartiles, the change of the medians, the change's
@@ -20,7 +20,8 @@ at least 9 of 10 and a median gap wider than the base's quartile spread) and
 whether the change's median is worse than the base's by more than the bound
 in BENCHMARK.json, and whether it is unresolved (the base's own runs span
 more than the bound times their median, and not every head run beats every
-base run); the two traced runs; and the change in src/ lines between
+base run); per side, each traced metric's min, median and max over its
+traced runs; and the change in src/ lines between
 the base and the working tree (added, deleted and net, from
 `git diff --numstat`; files git does not track yet count as added).
 perfbench/ is only run, never edited.
@@ -41,6 +42,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
+# Traced runs per side and workload: one run's layer times are a single
+# sample, and three give each one a range.
+TRACED_RUNS = 3
 
 
 def git(*args: str, cwd: Path = ROOT) -> str:
@@ -84,6 +88,23 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     metrics["failed_frac"] = result["failed"] / result["attempted"]
     return {"env": env, "metrics": metrics}
+
+
+def traced_spread(trees: dict, workload: str, seed: int, seconds: float) -> dict:
+    """Per side, each layer metric's min, median and max over TRACED_RUNS
+    traced runs at `seed`, alternating which side goes first."""
+    runs = {side: [] for side in SIDES}
+    for i in range(TRACED_RUNS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            runs[side].append(run_bench(trees[side], workload, seed, seconds, 1)["metrics"])
+    out = {}
+    for side, metrics in runs.items():
+        out[side] = {}
+        for name in metrics[0]:
+            vals = [m[name] for m in metrics]
+            out[side][name] = {"min": min(vals), "median": statistics.median(vals),
+                               "max": max(vals)}
+    return out
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -169,8 +190,7 @@ def main(argv: list[str] | None = None) -> int:
                                   spec["better"], spec["bound"])
                     for name, spec in ends.items()
                 },
-                "traced": {side: run_bench(trees[side], workload, seeds[0], seconds, 1)["metrics"]
-                           for side in SIDES},
+                "traced": traced_spread(trees, workload, seeds[0], seconds),
             }
             report["workloads"][workload] = row
 
