@@ -35,8 +35,13 @@ merged cells' midpoints by one lookup in a table of their values, each
 padded with a 0 on both sides, at the `searchsorted` index.
 `interval_union` sorts (lo, hi) pairs and starts a new component wherever lo
 exceeds the running maximum of the previous right ends by the tolerance; the
-`IntervalUnion` it returns is two read-only float64 arrays, lo and hi.  Scalar
-per-piece and per-point references live only in tests/oracles.py.
+`IntervalUnion` it returns is two read-only float64 arrays, lo and hi.
+`support_unions` gives the support alone, {profile >= 1}, at every depth up
+to n from the recursion S_n = union over l of (p_l + r S_{n-1}): one
+`interval_union` a depth, over L times the previous depth's components, with
+no piece enumerated.  Its measures agree with `support_measure` of the
+profile to rounding, not bit for bit.  Scalar per-piece and per-point
+references live only in tests/oracles.py.
 
 `write_step_csv` emits a profile through `emit.write_cells`: per chunk of
 `emit.CHUNK_ROWS` cells, the breakpoints are formatted once into a matrix of
@@ -267,6 +272,26 @@ def multiplicity(
     deltas = np.ones(positions.size, dtype=np.int64)
     deltas[proj.size :] = -1
     return from_events(positions, deltas)
+
+
+def support_unions(system: SimilaritySystem, depth: int, theta: float) -> list[IntervalUnion]:
+    """[S_0, ..., S_depth]: the union of the depth-n shadows for every n <= depth.
+
+    A depth-n piece is c_l + r * (a depth n-1 piece), so S_n is the union over
+    l of p_l + r * S_{n-1} with p_l = Re(c_l e^{-i theta}), and S_0 = [-w, w]
+    for the root's half-length w.  Each depth is one `interval_union` of the L
+    scaled, shifted copies of the previous one; no piece is enumerated, and
+    S_n has at most L^n components, so the caller's piece cap bounds it.
+    """
+    shifts = (system.centers() * np.exp(-1j * theta)).real[:, None]
+    w = shadow_half_length(system, 0, theta)
+    out = [interval_union(np.array([[-w, w]]))]
+    for _ in range(depth):
+        prev = out[-1]
+        lo = shifts + system.ratio * prev.lo
+        hi = shifts + system.ratio * prev.hi
+        out.append(interval_union(np.column_stack((lo.ravel(), hi.ravel()))))
+    return out
 
 
 def multiplicities(

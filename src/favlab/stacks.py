@@ -1,11 +1,12 @@
 """Combinatorial stacking checks on multiplicity profiles.
 
-Level sets of the maximal profile drive four empirical reports: the
+Level sets of the maximal profile drive three empirical reports: the
 product inequality for stacked level sets, the scan for directions whose
-high-multiplicity set is abnormally small, the L2 bound on those
-directions, and the depth-bootstrap decay of the shadow measure.  A fifth
-scan measures the set of directions where the medium-frequency block of
-the transform product stays large.
+high-multiplicity set is abnormally small, and the L2 bound on those
+directions.  The depth bootstrap follows the decay of the shadow measure
+through the support recursion alone.  A fifth scan measures the set of
+directions where the medium-frequency block of the transform product stays
+large.
 """
 
 from __future__ import annotations
@@ -256,11 +257,11 @@ def _fit_geometric(ls: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]
     solves, and for l_max <= 64 the design's condition number is at most
     8.1e3 (at rho = 0.001), so s and e differ by about 1e-11 * max|y| at
     most, against a margin of 1e-9 * max(1, max|y|).  l_max stays that
-    small: bootstrap_report fits only after it has enumerated the L^(N*l_max)
-    pieces of its deepest depth, and l_max > 64 would take at least 2^65
-    pieces.  Data the model fits
-    exactly at many rho (l_max <= 2, zero or constant series) confirm every
-    candidate and cost what the full loop costs.
+    small unless the cap is raised past 2^64: bootstrap_report refuses a
+    deepest depth N*l_max whose L^(N*l_max) pieces exceed the cap, which at
+    the default 2^26 admits l_max <= 26.  Data the model fits exactly at
+    many rho (l_max <= 2, zero or constant series) confirm every candidate
+    and cost what the full loop costs.
     """
     screened = _screen_residuals(ls, ys)
     margin = 1e-9 * max(1.0, float(np.max(np.abs(ys))))
@@ -287,8 +288,11 @@ def bootstrap_report(
 ) -> BootstrapReport:
     """Shadow measures at depths l*N for l = 1..l_max, with a two-term fit.
 
-    The fitted model is a geometric series plus an exponential remainder,
-    the shape produced by iterating the one-step covering estimate.
+    Every depth's measure comes from one `shadow.support_unions` recursion
+    to depth N*l_max, which enumerates no pieces; the cap still bounds that
+    depth, as it bounds the recursion's component count.  The fitted model
+    is a geometric series plus an exponential remainder, the shape produced
+    by iterating the one-step covering estimate.
     """
     if base_depth < 1:
         raise FavlabError(f"base depth N must be at least 1, got {base_depth}")
@@ -296,10 +300,8 @@ def bootstrap_report(
         raise FavlabError("l_max must be at least 1")
     ifs.check_cap(system, base_depth * l_max, cap)
     depths = tuple(l * base_depth for l in range(1, l_max + 1))
-    measures = tuple(
-        shadow.support_measure(shadow.multiplicity(system, d, theta, cap))
-        for d in depths
-    )
+    supports = shadow.support_unions(system, depths[-1], theta)
+    measures = tuple(supports[d].measure for d in depths)
     ls = np.arange(1, l_max + 1, dtype=float)
     ys = np.array(measures) / max(measures[0], 1e-300)
     a, rho, resid = _fit_geometric(ls, ys)

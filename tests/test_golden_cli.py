@@ -20,8 +20,14 @@ than pi/2^j, the same trapezoid sums in exact arithmetic, so the value
 moved in the 17th digit (...420475 to ...420464).  The last two (corner4's
 baddir scan and slope-form spectral run, whose slope form carries an extra
 (a, b) term that no gasket run reaches) were frozen before the slope-free
-terms of the slope form were computed once per scale.  Refreeze only for an
-intended output change.
+terms of the slope form were computed once per scale.  The gasket
+`scan bootstrap` digest was refrozen when the depth bootstrap began to read
+its measures from the support recursion S_n = union of p_l + r S_{n-1}
+(`shadow.support_unions`) rather than from full multiplicity profiles: the
+recursion projects each map's center once and scales, where the profile
+projects every summed piece center, so the measures moved in their 13th-17th
+digits (depth 12: 0.33503530752654964 to 0.33503530752634075).  Refreeze only
+for an intended output change.
 """
 
 import contextlib
@@ -72,7 +78,7 @@ GOLDEN = [
     (
         ["scan", "--check", "bootstrap", "--preset", "gasket"],
         0,
-        "293424200de7bff2f8d055d093c964d4522667c91be432e22f229f576cf0b7ca",
+        "972be9fe7215bed9518295b4a0ca5098ef5bcb4231ed03649fc84ebf34ffb520",
         '',
     ),
     (

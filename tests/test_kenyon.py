@@ -13,8 +13,9 @@ consequences are checked here:
 * Integer-gap support.  Each depth-n shadow has length 2·3^-n, so the
   support is 2ρ + sum min(|B|·g, 2ρ) over the gaps g between sorted distinct
   N (ρ = 3^-n), and its components are the gaps wider than 2ρ plus one.
-  The event sweep of `shadow.multiplicity` must give the same measure and
-  the same component count.
+  The event sweep of `shadow.multiplicity` and the support recursion of
+  `shadow.support_unions` must give the same measure and the same component
+  count.
 """
 
 import math
@@ -91,3 +92,6 @@ def test_sweep_support_matches_integer_gap_oracle(t, depth):
     f = shadow.multiplicity(ifs.preset("gasket"), depth, theta)
     assert abs(shadow.support_measure(f) - want) <= 1e-12 * want
     assert components(f) == 1 + np.count_nonzero(width > 2 * rho)
+    u = shadow.support_unions(ifs.preset("gasket"), depth, theta)[depth]
+    assert abs(u.measure - want) <= 1e-12 * want
+    assert u.count == components(f)

@@ -3,6 +3,11 @@
 Widths 0, 1e-13 and 5e-13 sit below the 1e-12 merge tolerance, so the
 generated cells mix slivers, coincident endpoints, zero cells at both ends
 and runs of equal values.
+
+The support recursion `shadow.support_unions` is checked against the support
+of the full profile instead, to 1e-10: it projects each map's center once and
+scales, where the profile projects every summed piece center, so the two
+agree to rounding, not bit for bit.
 """
 
 import io
@@ -265,6 +270,31 @@ def test_multiplicities_rows_through_step_function_and_no_rows():
             assert bits(f) == bits(shadow.multiplicity(system, depth, theta))
     assert [f.is_zero for f in shadow.multiplicities(system, 2, thetas, 100)] == [True] * 3
     assert shadow.multiplicities(system, 3, (), ifs.ENUMERATION_CAP) == []
+
+
+SUPPORT_ANGLES = COINCIDENCE_ANGLES + KENYON_ANGLES + GENERIC_ANGLES + RANDOM_ANGLES[:4]
+
+
+@pytest.mark.parametrize("name", ["gasket", "corner4", "random-3-seed1", "random-5-seed2"])
+def test_support_unions_equal_profile_support(name):
+    system = ifs.preset(name)
+    for theta in SUPPORT_ANGLES:
+        unions = shadow.support_unions(system, 8, theta)
+        assert len(unions) == 9
+        for depth, u in enumerate(unions):
+            assert_read_only_float64(u)
+            assert np.all(u.lo < u.hi) and np.all(u.lo[1:] - u.hi[:-1] > TOL)
+            want = shadow.support_measure(shadow.multiplicity(system, depth, theta))
+            assert abs(u.measure - want) <= 1e-10, (theta, depth)
+
+
+def test_support_unions_keep_exact_contacts():
+    # Two halves of [-1, 1]: at theta 0 every depth's pieces abut end to end,
+    # so the support stays one component of measure exactly 2.
+    system = ifs.build_system([ifs.GeneratorMap(c, 0.5) for c in (0.5, -0.5)])
+    for depth, u in enumerate(shadow.support_unions(system, 14, 0.0)):
+        assert (u.count, u.measure) == (1, 2.0), depth
+        assert shadow.support_measure(shadow.multiplicity(system, depth, 0.0)) == 2.0
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Stacked-level-set reports and direction scans."""
 
 import io
+import json
 import math
 import tracemalloc
 
@@ -203,10 +204,31 @@ def test_deep_scan_peak_memory_is_bounded_by_the_chunk():
 
 
 def test_bootstrap_first_round_is_support_measure():
+    # The report reads the support recursion; the profile route projects the
+    # summed piece centers instead, so the two agree to rounding, not bits.
     c4 = ifs.preset("corner4")
     rep = stacks.bootstrap_report(c4, 0.2, 2, 3)
+    assert rep.measures[0] == shadow.support_unions(c4, 2, 0.2)[2].measure
     direct = shadow.support_measure(shadow.multiplicity(c4, 2, 0.2))
-    assert rep.measures[0] == direct
+    assert abs(rep.measures[0] - direct) <= 1e-12
+
+
+def test_bootstrap_reaches_depth_16_within_the_cap():
+    # 3^16 ~ 4.3e7 pieces, under the 2^26 cap: the recursion enumerates none
+    # of them, so the deepest depth costs components, not pieces.
+    argv = ["scan", "--check", "bootstrap", "--preset", "gasket", "--N", "4", "--l-max", "4"]
+    buf = io.StringIO()
+    tracemalloc.start()
+    try:
+        assert cli.main(argv, stdout=buf) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rep = json.loads(buf.getvalue())
+    assert rep["depths"] == [4, 8, 12, 16]
+    measures = rep["measures"]
+    assert all(b <= a for a, b in zip(measures, measures[1:]))
+    assert peak <= 128 * 2**20
 
 
 def test_bootstrap_measures_nonincreasing():
