@@ -227,10 +227,9 @@ ESTIMATE_HEADER = ("system", "n", "method", "value", "error", "param", "seed")
 
 
 def _write_estimate(args, stdout, label, n, method, value, error, param, seed) -> None:
-    columns = [[label], [str(n)], [method], np.array([value]), np.array([error]),
-               [str(param)], [str(seed)]]
     with emit.output(args.out, stdout) as stream:
-        emit.write_csv(stream, ESTIMATE_HEADER, columns)
+        stream.write(",".join(ESTIMATE_HEADER) + "\n")
+        stream.write("%s,%s,%s,%.17g,%.17g,%s,%s\n" % (label, n, method, value, error, param, seed))
 
 
 def _cmd_favard(args, stdout) -> int:
@@ -292,8 +291,7 @@ def _cmd_verify(args, stdout) -> int:
 
 def _scan_product(args, system, thetas) -> dict:
     pairs = [(k, m) for k in args.K for m in args.M]
-    rep = stacks.product_inequality_report(system, args.N, thetas, pairs, cap=args.cap,
-                                           threads=args.threads)
+    rep = stacks.product_inequality_report(system, args.N, thetas, pairs, cap=args.cap)
     return {"N": args.N, "pairs": [list(p) for p in rep.pairs], "worst_ratio": rep.worst_ratio,
             "worst_at": list(rep.worst_at) if rep.worst_at else None, "checked": rep.checked}
 
@@ -306,16 +304,14 @@ def _one_K(args) -> int:
 
 def _scan_escan(args, system, thetas) -> dict:
     K = _one_K(args)
-    rep = stacks.e_scan(system, args.N, K, thetas, args.k_exponent, cap=args.cap,
-                        threads=args.threads)
+    rep = stacks.e_scan(system, args.N, K, thetas, args.k_exponent, cap=args.cap)
     return {"N": args.N, "K": K, "members": int(sum(rep.membership)),
             "grid": len(thetas), "measure_estimate": rep.measure_estimate}
 
 
 def _scan_l2(args, system, thetas) -> dict:
     K = _one_K(args)
-    rep = stacks.l2_bound_report(system, args.N, K, thetas, args.k_exponent, cap=args.cap,
-                                 threads=args.threads)
+    rep = stacks.l2_bound_report(system, args.N, K, thetas, args.k_exponent, cap=args.cap)
     return {"N": args.N, "K": K, "vacuous": rep.vacuous, "max_ratio": rep.max_ratio,
             "sampled": len(rep.per_theta)}
 

@@ -4,11 +4,11 @@ Floats are serialized with 17 significant digits (`"%.17g"`, the same bytes
 as `format(x, ".17g")`), so equal inputs produce byte-identical files.
 
 CSV goes out a column at a time: `write_csv` takes whole columns (numpy
-float or int arrays, or lists of already formatted strings) and writes them
-`CHUNK_ROWS` rows at a time, one `stream.write` per chunk.
+float or signed-int arrays) and writes them `CHUNK_ROWS` rows at a time, one
+`stream.write` per chunk.
 
-A chunk whose columns are all float or signed-int arrays (the `spectral` and
-`shadow` CSVs) is formatted by array arithmetic into one zeroed byte buffer
+Each chunk (of the `spectral` CSV, or of a `shadow` profile through
+`write_cells`) is formatted by array arithmetic into one zeroed byte buffer
 of rows: every value gets a fixed-width field, the fields are followed by
 ',' or '\\n', and the chunk's text is the buffer without its NUL bytes.
 `%.17g` writes 1e-4 <= |x| < 1e17 in fixed notation with exponent
@@ -23,10 +23,7 @@ X is in [-4, 16] and 10^16 <= N < 10^17, which also catches a wrong log10
 decade; every other value (zero, inf, nan, exponent notation) is written
 with `"%.17g" % x` into its field.  That fallback is about 0.6% of
 a `spectral` CSV's values and 0.02% of a deep `shadow` profile's.  Integer
-columns are decimal digit fields the same way.  A chunk with any other
-column (text, bool, unsigned) is one printf-style format instead: the row
-template ("%.17g" for a float column, "%s" otherwise) applied to the values
-interleaved row by row.
+columns are decimal digit fields the same way.
 """
 
 from __future__ import annotations
@@ -218,36 +215,18 @@ def write_cells(stream, breakpoints: np.ndarray, values: np.ndarray) -> None:
         _write_buffer(stream, buf)
 
 
-def write_rows(stream, columns: Sequence) -> None:
-    """Write equal-length columns as CSV rows.
-
-    A column is a numpy array (floats as %.17g, anything else via str) or a
-    list of strings written as they are.  All-numeric columns go through the
-    row matrix, the rest through one printf-style format.
-    """
-    rows, width = len(columns[0]), len(columns)
-    if all(isinstance(c, np.ndarray) and c.dtype.kind in "fi" for c in columns):
-        cols = [np.asarray(c, np.float64 if c.dtype.kind == "f" else np.int64) for c in columns]
-        widths = [_FLOAT_WIDTH if c.dtype.kind == "f" else _int_width(c) for c in cols]
-        buf, views = _row_buffer(rows, widths)
-        with np.errstate(all="ignore"):
-            for col, view in zip(cols, views):
-                (_float_fields if col.dtype.kind == "f" else _int_fields)(col, view)
-        _write_buffer(stream, buf)
-        return
-    values: list = [None] * (rows * width)
-    template = []
-    for j, col in enumerate(columns):
-        if isinstance(col, list):
-            template.append("%s")
-            values[j::width] = col
-        else:
-            template.append("%.17g" if col.dtype.kind == "f" else "%s")
-            values[j::width] = col.tolist()
-    stream.write((",".join(template) + "\n") * rows % tuple(values))
+def write_rows(stream, columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length float or signed-int arrays as CSV rows (floats as %.17g)."""
+    cols = [np.asarray(c, np.float64 if c.dtype.kind == "f" else np.int64) for c in columns]
+    widths = [_FLOAT_WIDTH if c.dtype.kind == "f" else _int_width(c) for c in cols]
+    buf, views = _row_buffer(len(cols[0]), widths)
+    with np.errstate(all="ignore"):
+        for col, view in zip(cols, views):
+            (_float_fields if col.dtype.kind == "f" else _int_fields)(col, view)
+    _write_buffer(stream, buf)
 
 
-def write_csv(stream, header: Sequence[str], columns: Sequence) -> None:
+def write_csv(stream, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """A header line, then the rows of `columns`, CHUNK_ROWS rows per write."""
     stream.write(",".join(header) + "\n")
     for lo in range(0, len(columns[0]), CHUNK_ROWS):

@@ -33,9 +33,10 @@ slivers of hand-made or CSV input.
 profile's breakpoints are a sorted run) and reads every profile at the
 merged cells' midpoints by one lookup in a table of their values, each
 padded with a 0 on both sides, at the `searchsorted` index.
-`interval_union` sorts (lo, hi) pairs and starts a new component wherever lo
-exceeds the running maximum of the previous right ends by the tolerance; the
-`IntervalUnion` it returns is two read-only float64 arrays, lo and hi.
+`interval_union` sorts (lo, hi) pairs by lo and starts a new component
+wherever lo exceeds the running maximum of the previous right ends by the
+tolerance; the `IntervalUnion` it returns is two read-only float64 arrays,
+lo and hi.
 `support_unions` gives the support alone, {profile >= 1}, at every depth up
 to n from the recursion S_n = union over l of (p_l + r S_{n-1}): one
 `interval_union` a depth, over L times the previous depth's components, with
@@ -104,12 +105,17 @@ def interval_union(raw: Iterable[tuple[float, float]] | np.ndarray) -> IntervalU
     """
     pairs = np.asarray(raw if isinstance(raw, np.ndarray) else list(raw), dtype=float)
     pairs = pairs.reshape(-1, 2)
-    pairs = pairs[pairs[:, 1] >= pairs[:, 0]]
-    if pairs.shape[0] == 0:
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    keep = hi >= lo
+    if not keep.all():
+        lo, hi = lo[keep], hi[keep]
+    if lo.size == 0:
         return IntervalUnion(np.empty(0), np.empty(0))
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    lo = pairs[order, 0]
-    reach = np.maximum.accumulate(pairs[order, 1])
+    # A pair tied in lo with its predecessor never starts a component, so
+    # the order among ties does not change the union.
+    order = lo.argsort(kind="stable")
+    lo = lo[order]
+    reach = np.maximum.accumulate(hi[order])
     fresh = np.empty(lo.size, dtype=bool)
     fresh[0] = True
     np.greater(lo[1:], reach[:-1] + MERGE_TOLERANCE, out=fresh[1:])

@@ -76,7 +76,6 @@ def _per_direction(
     theta_grid: Sequence[float],
     reduce: Callable,
     cap: int,
-    threads: int | None,
 ) -> tuple[tuple[float, ...], list]:
     """(thetas, [reduce(profiles) per theta]) over the grid, in grid order.
 
@@ -86,8 +85,8 @@ def _per_direction(
 
     The grid is walked in chunks of directions whose depth-N events number
     about SCAN_EVENTS (at least one direction): `shadow.multiplicities`
-    builds each depth's profiles for the whole chunk, and the reduce is
-    mapped over the chunk's directions, one item a direction.
+    builds each depth's profiles for the whole chunk, and one loop applies
+    the reduce to the chunk's directions in grid order.
     """
     if N < 1:
         raise FavlabError(f"depth N must be at least 1, got {N}")
@@ -103,7 +102,7 @@ def _per_direction(
     for lo in range(0, len(thetas), chunk):
         part = thetas[lo : lo + chunk]
         by_depth = [shadow.multiplicities(system, n, part, cap) for n in range(1, N + 1)]
-        out += ordered_map(reduce, [list(p) for p in zip(*by_depth)], threads)
+        out += [reduce(list(p)) for p in zip(*by_depth)]
         del by_depth  # free this chunk's profiles before the next chunk is built
     return thetas, out
 
@@ -114,7 +113,6 @@ def product_inequality_report(
     theta_grid: Sequence[float],
     pairs: Sequence[tuple[int, int]],
     cap: int = ifs.ENUMERATION_CAP,
-    threads: int | None = None,
 ) -> ProductCheckReport:
     """Measure |{f* > 4KM}| against K |{f* > K}| |{f* > M}| per direction.
 
@@ -140,7 +138,7 @@ def product_inequality_report(
         return out
 
     levels = [level for pair in pairs for level in pair]
-    thetas, rows = _per_direction(system, max_depth, levels, theta_grid, ratios, cap, threads)
+    thetas, rows = _per_direction(system, max_depth, levels, theta_grid, ratios, cap)
     worst = 0.0
     worst_at = None
     checked = 0
@@ -168,7 +166,6 @@ def e_scan(
     theta_grid: Sequence[float],
     k_exponent: float = 3.0,
     cap: int = ifs.ENUMERATION_CAP,
-    threads: int | None = None,
 ) -> EScanReport:
     """Per-direction membership in the exceptional set and its grid measure.
 
@@ -179,7 +176,7 @@ def e_scan(
     def level(profiles) -> float:
         return shadow.level_measure(shadow.pointwise_max(profiles), K)
 
-    thetas, measures = _per_direction(system, N, (K,), theta_grid, level, cap, threads)
+    thetas, measures = _per_direction(system, N, (K,), theta_grid, level, cap)
     cut = float(K) ** (-k_exponent)
     member = tuple(m <= cut for m in measures)
     span = max(thetas) - min(thetas) if len(thetas) > 1 else 0.0
@@ -197,7 +194,6 @@ def l2_bound_report(
     theta_grid: Sequence[float],
     k_exponent: float = 3.0,
     cap: int = ifs.ENUMERATION_CAP,
-    threads: int | None = None,
 ) -> L2BoundReport:
     """max over sampled exceptional directions and depths of ||f_n||^2 / K.
 
@@ -212,7 +208,7 @@ def l2_bound_report(
             return None
         return max(shadow.l2_norm_sq(f) for f in profiles) / K
 
-    thetas, ratios = _per_direction(system, N, (K,), theta_grid, ratio, cap, threads)
+    thetas, ratios = _per_direction(system, N, (K,), theta_grid, ratio, cap)
     per = tuple((t, float(r)) for t, r in zip(thetas, ratios) if r is not None)
     if not per:
         return L2BoundReport(max_ratio=0.0, per_theta=(), vacuous=True)

@@ -600,8 +600,10 @@ def test_threads_start_at_most_one_worker_per_item(monkeypatch):
     assert _parallel.ordered_map(abs, [-1, -2, -3], threads=10**6) == [1, 2, 3]
     assert _parallel.ordered_map(abs, [-1], threads=10**6) == [1]
     assert seen == [3]
-    code, text = run(SCAN + ["--check", "escan", "--theta-grid", "4", "--threads", str(10**6)])
-    assert code == 0 and json.loads(text)["grid"] == 4
+    # --m 1 --ell 1 scans one block of the x grid, so one pool of 4 workers.
+    argv = ["--check", "baddir", "--m", "1", "--ell", "1", "--t-grid", "4"]
+    code, text = run(SCAN + argv + ["--threads", str(10**6)])
+    assert code == 0 and json.loads(text)["check"] == "baddir"
     assert seen == [3, 4]
 
 

@@ -90,7 +90,7 @@ def test_step_function_rejects_what_the_loop_rejects(bp, values):
 
 
 PAIR_ENDS = st.one_of(
-    st.sampled_from([0.0, 1e-13, 5e-13, TOL, 1.0, 1.0 + 5e-13, 2.0]),
+    st.sampled_from([0.0, 1e-13, 5e-13, TOL, 1.0, 1.0 + 5e-13, 2.0, math.nan]),
     st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
 )
 
@@ -100,6 +100,10 @@ PAIR_ENDS = st.one_of(
 @example([])
 @example([(0.0, 1.0), (1.0 + 5e-13, 2.0), (2.0, 2.0), (0.5, 0.4)])
 @example([(1.0, 0.0)])
+# Ties in lo, in either order of hi, among reversed and NaN pairs.
+@example([(1.0, 3.0), (0.0, 0.5), (1.0, 2.0), (1.0, 1.0), (2.0, 1.5), (3.0, 4.0), (3.0, 3.5)])
+@example([(0.0, 2.0), (math.nan, 1.0), (0.0, 1.0), (1.0, math.nan), (2.0, 2.0), (5.0, -5.0)])
+@example([(math.nan, math.nan), (2.0, 1.0)])
 def test_interval_union_equals_loop(raw):
     got = shadow.interval_union(raw)
     assert got == oracles.interval_union(raw)

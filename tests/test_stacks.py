@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from favlab import baselines, cli, ifs, shadow, spectral, stacks
+from favlab import _parallel, baselines, cli, ifs, shadow, spectral, stacks
 
 
 def test_strict_vs_weak_levels_nested():
@@ -178,11 +178,18 @@ SCANS = [
 ]
 
 
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+
 @pytest.mark.parametrize("scan", SCANS, ids=[s[0] for s in SCANS])
 def test_scan_json_is_the_same_at_one_and_two_threads(scan, monkeypatch):
     monkeypatch.setattr(stacks, "SCAN_EVENTS", 1000)  # several chunks
     outs = []
     for threads in ("1", "2"):
+        if threads == "2":  # the reduce runs in one loop: no pool is started
+            monkeypatch.setattr(_parallel, "ThreadPoolExecutor", NoPool)
         buf = io.StringIO()
         argv = ["scan", "--check", *scan, "--theta-grid", "37", "--threads", threads]
         assert cli.main(argv, stdout=buf) == 0
