@@ -287,8 +287,7 @@ def blaschke_check(f) -> BlaschkeReport:
     if base < 1.0:
         raise PreconditionUnmet(f"|f(0)| = {base} < 1")
     m = len(count_zeros(f, 0.0, 0.5).zeros)
-    circle = np.exp(2j * np.pi * np.arange(4096) / 4096)
-    sup = max(float(np.max(np.abs(np.asarray(f(circle))))), base)
+    sup = max(float(np.max(np.abs(np.asarray(f(_CIRCLE))))), base)
     bound = math.log2(sup)
     return BlaschkeReport(zero_count=m, sup_bound=sup, bound=bound, passed=m <= bound)
 
@@ -309,6 +308,14 @@ def _quarter_disc_grid(points: int) -> np.ndarray:
     return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
 
+# The fixed sample sets of blaschke_check and small_value_cover_check, built
+# once and read-only.
+_CIRCLE = np.exp(2j * np.pi * np.arange(4096) / 4096)
+_QUARTER_DISC = _quarter_disc_grid(40000)
+_CIRCLE.setflags(write=False)
+_QUARTER_DISC.setflags(write=False)
+
+
 def small_value_cover_check(f, delta: float) -> CoverReport:
     """Check that {|f| < delta} inside the quarter disc hugs the zeros.
 
@@ -323,7 +330,7 @@ def small_value_cover_check(f, delta: float) -> CoverReport:
     if base < 1.0:
         raise PreconditionUnmet(f"|f(0)| = {base} < 1")
     zeros = count_zeros(f, 0.0, 0.5, jitter_sign=+1).zeros
-    pts = _quarter_disc_grid(40000)
+    pts = _QUARTER_DISC
     vals = np.abs(np.asarray(f(pts)))
     small = pts[vals < delta]
     m = len(zeros)

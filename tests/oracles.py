@@ -3,7 +3,8 @@
 These are the per-cell and per-pair Python loops that the array code in
 `favlab.shadow` replaced, and the per-field CSV writers that the column
 writer in `favlab.emit` replaced, the scalar and complex-node needle
-tests that the projected-residual descent in `favlab.favard` replaced, and
+tests that the projected-residual descent in `favlab.favard` replaced, the
+same descent in exact rational arithmetic (`exact_needle_hits`), and
 the full-grid geometric fit that the screened fit in `favlab.stacks`
 replaced, and the trapezoid over all of [0, pi] that the symmetry-domain
 quadrature in `favlab.favard` replaced.  The transform layer's loops are
@@ -41,6 +42,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -322,6 +324,32 @@ def hits_batch(
         node = child[keep]
     hits[np.unique(trial)] = True
     return hits
+
+
+def exact_needle_hits(system: SimilaritySystem, depth: int, theta: float, x: float) -> bool:
+    """The projected-residual needle test in exact rational arithmetic.
+
+    The inputs are the floats the array descent starts from, taken as exact
+    rationals: np.cos(theta), np.sin(theta), x, the centers, r and root_size.
+    A square's width is the exact |cos| + |sin|.  Depth first, a node's scaled
+    residual u keeps its child l when |u - p_l| <= root_size * r * width, and
+    the child carries (u - p_l) / r; no step rounds.
+    """
+    cos, sin = Fraction(float(np.cos(theta))), Fraction(float(np.sin(theta)))
+    width = abs(cos) + abs(sin) if system.shape == ifs.SQUARE else 1
+    size, r = Fraction(system.root_size), Fraction(system.ratio)
+    proj = [cos * Fraction(c.real) + sin * Fraction(c.imag) for c in system.centers()]
+    u = Fraction(float(x))
+    if abs(u) > size * width:
+        return False
+    reach = size * r * width
+    stack = [(0, u)]
+    while stack:
+        level, u = stack.pop()
+        if level == depth:
+            return True
+        stack += [(level + 1, (u - p) / r) for p in proj if abs(u - p) <= reach]
+    return False
 
 
 def favard_full_domain(

@@ -88,6 +88,24 @@ def test_trials_above_the_ceiling_exit_2_at_once(route, capsys):
         assert f"trials {trials} exceeds the " in err and f"ceiling {ceiling}" in err
 
 
+@pytest.mark.parametrize(
+    "preset, n, code",
+    [("gasket", "26", 0), ("gasket", "27", 2), ("corner4", "21", 0), ("corner4", "22", 2),
+     ("gasket", HUGE, 2)],
+)
+def test_buffon_depth_stops_at_the_precision_ceiling(preset, n, code, capsys):
+    # buffon enumerates no pieces, so past the 2^26-piece cap it runs until
+    # r^-n passes 2^NEEDLE_PRECISION_BITS, and then exits 2 before any draw.
+    start = time.perf_counter()
+    got, out = run(["buffon", "--preset", preset, "--n", n, "--trials", "1000", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+    assert got == code and (out == "") == (code == 2)
+    if code == 2:
+        assert err.count("\n") == 1
+        assert f"exceeds the needle precision ceiling r^-n <= 2^{favard.NEEDLE_PRECISION_BITS}" in err
+
+
 def test_bad_usage_exits_2():
     code, _ = run(["favard", "--preset", "gasket"])  # missing --n
     assert code == 2
@@ -508,7 +526,7 @@ SCAN4 = ["scan", "--preset", "gasket", "--theta-grid", "4", "--check"]
         (["shadow", "--preset", "gasket", "--n", "1", "--theta", "0.3"], "n", "10000", 3,
          "3^10000 pieces exceeds cap 67108864"),
         (FAVARD, "n", "10000", 3, "3^10000 pieces exceeds cap 67108864"),
-        (BUFFON, "n", "10000", 3, "4^10000 pieces exceeds cap 67108864"),
+        (BUFFON, "n", "10000", 2, "depth 10000 exceeds the needle precision ceiling"),
         (BOOT + ["--l-max", "2"], "N", "5000", 3, "3^10000 pieces exceeds cap 67108864"),
         (BOOT, "N", "0", 2, "base depth N must be at least 1, got 0"),
         (BOOT + ["--N", "1"], "l-max", "100000", 3, "3^100000 pieces exceeds cap 67108864"),

@@ -205,6 +205,9 @@ def test_batch_hits_matches_complex_descent_oracle(system):
         (rng.uniform(0.0, np.pi, 200), rng.choice([-1.0, 1.0], 200) * 1.5 * window),
         # Inside the root shadow; every gasket needle here dies at level 1.
         (np.zeros(50), np.full(50, 0.9 * system.root_size)),
+        # Every needle alive at the root at random angles: the descent's
+        # all-alive route, which reads the block without gathers.
+        (rng.uniform(0.0, np.pi, 3000), rng.uniform(-1.0, 1.0, 3000) * 0.999 * system.root_size),
     ]
     for depth in range(13):
         for thetas, xs in blocks:
@@ -213,7 +216,30 @@ def test_batch_hits_matches_complex_descent_oracle(system):
             assert got.dtype == bool and got.shape == thetas.shape
             assert np.array_equal(got, want), depth
     if system.label == "gasket":
-        assert not oracles.hits_batch(system, 1, *blocks[-1]).any()
+        assert not oracles.hits_batch(system, 1, *blocks[3]).any()
+
+
+def exact_mismatches(system, depth, seed, trials=2000):
+    reach = system.root_size * (np.sqrt(2.0) if system.shape == ifs.SQUARE else 1.0)
+    (thetas, xs), = favard.needle_draws(seed, trials, max(1.0, float(reach)))
+    want = [oracles.exact_needle_hits(system, depth, t, x) for t, x in zip(thetas, xs)]
+    return int(np.count_nonzero(favard._hits_batch(system, depth, thetas, xs) != want))
+
+
+@pytest.mark.parametrize("name, depth", [("gasket", 26), ("corner4", 21), ("random-3-seed1", 26)])
+def test_batch_hits_match_exact_descent_at_the_precision_ceiling(name, depth):
+    # Past the old 2^26-piece cap (gasket n=16, corner4 n=13): each level
+    # divides the residual by r, so the float verdicts must still equal the
+    # exact rational ones at the deepest depth the ceiling admits.
+    system = ifs.preset(name)
+    assert depth == math.floor(favard.NEEDLE_PRECISION_BITS / -math.log2(system.ratio))
+    assert exact_mismatches(system, depth, seed=1) == 0
+
+
+def test_exact_descent_sees_rounding_past_the_ceiling():
+    # Four levels past the ceiling (r^-n = 2^50) rounding flips a few
+    # corner4 verdicts in 2,000, so the oracle above is not vacuous.
+    assert exact_mismatches(ifs.preset("corner4"), 25, seed=1) > 0
 
 
 @pytest.mark.parametrize("block", [7, favard.NEEDLE_BLOCK, 1 << 16])
