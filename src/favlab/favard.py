@@ -2,8 +2,10 @@
 
 Two independent routes are provided.  The quadrature route integrates the
 support measure g(theta) of the multiplicity profile with the composite
-trapezoid rule, doubling the grid until successive values agree; the
-reported value is the Richardson extrapolation of the last two levels.
+trapezoid rule, doubling the grid until successive values agree.  A solve
+that converges reports the Richardson extrapolation of the last two levels;
+one stopped at `refinement_limit` reports the last trapezoid sum instead
+(to rounding), because the loop has already set the previous level to it.
 
 The rule runs on the symmetry domain [0, pi/fold] that `_domain` reads from
 the centers: [0, pi/6] for the gasket, [0, pi/4] for corner4, [0, pi] for a
@@ -123,7 +125,11 @@ def favard_length(
     threads: int | None = None,
 ) -> FavardResult:
     """1/pi times the integral over [0, pi] of the shadow measure at depth n,
-    by the rule on [0, pi/fold] from `_domain`; `grid` doubles per round."""
+    by the rule on [0, pi/fold] from `_domain`; `grid` doubles per round.
+
+    The value is the Richardson step of the last two levels when the solve
+    converges, and the last trapezoid sum when it stops at refinement_limit.
+    """
     ifs.check_cap(system, depth, cap)
     g = _support_at(system, depth, cap)
     fold, m = _domain(system, cfg.grid_size)

@@ -185,16 +185,20 @@ def _localize(f, x0, x1, y0, y1, tol, out: list, depth: int = 0):
     _localize(f, xm, x1, ym, y1, tol, out, depth + 1)
 
 
-def _dedupe(zeros: Sequence[tuple[complex, int]], tol: float) -> list[tuple[complex, int]]:
+def _box_zeros(f, x0: float, x1: float, y0: float, y1: float, tol: float) -> list[complex]:
+    """The zeros of f in the box, repeated by multiplicity; a zero within
+    10 tol of an earlier one merges into it with the larger multiplicity."""
+    found: list[tuple[complex, int]] = []
+    _localize(f, x0, x1, y0, y1, tol, found)
     kept: list[tuple[complex, int]] = []
-    for z, m in zeros:
+    for z, m in found:
         for i, (zk, mk) in enumerate(kept):
             if abs(z - zk) <= 10.0 * tol:
                 kept[i] = (zk, max(mk, m))
                 break
         else:
             kept.append((z, m))
-    return kept
+    return [z for z, m in kept for _ in range(m)]
 
 
 def zeros_in_rect(
@@ -214,12 +218,7 @@ def zeros_in_rect(
     for k in range(MAX_JITTER_ATTEMPTS):
         pad = (0.0031 + 0.0097 * k) * max(x1 - x0, y1 - y0)
         try:
-            found: list[tuple[complex, int]] = []
-            _localize(f, x0 - pad, x1 + pad, y0 - pad, y1 + pad, zero_tol, found)
-            out: list[complex] = []
-            for z, m in _dedupe(found, zero_tol):
-                out.extend([z] * m)
-            return out
+            return _box_zeros(f, x0 - pad, x1 + pad, y0 - pad, y1 + pad, zero_tol)
         except ContourThroughZero as exc:
             last = exc
     raise ContourThroughZero(f"no admissible rectangle after padding: {last}")
@@ -240,26 +239,12 @@ def count_zeros(f, center: complex, radius: float, jitter_sign: int = -1) -> Zer
         try:
             m = _circle_winding(f, center, r, BOUNDARY_TOLERANCE)
             pad = r * 0.0137
-            raw: list[tuple[complex, int]] = []
-            _localize(
-                f,
-                center.real - r - pad,
-                center.real + r + pad,
-                center.imag - r - pad,
-                center.imag + r + pad,
-                ZERO_TOLERANCE,
-                raw,
-            )
-            inside = [
-                (z, mult)
-                for z, mult in _dedupe(raw, ZERO_TOLERANCE)
-                if abs(z - center) <= r * (1.0 + 1e-9)
-            ]
-            if sum(mult for _, mult in inside) != m:
+            x0, x1 = center.real - r - pad, center.real + r + pad
+            y0, y1 = center.imag - r - pad, center.imag + r + pad
+            found = _box_zeros(f, x0, x1, y0, y1, ZERO_TOLERANCE)
+            zeros = [z for z in found if abs(z - center) <= r * (1.0 + 1e-9)]
+            if len(zeros) != m:
                 raise ContourThroughZero("disc/box zero count mismatch near rim")
-            zeros: list[complex] = []
-            for z, mult in inside:
-                zeros.extend([z] * mult)
             vals = np.abs(np.asarray(f(np.array(zeros, dtype=complex)))) if zeros else np.empty(0)
             if zeros and np.max(vals) > RESIDUAL_TOLERANCE:
                 raise FavlabError("localized point is not a zero; function too wild")

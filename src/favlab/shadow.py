@@ -6,21 +6,21 @@ gives L^n intervals; their indicator sum is an integer-valued step function
 single sweep over the 2 L^n endpoint events builds the profile, and measures,
 level sets and L2 norms are plain sums over its cells.
 
-The sweep is array code throughout.  `multiplicity` sorts the projected
-centers first, so its events are two sorted runs (the starts c - h, then the
-ends c + h) that the stable argsort in `from_events` merges in linear time.
-`from_events` then starts a new breakpoint wherever the gap to the previous
-event exceeds the merge tolerance, and sums each cluster's deltas with
-`np.add.reduceat`.  Its breakpoints are spaced more than the tolerance
-apart, so when both end cells are nonzero (always, for shadows longer than
-the tolerance) it yields the canonical form directly by dropping the
-interior clusters whose deltas sum to 0.  `multiplicities` builds one
-depth's profiles for many directions at once: one row of projections per
-direction, each row sorted and its two runs merged by one row-wise stable
-argsort, then one cluster sweep over the rows laid end to end, in which each
-row's first event also starts a cluster.  Every row's deltas sum to 0, so
-one running sum gives every row's values; the rows are then split into
-profiles equal to those of `multiplicity`.
+The sweep is array code throughout, and every profile goes through one
+cluster rule and one canonical-form step.  `_starts` starts a breakpoint at
+each row head and wherever the gap to the previous sorted event exceeds the
+merge tolerance; `np.add.reduceat` sums each cluster's deltas.  `_canonical`
+turns one row's clusters into a profile: its breakpoints are spaced more
+than the tolerance apart, so when both end cells are nonzero (always, for
+shadows longer than the tolerance) it drops the interior clusters whose
+deltas sum to 0, and otherwise it calls `step_function`.  `from_events` is
+one row: a stable argsort, then the two steps.  `multiplicity` sorts the
+projected centers first, so its events are two sorted runs (the starts
+c - h, then the ends c + h) that the argsort merges in linear time.
+`multiplicities` builds one depth's profiles for many directions at once:
+one row of projections per direction, each row sorted and its two runs
+merged by one row-wise stable argsort, then one cluster pass over the rows
+laid end to end, cut into rows at their heads.
 Other event input, and hand-made, CSV and `pointwise_max` cells, go
 through `step_function`, which canonicalizes with masks: it starts at the
 first cell wider than the tolerance, drops slivers, merges runs of equal
@@ -30,9 +30,10 @@ breakpoint.  Profiles from `from_events` and `pointwise_max` never contain
 such cells, so the short loop that applies the rule runs only over the
 slivers of hand-made or CSV input.
 `pointwise_max` merges the profiles' breakpoints with one stable sort (each
-profile's breakpoints are a sorted run) and reads every profile at the
-merged cells' midpoints by one lookup in a table of their values, each
-padded with a 0 on both sides, at the `searchsorted` index.
+profile's breakpoints are a sorted run) and the same cluster rule, and reads
+every profile at the merged cells' midpoints by one lookup in a table of
+their values, each padded with a 0 on both sides, at the `searchsorted`
+index.
 `interval_union` sorts (lo, hi) pairs by lo and starts a new component
 wherever lo exceeds the running maximum of the previous right ends by the
 tolerance; the `IntervalUnion` it returns is two read-only float64 arrays,
@@ -212,8 +213,8 @@ def step_function(breakpoints: Sequence[float], values: Sequence[int]) -> StepFu
     return StepFunction(b, v)
 
 
-def _clusters(pos: np.ndarray, deltas: np.ndarray, heads) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster starts and delta sums of events sorted within rows laid end to end.
+def _starts(pos: np.ndarray, heads) -> np.ndarray:
+    """Cluster starts of events sorted within rows laid end to end.
 
     A cluster starts at each row head (the index of a row's first event) and
     wherever the gap to the previous event exceeds MERGE_TOLERANCE.
@@ -221,26 +222,18 @@ def _clusters(pos: np.ndarray, deltas: np.ndarray, heads) -> tuple[np.ndarray, n
     fresh = np.empty(pos.size, dtype=bool)
     np.greater(pos[1:] - pos[:-1], MERGE_TOLERANCE, out=fresh[1:])
     fresh[heads] = True
-    starts = fresh.nonzero()[0]
-    return starts, np.add.reduceat(deltas, starts)
+    return fresh.nonzero()[0]
 
 
-def from_events(positions: np.ndarray, deltas: np.ndarray) -> StepFunction:
-    """Build a profile from endpoint events by one sweep, in canonical form.
+def _canonical(pos: np.ndarray, starts: np.ndarray, jumps: np.ndarray) -> StepFunction:
+    """One row's profile from its cluster starts and their delta sums.
 
-    Events closer than MERGE_TOLERANCE collapse to a single breakpoint, so
-    exact endpoint coincidences become genuine stacking instead of slivers.
-    The breakpoints are then spaced more than MERGE_TOLERANCE apart, so when
-    both end cells are nonzero the canonical form only drops the interior
-    breakpoints whose cluster sums to 0.  Input whose first or last cell
-    comes out 0 (unbalanced deltas, or shadows shorter than the tolerance)
-    goes through `step_function` instead.
+    The breakpoints pos[starts] are spaced more than MERGE_TOLERANCE apart,
+    so when both end cells are nonzero the canonical form only drops the
+    interior breakpoints whose cluster sums to 0.  A row whose first or last
+    cell comes out 0 (unbalanced deltas, or shadows shorter than the
+    tolerance) goes through `step_function` instead.
     """
-    if positions.size == 0:
-        return _zero()
-    order = positions.argsort(kind="stable")
-    pos = positions[order]
-    starts, jumps = _clusters(pos, deltas[order], 0)
     vals = jumps[:-1].cumsum()
     if vals.size == 0 or vals[0] == 0 or vals[-1] == 0:
         return step_function(pos[starts], vals)
@@ -253,6 +246,20 @@ def from_events(positions: np.ndarray, deltas: np.ndarray) -> StepFunction:
     return StepFunction(b, v)
 
 
+def from_events(positions: np.ndarray, deltas: np.ndarray) -> StepFunction:
+    """Build a profile from endpoint events by one sweep, in canonical form.
+
+    Events closer than MERGE_TOLERANCE collapse to a single breakpoint, so
+    exact endpoint coincidences become genuine stacking instead of slivers.
+    """
+    if positions.size == 0:
+        return _zero()
+    order = positions.argsort(kind="stable")
+    pos = positions[order]
+    starts = _starts(pos, 0)
+    return _canonical(pos, starts, np.add.reduceat(deltas[order], starts))
+
+
 def shadow_half_length(system: SimilaritySystem, depth: int, theta: float) -> float:
     """Half-length of a single depth-n shadow interval."""
     size = ifs.piece_size(system, depth)
@@ -261,18 +268,12 @@ def shadow_half_length(system: SimilaritySystem, depth: int, theta: float) -> fl
     return size
 
 
-def projected_centers(
-    system: SimilaritySystem, depth: int, theta: float, cap: int = ifs.ENUMERATION_CAP
-) -> np.ndarray:
-    centers = ifs.piece_centers(system, depth, cap)
-    return (centers * np.exp(-1j * theta)).real
-
-
 def multiplicity(
     system: SimilaritySystem, depth: int, theta: float, cap: int = ifs.ENUMERATION_CAP
 ) -> StepFunction:
     """Multiplicity profile: how many depth-n shadows cover each point."""
-    proj = np.sort(projected_centers(system, depth, theta, cap))
+    centers = ifs.piece_centers(system, depth, cap)
+    proj = np.sort((centers * np.exp(-1j * theta)).real)
     half = shadow_half_length(system, depth, theta)
     positions = np.concatenate([proj - half, proj + half])
     deltas = np.ones(positions.size, dtype=np.int64)
@@ -307,10 +308,10 @@ def multiplicities(
     arrays, from one sort and one sweep over all the directions' events.
 
     Row i holds the projections (c * e^{-i theta_i}).real, bit-equal to
-    `projected_centers`; each sorted row's starts and ends are two sorted runs
-    that one stable argsort merges.  Every row's deltas sum to 0, so one
-    running sum over the rows laid end to end gives every row's values.  The
-    profiles' arrays are read-only views into two arrays that all rows share.
+    those of `multiplicity`; each sorted row's starts and ends are two sorted
+    runs that one stable argsort merges.  One cluster pass runs over the rows
+    laid end to end, and each row's clusters, cut at its head, go through the
+    same canonical-form step as `from_events`.
     """
     centers = ifs.piece_centers(system, depth, cap)
     rot = np.array([np.exp(-1j * t) for t in thetas])
@@ -320,27 +321,10 @@ def multiplicities(
     order = events.argsort(axis=1, kind="stable")
     pos = np.take_along_axis(events, order, axis=1).ravel()
     heads = np.arange(0, pos.size, events.shape[1])
-    starts, jumps = _clusters(pos, np.where(order < proj.shape[1], 1, -1).ravel(), heads)
-    vals = jumps.cumsum()
-    # Row r's clusters are first[r]..last[r], and the running sum is 0 after
-    # its last one.  When its first and last cells are nonzero, the first and
-    # last clusters have nonzero jumps, so the kept clusters hold its
-    # breakpoints as `from_events` keeps them.
-    first = starts.searchsorted(heads)
-    last = starts.searchsorted(heads + events.shape[1]) - 1
-    kept = (jumps != 0).nonzero()[0]
-    b_all = pos[starts[kept]]
-    v_all = vals[kept]
-    b_all.setflags(write=False)
-    v_all.setflags(write=False)
-    ends = kept.searchsorted(last, side="right").tolist()
-    out = []
-    for lo, hi, c0, c1 in zip([0] + ends[:-1], ends, first.tolist(), last.tolist()):
-        if c1 == c0 or vals[c0] == 0 or vals[c1 - 1] == 0:
-            out.append(step_function(pos[starts[c0 : c1 + 1]], vals[c0:c1]))
-        else:
-            out.append(StepFunction(b_all[lo:hi], v_all[lo : hi - 1]))
-    return out
+    starts = _starts(pos, heads)
+    jumps = np.add.reduceat(np.where(order < proj.shape[1], 1, -1).ravel(), starts)
+    cuts = starts.searchsorted(heads).tolist() + [starts.size]
+    return [_canonical(pos, starts[a:b], jumps[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def pointwise_max(profiles: Sequence[StepFunction]) -> StepFunction:
@@ -357,10 +341,7 @@ def pointwise_max(profiles: Sequence[StepFunction]) -> StepFunction:
         return _zero()
     all_bp = np.concatenate([f.breakpoints for f in nonzero])
     all_bp.sort(kind="stable")
-    keep = np.empty(all_bp.size, dtype=bool)
-    keep[0] = True
-    np.greater(all_bp[1:] - all_bp[:-1], MERGE_TOLERANCE, out=keep[1:])
-    bp = all_bp[keep]
+    bp = all_bp[_starts(all_bp, 0)]
     mids = 0.5 * (bp[:-1] + bp[1:])
     table = np.zeros(sum(f.values.size + 1 for f in nonzero) + 1, dtype=np.int64)
     idx = np.empty((len(nonzero), mids.size), dtype=np.intp)

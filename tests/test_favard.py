@@ -137,6 +137,21 @@ def test_corner4_odd_grid_does_not_converge_falsely():
     assert abs(odd.value - fine.value) <= 1e-3
 
 
+def test_unconverged_solve_reports_the_last_trapezoid_sum():
+    # One refinement from grid 16 stops unconverged at grid 32.  Its value is
+    # the grid-32 trapezoid sum, not the Richardson step (4 T_32 - T_16) / 3.
+    def solve(grid, limit):
+        cfg = favard.QuadratureConfig(grid_size=grid, refinement_limit=limit)
+        return favard.favard_length(ifs.preset("gasket"), 4, cfg)
+
+    coarse, fine, got = solve(16, 0), solve(32, 0), solve(16, 1)
+    assert (got.converged, got.grid) == (False, 32)
+    assert got.value == pytest.approx(fine.value, rel=1e-12, abs=0.0)
+    assert got.error_estimate == pytest.approx(abs(fine.value - coarse.value), rel=1e-9)
+    richardson = (4.0 * fine.value - coarse.value) / 3.0
+    assert abs(got.value - richardson) == pytest.approx(got.error_estimate / 3.0, rel=1e-6)
+
+
 def test_quadrature_config_validation():
     with pytest.raises(FavlabError):
         favard.QuadratureConfig(grid_size=4)

@@ -142,7 +142,7 @@ def test_ssv_scan_cover_equals_loop_union(threshold):
 
 
 def events(system, depth, theta):
-    proj = shadow.projected_centers(system, depth, theta)
+    proj = (ifs.piece_centers(system, depth, ifs.ENUMERATION_CAP) * np.exp(-1j * theta)).real
     half = shadow.shadow_half_length(system, depth, theta)
     positions = np.concatenate([proj - half, proj + half])
     deltas = np.concatenate(
@@ -274,6 +274,35 @@ def test_multiplicities_rows_through_step_function_and_no_rows():
             assert bits(f) == bits(shadow.multiplicity(system, depth, theta))
     assert [f.is_zero for f in shadow.multiplicities(system, 2, thetas, 100)] == [True] * 3
     assert shadow.multiplicities(system, 3, (), ifs.ENUMERATION_CAP) == []
+
+
+def test_multiplicities_mix_both_routes_in_one_call(monkeypatch):
+    # Squares of half-side 4e-13 cast shadows of length 8e-13 (|cos| + |sin|):
+    # at most the tolerance near the axes, so those rows' first cells come out
+    # 0 and take the step_function route; longer near the diagonals, where the
+    # rows take the fast path.
+    maps = [
+        ifs.GeneratorMap(0.5 * complex(sx, sy), 4e-13, ifs.SQUARE)
+        for sx in (-1, 1)
+        for sy in (-1, 1)
+    ]
+    system = ifs.build_system(maps)
+    thetas = (0.0, 0.2, 0.5, np.pi / 4, 1.0, np.pi / 2, 2.0, 3.0)
+    short = [2 * shadow.shadow_half_length(system, 1, t) <= TOL for t in thetas]
+    assert 0 < sum(short) < len(thetas)
+    calls = []
+    real = shadow.step_function
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shadow, "step_function", counted)
+    rows = shadow.multiplicities(system, 1, thetas, ifs.ENUMERATION_CAP)
+    assert len(calls) == sum(short)
+    for theta, f, tiny in zip(thetas, rows, short):
+        assert f.is_zero == tiny
+        assert bits(f) == bits(shadow.multiplicity(system, 1, theta)), theta
 
 
 SUPPORT_ANGLES = COINCIDENCE_ANGLES + KENYON_ANGLES + GENERIC_ANGLES + RANDOM_ANGLES[:4]
