@@ -5,6 +5,10 @@ Blaschke-type zero/sup bound, the small-value neighborhood cover, Turan-type
 supremum ratios for exponential sums, box doubling ratios, and the
 frequency-cluster L2 bound.  Everything works on plain callables
 f(np.ndarray[complex]) -> np.ndarray[complex]; ExpPoly instances qualify.
+
+An ExpPoly gives a point the same bits in any batch, so the cover prunes its
+grid, golden-section suprema run in lockstep and a Newton step makes one call;
+each keeps its abs() or np.abs, which can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -133,12 +137,10 @@ def _newton_polish(f, z0: complex, box_size: float) -> complex | None:
     z = complex(z0)
     h = max(box_size * 1e-3, 1e-12)
     for _ in range(60):
-        fz = complex(np.asarray(f(np.array([z])))[0])
+        fz, fp, fm = map(complex, np.asarray(f(np.array([z, z + h, z - h]))))
         if abs(fz) == 0.0:
             return z
-        dfz = complex(
-            (np.asarray(f(np.array([z + h])))[0] - np.asarray(f(np.array([z - h])))[0])
-        ) / (2.0 * h)
+        dfz = (fp - fm) / (2.0 * h)
         if dfz == 0:
             return None
         step = fz / dfz
@@ -299,15 +301,37 @@ _CIRCLE = np.exp(2j * np.pi * np.arange(4096) / 4096)
 _QUARTER_DISC = _quarter_disc_grid(40000)
 _CIRCLE.setflags(write=False)
 _QUARTER_DISC.setflags(write=False)
+# The grid in 10 x 10 blocks of (radius, angle) indices: each block's middle
+# sample, the farthest distance from it within the block, each sample's block.
+_CUT = _QUARTER_DISC.reshape(20, 10, 20, 10)
+_BLOCK_REPS = _CUT[:, 5, :, 5].ravel()
+_BLOCK_RADII = np.abs(_CUT - _CUT[:, 5:6, :, 5:6]).max(axis=(1, 3)).ravel()
+_BLOCK_OF = (np.arange(200)[:, None] // 10 * 20 + np.arange(200)[None, :] // 10).ravel()
+
+
+def _small_samples(f, delta: float) -> np.ndarray:
+    """The quarter-disc samples with |f| < delta, in grid order.  An ExpPoly
+    has |f'| <= K = |norm| sum |c_j||lam_j| e^{|lam_j|/4} on the convex disc
+    |z| <= 1/4: it is evaluated at the block middles, then only in the blocks
+    where |f| - K radius can reach below delta.  Other callables see all."""
+    pts = _QUARTER_DISC
+    if isinstance(f, ExpPoly):
+        lams = np.abs(np.array(f.lambdas, dtype=complex))
+        mags = abs(f.normalization) * np.abs(np.array(f.coefficients)) * np.exp(0.25 * lams)
+        low = np.abs(np.asarray(f(_BLOCK_REPS))) - (mags @ lams) * _BLOCK_RADII
+        # Slack for the rounding of sums of at most mags.sum() in size.
+        far = low > delta + 1e-9 * (delta + mags.sum())
+        pts = pts[np.flatnonzero(~far[_BLOCK_OF])]
+    return pts[np.abs(np.asarray(f(pts))) < delta]
 
 
 def small_value_cover_check(f, delta: float) -> CoverReport:
     """Check that {|f| < delta} inside the quarter disc hugs the zeros.
 
     With M zeros in the half disc, the admissible neighborhood radius is
-    eps = (9/16)(3 delta)^(1/M); every point with |f| < delta, of about 40000
-    sampled, must lie within eps of a zero.  Requires delta in (0, 1/3) and
-    |f(0)| >= 1.
+    eps = (9/16)(3 delta)^(1/M); every point with |f| < delta, of 40000 fixed
+    samples, must lie within eps of a zero.  Requires delta in (0, 1/3) and
+    |f(0)| >= 1.  Samples whose block cannot reach delta are not evaluated.
     """
     if not 0.0 < delta < 1.0 / 3.0:
         raise DeltaOutOfRange(f"delta = {delta} outside (0, 1/3)")
@@ -315,9 +339,7 @@ def small_value_cover_check(f, delta: float) -> CoverReport:
     if base < 1.0:
         raise PreconditionUnmet(f"|f(0)| = {base} < 1")
     zeros = count_zeros(f, 0.0, 0.5, jitter_sign=+1).zeros
-    pts = _QUARTER_DISC
-    vals = np.abs(np.asarray(f(pts)))
-    small = pts[vals < delta]
+    small = _small_samples(f, delta)
     m = len(zeros)
     if m == 0:
         return CoverReport(
@@ -336,34 +358,52 @@ def small_value_cover_check(f, delta: float) -> CoverReport:
     return CoverReport(m, eps, int(small.size), worst, worst <= 0.0)
 
 
-def supremum_on_interval(f, lo: float, hi: float) -> float:
-    """Max of |f| on [lo, hi]: a grid of 1000 points per unit length plus
-    golden-section refinement."""
-    if hi < lo:
-        raise FavlabError("empty interval")
-    n = max(9, int(1000.0 * (hi - lo)) + 1)
-    xs = np.linspace(lo, hi, n)
-    vals = np.abs(np.asarray(f(xs)))
+def _golden_lane(xs: np.ndarray, vals: np.ndarray):
+    """Golden-section refinement around the grid maximum of |f|: yields the
+    points it needs next, is sent |f| at them, and returns the max found."""
     i = int(np.argmax(vals))
-    best = float(vals[i])
     a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, n - 1)]
+    b = xs[min(i + 1, xs.size - 1)]
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - phi * (b - a), a + phi * (b - a)
-    fc = float(abs(np.asarray(f(np.array([c])))[0]))
-    fd = float(abs(np.asarray(f(np.array([d])))[0]))
+    fc, fd = yield c, d
     for _ in range(60):
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
-            fd = float(abs(np.asarray(f(np.array([d])))[0]))
+            (fd,) = yield (d,)
         else:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
-            fc = float(abs(np.asarray(f(np.array([c])))[0]))
+            (fc,) = yield (c,)
         if b - a < 1e-13 * max(1.0, abs(b)):
             break
-    return max(best, fc, fd)
+    return max(float(vals[i]), fc, fd)
+
+
+def supremum_on_interval(f, lows: Sequence[float], highs: Sequence[float]) -> list[float]:
+    """Max of |f| on each [lo, hi]: a grid of 1000 points per unit length plus
+    golden-section refinement, in lockstep: one call of f on all the grids,
+    then one per step on the intervals still refining.  Each value is the
+    one a lone search gets, through np.abs on grids and abs() on steps."""
+    if any(hi < lo for lo, hi in zip(lows, highs)):
+        raise FavlabError("empty interval")
+    grids = [np.linspace(lo, hi, max(9, int(1000.0 * (hi - lo)) + 1))
+             for lo, hi in zip(lows, highs)]
+    vals = np.abs(np.asarray(f(np.concatenate(grids))))
+    cuts = np.cumsum([xs.size for xs in grids])[:-1]
+    lanes = [_golden_lane(xs, v) for xs, v in zip(grids, np.split(vals, cuts))]
+    asks = {k: next(lane) for k, lane in enumerate(lanes)}
+    sups = [0.0] * len(lanes)
+    while asks:
+        got = iter(np.asarray(f(np.array([x for ask in asks.values() for x in ask]))))
+        for k, ask in list(asks.items()):
+            try:
+                asks[k] = lanes[k].send(tuple(float(abs(next(got))) for _ in ask))
+            except StopIteration as done:
+                sups[k] = done.value
+                del asks[k]
+    return sups
 
 
 @dataclass(frozen=True)
@@ -385,9 +425,9 @@ class TuranTrial:
 def turan_ratio(trial: TuranTrial) -> float:
     """Smallest A making sup_I |f| <= e^(max|Re lam| |I|) (A|I|/|E|)^L sup_E |f|."""
     f = trial.poly
-    big = supremum_on_interval(f, trial.interval.lo[0], trial.interval.hi[0])
-    spans = zip(trial.subset.lo.tolist(), trial.subset.hi.tolist())
-    small = max(supremum_on_interval(f, lo, hi) for lo, hi in spans)
+    big, *subs = supremum_on_interval(f, [trial.interval.lo[0], *trial.subset.lo.tolist()],
+                                      [trial.interval.hi[0], *trial.subset.hi.tolist()])
+    small = max(subs)
     if small <= 0:
         raise FavlabError("sup over subset vanished")
     n_terms = len(f.lambdas)

@@ -10,8 +10,10 @@ replaced, and the trapezoid over all of [0, pi] that the symmetry-domain
 quadrature in `favlab.favard` replaced.  The transform layer's loops are
 here too: the exponential sum that took an exponential for every term, the
 cetsq integrand built as one (samples x frequencies) matrix, the split search
-that called f once per candidate line, and the bad-direction scan that
-evaluated the whole slope form once per slope.
+that called f once per candidate line, the bad-direction scan that
+evaluated the whole slope form once per slope, the golden-section supremum
+and the Newton step that called f at one point at a time, and the
+small-value cover that evaluated f on its whole quarter-disc grid.
 They define the expected output: the array versions must return equal
 (`==`) results, and the writers equal bytes, on every input.
 
@@ -531,3 +533,59 @@ def bad_direction_offenders(
         bool(np.max(np.abs(medium_product_loop(tform, spec.ell, float(t), ys))) > thr)
         for t in t_grid
     )
+
+
+def supremum_loop(f, lo: float, hi: float) -> float:
+    """Max of |f| on [lo, hi]: the grid, then a golden-section search with
+    one call of f per point."""
+    n = max(9, int(1000.0 * (hi - lo)) + 1)
+    xs = np.linspace(lo, hi, n)
+    vals = np.abs(np.asarray(f(xs)))
+    i = int(np.argmax(vals))
+    best = float(vals[i])
+    a = xs[max(i - 1, 0)]
+    b = xs[min(i + 1, n - 1)]
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc = float(abs(np.asarray(f(np.array([c])))[0]))
+    fd = float(abs(np.asarray(f(np.array([d])))[0]))
+    for _ in range(60):
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = float(abs(np.asarray(f(np.array([d])))[0]))
+        else:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = float(abs(np.asarray(f(np.array([c])))[0]))
+        if b - a < 1e-13 * max(1.0, abs(b)):
+            break
+    return max(best, fc, fd)
+
+
+def newton_polish_loop(f, z0: complex, box_size: float) -> complex | None:
+    """The Newton refinement with three one-point calls of f per step."""
+    z = complex(z0)
+    h = max(box_size * 1e-3, 1e-12)
+    for _ in range(60):
+        fz = complex(np.asarray(f(np.array([z])))[0])
+        if abs(fz) == 0.0:
+            return z
+        dfz = complex(
+            (np.asarray(f(np.array([z + h])))[0] - np.asarray(f(np.array([z - h])))[0])
+        ) / (2.0 * h)
+        if dfz == 0:
+            return None
+        step = fz / dfz
+        z -= step
+        if abs(z - z0) > 4.0 * box_size:
+            return None
+        if abs(step) < 1e-14 * max(1.0, abs(z)):
+            break
+        h = max(abs(step) * 1e-2, 1e-13)
+    return z
+
+
+def small_samples_full_grid(f, delta: float, pts: np.ndarray) -> np.ndarray:
+    """The samples with |f| < delta, from f on every sample."""
+    return pts[np.abs(np.asarray(f(pts))) < delta]
