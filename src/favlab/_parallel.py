@@ -1,8 +1,10 @@
-"""Deterministic thread-pool map.
+"""Deterministic thread-pool map for the `favard` quadrature's angles.
 
-Work items are independent; results are collected in submission order, so the
-output never depends on the worker count.  The default count comes from the
-FAVLAB_THREADS environment variable (1 if unset).
+The quadrature is the one caller: `--threads` sizes its pool alone, and every
+other command runs in one thread.  Work items are independent; results are
+collected in submission order, so the output never depends on the worker
+count.  The default count comes from the FAVLAB_THREADS environment variable
+(1 if unset).
 """
 
 from __future__ import annotations
@@ -10,13 +12,18 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .errors import FavlabError
+
 
 def default_threads() -> int:
     raw = os.environ.get("FAVLAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        value = int(raw)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        raise FavlabError(f"FAVLAB_THREADS must be a positive integer, got {raw!r}")
+    return value
 
 
 def ordered_map(fn, items, threads: int | None = None) -> list:

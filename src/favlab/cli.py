@@ -284,7 +284,7 @@ def _cmd_spectral(args, stdout) -> int:
 
 
 def _cmd_verify(args, stdout) -> int:
-    report = verify.run_suite(args.suite, args.trials, args.seed, args.threads)
+    report = verify.run_suite(args.suite, args.trials, args.seed)
     emit.write_text(args.out, emit.json_report(report), stdout)
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
@@ -325,8 +325,7 @@ def _scan_bootstrap(args, system, thetas) -> dict:
 def _scan_baddir(args, system, thetas) -> dict:
     spec = spectral.ProductSpec(args.m + args.ell + 1, args.m, args.ell)
     ts = np.linspace(0.0, 1.0, args.t_grid)
-    rep = stacks.bad_direction_scan(spectral.t_form(system), spec, args.tau, ts,
-                                    threads=args.threads)
+    rep = stacks.bad_direction_scan(spectral.t_form(system), spec, args.tau, ts)
     return {"m": args.m, "ell": args.ell, "tau": args.tau, "h_measure": rep.h_measure,
             "bound": rep.bound, "offenders": int(sum(rep.offenders))}
 

@@ -233,18 +233,8 @@ def write_csv(stream, header: Sequence[str], columns: Sequence[np.ndarray]) -> N
         write_rows(stream, [c[lo : lo + CHUNK_ROWS] for c in columns])
 
 
-def _round_trip(obj):
-    if isinstance(obj, float):
-        return float(format(obj, ".17g"))
-    if isinstance(obj, Mapping):
-        return {k: _round_trip(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_trip(v) for v in obj]
-    return obj
-
-
 def json_report(obj: Mapping) -> str:
-    return json.dumps(_round_trip(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @contextlib.contextmanager

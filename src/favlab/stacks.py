@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import ifs, shadow
-from ._parallel import ordered_map
 from .errors import FavlabError, SpecInvalid
 from .ifs import SimilaritySystem
 from .spectral import SLOPE_FREE, ProductSpec, TForm, check_scale
@@ -339,7 +338,6 @@ def bad_direction_scan(
     tau: float,
     t_grid: Sequence[float],
     x_grid: int = 0,
-    threads: int | None = None,
 ) -> BadDirectionReport:
     """Directions where the medium-frequency block exceeds e^(-tau*ell).
 
@@ -375,7 +373,7 @@ def bad_direction_scan(
         def peak(t: float) -> float:
             return np.max(np.abs(_medium_product(tform, scales, block, t)))
 
-        peaks = np.maximum(peaks, ordered_map(peak, ts, threads))
+        peaks = np.maximum(peaks, [peak(t) for t in ts])
     offenders = tuple(bool(p) for p in peaks > thr)
     span = max(t_grid) - min(t_grid) if len(t_grid) > 1 else 0.0
     h_measure = span * sum(offenders) / len(offenders)

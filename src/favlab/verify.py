@@ -2,8 +2,8 @@
 
 Each suite runs its trials deterministically from a Philox seed and returns
 a report dict {suite, trials, worst_case, pass}.  Randomized suites draw
-every trial parameter up front in index order, so the report is identical
-for any worker count.
+every trial parameter up front in index order and then run the trials in
+that order, in one thread: `--threads` sizes the pool of `favard` alone.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Callable
 import numpy as np
 
 from . import baselines, ifs, lemmas, spectral
-from ._parallel import ordered_map
 from .errors import FavlabError
 from .shadow import interval_union
 from .spectral import ExpPoly
@@ -49,35 +48,26 @@ def random_exp_poly(rng: np.random.Generator) -> ExpPoly:
     raise FavlabError("could not draw coefficients with |f(0)| >= 1")
 
 
-def suite_blaschke(trials: int, seed: int, threads: int | None = None) -> dict:
+def suite_blaschke(trials: int, seed: int) -> dict:
     """Zero count vs log2(sup) on randomized sums; any violation fails."""
     rng = _rng(seed)
     polys = [random_exp_poly(rng) for _ in range(trials)]
-
-    def margin(p: ExpPoly) -> float:
-        rep = lemmas.blaschke_check(p)
-        return rep.zero_count - rep.bound
-
-    worst = max(ordered_map(margin, polys, threads))
+    reps = (lemmas.blaschke_check(p) for p in polys)
+    worst = max(rep.zero_count - rep.bound for rep in reps)
     return _report("blaschke", trials, worst, worst <= 0.0)
 
 
-def suite_cover(trials: int, seed: int, threads: int | None = None) -> dict:
+def suite_cover(trials: int, seed: int) -> dict:
     """Small-value neighborhoods on randomized sums at delta in {.01, .1, .3}."""
     rng = _rng(seed)
     deltas = (0.01, 0.1, 0.3)
     jobs = [(random_exp_poly(rng), deltas[int(rng.integers(0, 3))]) for _ in range(trials)]
-
-    def margin(job) -> float:
-        poly, delta = job
-        rep = lemmas.small_value_cover_check(poly, delta)
-        return rep.worst_margin if rep.small_samples else -math.inf
-
-    worst = max(ordered_map(margin, jobs, threads))
+    reps = (lemmas.small_value_cover_check(poly, delta) for poly, delta in jobs)
+    worst = max(rep.worst_margin if rep.small_samples else -math.inf for rep in reps)
     return _report("cover", trials, worst, worst <= 0.0)
 
 
-def suite_turan(trials: int, seed: int, threads: int | None = None) -> dict:
+def suite_turan(trials: int, seed: int) -> dict:
     """Measured supremum-comparison constants on random sums and subsets."""
     rng = _rng(seed)
     jobs = []
@@ -94,11 +84,11 @@ def suite_turan(trials: int, seed: int, threads: int | None = None) -> dict:
         widths = np.full(pieces, want / pieces)
         subset = interval_union(np.column_stack((starts, np.minimum(starts + widths, length))))
         jobs.append(lemmas.TuranTrial(poly, interval_union([(0.0, length)]), subset))
-    worst = max(ordered_map(lemmas.turan_ratio, jobs, threads))
+    worst = max(lemmas.turan_ratio(job) for job in jobs)
     return _report("turan", trials, worst, worst <= baselines.TURAN_A_CEILING)
 
 
-def suite_doubling(trials: int, seed: int, threads: int | None = None) -> dict:
+def suite_doubling(trials: int, seed: int) -> dict:
     """Full-box vs half-box sups of the slope-form sum at random parameters."""
     rng = _rng(seed)
     tform = spectral.t_form(ifs.preset("gasket"))
@@ -106,12 +96,7 @@ def suite_doubling(trials: int, seed: int, threads: int | None = None) -> dict:
         (float(rng.uniform(0.0, 1.0)), float(rng.uniform(1.0, 30.0)), int(rng.integers(0, 6)))
         for _ in range(trials)
     ]
-
-    def one(job) -> float:
-        t, xp, k = job
-        return lemmas.doubling_ratio(tform.poly(t), xp, k=k)
-
-    ratios = ordered_map(one, jobs, threads)
+    ratios = [lemmas.doubling_ratio(tform.poly(t), xp, k=k) for t, xp, k in jobs]
     worst = max(ratios)
     ok = min(ratios) >= 1.0 and worst <= baselines.DOUBLING_RATIO_CEILING
     return _report("doubling", trials, worst, ok)
@@ -128,7 +113,7 @@ def _clustered_frequencies(rng: np.random.Generator) -> np.ndarray:
     return np.array(freqs)
 
 
-def suite_cetsq(trials: int, seed: int, threads: int | None = None) -> dict:
+def suite_cetsq(trials: int, seed: int) -> dict:
     """Cluster-L2 ratios: exact degenerate values plus a randomized sweep."""
     lhs1, s1, r1 = lemmas.cetsq_ratio([3.0])
     lhsk, sk, rk = lemmas.cetsq_ratio([2.0] * 7)
@@ -146,7 +131,7 @@ def suite_cetsq(trials: int, seed: int, threads: int | None = None) -> dict:
         per_unit = _max_per_unit_interval(freqs)
         return ratio, lhs / (freqs.size * per_unit)
 
-    out = ordered_map(one, jobs, threads)
+    out = [one(job) for job in jobs]
     worst_ratio = max(r for r, _ in out)
     worst_coroll = float(max(c for _, c in out))
     ok = (
@@ -168,7 +153,7 @@ def _max_per_unit_interval(freqs: np.ndarray) -> int:
     return best
 
 
-def suite_keyobs(trials: int, seed: int, threads: int | None = None) -> dict:
+def suite_keyobs(trials: int, seed: int) -> dict:
     """Two-variable gap inequality at the frozen sharp constant.
 
     `trials` is the grid side (at least 1000); the printed 1/18 variant is
@@ -180,13 +165,13 @@ def suite_keyobs(trials: int, seed: int, threads: int | None = None) -> dict:
     return _report("keyobs", side * side, worst, worst >= -1e-12)
 
 
-def suite_sine(trials: int, seed: int, threads: int | None = None) -> dict:
+def suite_sine(trials: int, seed: int) -> dict:
     grid = max(trials, 10**6)
     worst = spectral.sine_identity_check(grid)
     return _report("sine", grid, worst, worst < 1e-10)
 
 
-def suite_dist(trials: int, seed: int, threads: int | None = None) -> dict:
+def suite_dist(trials: int, seed: int) -> dict:
     """Lattice-distance slope fit: positive and stable under refinement."""
     grid = max(trials, 200)
     tform = spectral.t_form(ifs.preset("gasket"))
@@ -196,7 +181,7 @@ def suite_dist(trials: int, seed: int, threads: int | None = None) -> dict:
     return _report("dist", grid, b2, b2 > 0.0 and stable)
 
 
-SUITES: dict[str, Callable[..., dict]] = {
+SUITES: dict[str, Callable[[int, int], dict]] = {
     "blaschke": suite_blaschke,
     "cover": suite_cover,
     "turan": suite_turan,
@@ -210,7 +195,7 @@ SUITES: dict[str, Callable[..., dict]] = {
 
 # The largest `trials` each suite admits; run_suite refuses more before any draw.
 TRIAL_CEILINGS = {
-    # The randomized suites draw every trial into a list before they map it.
+    # The randomized suites draw every trial into a list before they run it.
     # A trial takes 2-10 ms and about a KB, so 10^5 trials take 3-15 minutes.
     "blaschke": 10**5,
     "cover": 10**5,
@@ -227,11 +212,11 @@ TRIAL_CEILINGS = {
 }
 
 
-def run_suite(name: str, trials: int, seed: int, threads: int | None = None) -> dict:
+def run_suite(name: str, trials: int, seed: int) -> dict:
     if name not in SUITES:
         raise FavlabError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if trials < 1:
         raise FavlabError(f"trials must be at least 1, got {trials}")
     if trials > TRIAL_CEILINGS[name]:
         raise FavlabError(f"trials {trials} exceeds the {name} ceiling {TRIAL_CEILINGS[name]}")
-    return SUITES[name](trials, seed, threads)
+    return SUITES[name](trials, seed)

@@ -172,9 +172,16 @@ def test_favard_deterministic_across_thread_counts():
     assert len(outputs) == 1
 
 
-def test_verify_json_is_byte_identical_and_exit_codes():
-    args = ["verify", "--suite", "turan", "--trials", "40", "--seed", "7"]
+def no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was started")
+
+
+@pytest.mark.parametrize("suite", ["blaschke", "cover", "turan", "doubling", "cetsq"])
+def test_verify_json_is_byte_identical_and_exit_codes(suite, monkeypatch):
+    args = ["verify", "--suite", suite, "--trials", "10", "--seed", "7"]
     _, first = run(args + ["--threads", "1"])
+    # The trials run in one loop: --threads 8 starts no pool.
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", no_pool)
     code, second = run(args + ["--threads", "8"])
     assert first == second
     assert code == 0
@@ -270,12 +277,26 @@ def test_unwritable_path_exits_2(tmp_path):
 def test_verify_failure_exit_code(monkeypatch):
     from favlab import verify as vmod
 
-    def fake(trials, seed, threads=None):
+    def fake(trials, seed):
         return {"suite": "turan", "trials": trials, "worst_case": 99.0, "pass": False}
 
     monkeypatch.setitem(vmod.SUITES, "turan", fake)
     code, _ = run(["verify", "--suite", "turan", "--trials", "5", "--seed", "1"])
     assert code == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "abc", ""])
+def test_bad_favlab_threads_exits_2_with_message(value, monkeypatch, capsys):
+    monkeypatch.setenv("FAVLAB_THREADS", value)
+    code, out = run(FAVARD)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"FAVLAB_THREADS must be a positive integer, got {value!r}" in err
+    # --threads wins over the variable; an unset variable means one thread.
+    assert run(FAVARD + ["--threads", "2"])[0] == 0
+    monkeypatch.delenv("FAVLAB_THREADS")
+    assert _parallel.default_threads() == 1 and run(FAVARD)[0] == 0
 
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))
@@ -618,11 +639,12 @@ def test_threads_start_at_most_one_worker_per_item(monkeypatch):
     assert _parallel.ordered_map(abs, [-1, -2, -3], threads=10**6) == [1, 2, 3]
     assert _parallel.ordered_map(abs, [-1], threads=10**6) == [1]
     assert seen == [3]
-    # --m 1 --ell 1 scans one block of the x grid, so one pool of 4 workers.
-    argv = ["--check", "baddir", "--m", "1", "--ell", "1", "--t-grid", "4"]
-    code, text = run(SCAN + argv + ["--threads", str(10**6)])
-    assert code == 0 and json.loads(text)["check"] == "baddir"
-    assert seen == [3, 4]
+    # The gasket's grid of 8 maps 5 angles on [0, pi/6], then 4 midpoints in
+    # the one refinement round: a pool of 5 workers, then one of 4.
+    argv = ["favard", "--preset", "gasket", "--n", "1", "--grid", "8", "--refine-limit", "1"]
+    code, text = run(argv + ["--threads", str(10**6)])
+    assert code == 0 and text.startswith("system,n,method")
+    assert seen == [3, 5, 4]
 
 
 def test_cached_parser_gives_the_bytes_of_a_fresh_one(monkeypatch, tmp_path, capsys):

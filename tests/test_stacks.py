@@ -175,6 +175,7 @@ SCANS = [
     ["product", "--preset", "corner4", "--N", "3", "--K", "1", "2", "--M", "1", "3"],
     ["escan", "--preset", "gasket", "--N", "4", "--K", "2"],
     ["l2", "--preset", "corner4", "--N", "3", "--K", "4"],
+    ["baddir", "--preset", "gasket", "--m", "1", "--ell", "2", "--t-grid", "8"],
 ]
 
 
