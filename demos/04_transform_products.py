@@ -30,7 +30,7 @@ print("\n== block split (slope form) ==")
 phi = spectral.t_form(g).poly(0.5)
 spec = spectral.ProductSpec(n=10, m=3, ell=6)
 x = 3.0**8
-p1, p2, ps, pf = spectral.split_products(spec, phi, x)
+p1, p2, ps, pf, _ = spectral.split_products(spec, phi, x)
 print(f"  |P1|={abs(p1):.3e} |P2|={abs(p2):.3e} |Psharp|={abs(ps):.3e} |Pflat|={abs(pf):.3e}")
 print(f"  Psharp*Pflat == P1: {abs(ps*pf - p1):.1e}")
 

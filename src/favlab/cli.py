@@ -209,6 +209,14 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         setattr(args, dest, _config_value(actions[dest], key, val))
 
 
+def _grid(size: int) -> int:
+    """size, refused as out of memory from 2^59 samples (4 EiB of float64):
+    near its 2^63-byte index limit numpy raises ValueError, not MemoryError."""
+    if size >= 1 << 59:
+        raise MemoryError(f"a grid of {size} samples exceeds the address space")
+    return size
+
+
 def _cmd_gen(args, stdout) -> int:
     system = _load_system(args)
     emit.write_text(args.out, ifs.system_to_json(system) + "\n", stdout)
@@ -235,7 +243,7 @@ def _write_estimate(args, stdout, label, n, method, value, error, param, seed) -
 def _cmd_favard(args, stdout) -> int:
     system = _load_system(args)
     cfg = favard.QuadratureConfig(
-        grid_size=args.grid,
+        grid_size=_grid(args.grid),
         refinement_limit=args.refine_limit,
         target_rel_error=args.target_rel_error,
     )
@@ -263,8 +271,8 @@ def _cmd_spectral(args, stdout) -> int:
         phi = spectral.phi_theta_poly(system, args.theta)
     else:
         raise FavlabError("pass --theta or --t")
-    xs = np.linspace(*spectral.low_block_interval(phi, spec), args.grid)
-    products = spectral.split_products(spec, phi, xs, full=True)
+    xs = np.linspace(*spectral.low_block_interval(phi, spec), _grid(args.grid))
+    products = spectral.split_products(spec, phi, xs)
     # np.hypot on the parts is bit-equal to abs() of each complex128 scalar;
     # the array np.abs is not (it differs in the last place on many points).
     columns = [xs] + [np.hypot(z.real, z.imag) for z in products]
@@ -289,9 +297,13 @@ def _cmd_verify(args, stdout) -> int:
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
 
-def _scan_product(args, system, thetas) -> dict:
+def _thetas(args) -> np.ndarray:
+    return np.linspace(0.0, np.pi, _grid(args.theta_grid), endpoint=False)
+
+
+def _scan_product(args, system) -> dict:
     pairs = [(k, m) for k in args.K for m in args.M]
-    rep = stacks.product_inequality_report(system, args.N, thetas, pairs, cap=args.cap)
+    rep = stacks.product_inequality_report(system, args.N, _thetas(args), pairs, cap=args.cap)
     return {"N": args.N, "pairs": [list(p) for p in rep.pairs], "worst_ratio": rep.worst_ratio,
             "worst_at": list(rep.worst_at) if rep.worst_at else None, "checked": rep.checked}
 
@@ -302,29 +314,30 @@ def _one_K(args) -> int:
     return args.K[0]
 
 
-def _scan_escan(args, system, thetas) -> dict:
+def _scan_escan(args, system) -> dict:
     K = _one_K(args)
-    rep = stacks.e_scan(system, args.N, K, thetas, args.k_exponent, cap=args.cap)
+    rep = stacks.e_scan(system, args.N, K, _thetas(args), args.k_exponent, cap=args.cap)
     return {"N": args.N, "K": K, "members": int(sum(rep.membership)),
-            "grid": len(thetas), "measure_estimate": rep.measure_estimate}
+            "grid": len(rep.membership), "measure_estimate": rep.measure_estimate}
 
 
-def _scan_l2(args, system, thetas) -> dict:
+def _scan_l2(args, system) -> dict:
     K = _one_K(args)
-    rep = stacks.l2_bound_report(system, args.N, K, thetas, args.k_exponent, cap=args.cap)
-    return {"N": args.N, "K": K, "vacuous": rep.vacuous, "max_ratio": rep.max_ratio,
-            "sampled": len(rep.per_theta)}
+    rep = stacks.e_scan(system, args.N, K, _thetas(args), args.k_exponent, cap=args.cap)
+    ratios = [r for _, r in rep.l2_ratios]
+    return {"N": args.N, "K": K, "vacuous": not ratios, "max_ratio": max(ratios, default=0.0),
+            "sampled": len(ratios)}
 
 
-def _scan_bootstrap(args, system, thetas) -> dict:
+def _scan_bootstrap(args, system) -> dict:
     rep = stacks.bootstrap_report(system, args.theta, args.N, args.l_max, cap=args.cap)
     return {"theta": rep.theta, "depths": list(rep.depths), "measures": list(rep.measures),
             "geom_a": rep.geom_a, "geom_rho": rep.geom_rho, "residual": rep.residual}
 
 
-def _scan_baddir(args, system, thetas) -> dict:
+def _scan_baddir(args, system) -> dict:
     spec = spectral.ProductSpec(args.m + args.ell + 1, args.m, args.ell)
-    ts = np.linspace(0.0, 1.0, args.t_grid)
+    ts = np.linspace(0.0, 1.0, _grid(args.t_grid))
     rep = stacks.bad_direction_scan(spectral.t_form(system), spec, args.tau, ts)
     return {"m": args.m, "ell": args.ell, "tau": args.tau, "h_measure": rep.h_measure,
             "bound": rep.bound, "offenders": int(sum(rep.offenders))}
@@ -342,8 +355,7 @@ _SCANS = {
 
 def _cmd_scan(args, stdout) -> int:
     system = _load_system(args)
-    thetas = tuple(np.linspace(0.0, np.pi, args.theta_grid, endpoint=False))
-    payload = {"check": args.check, **_SCANS[args.check](args, system, thetas)}
+    payload = {"check": args.check, **_SCANS[args.check](args, system)}
     emit.write_text(args.out, emit.json_report(payload), stdout)
     return EXIT_OK
 

@@ -373,12 +373,11 @@ def support_measure(f: StepFunction) -> float:
     return level_measure(f, 1)
 
 
-def level_measure(f: StepFunction, k: int, strict: bool = False) -> float:
-    """Measure of {f >= k}, or {f > k} when strict."""
+def level_measure(f: StepFunction, k: int) -> float:
+    """Measure of {f >= k}; values are integers, so {f > k} is level k + 1."""
     if f.is_zero:
         return 0.0
-    sel = f.values > k if strict else f.values >= k
-    return float(_cell_lengths(f)[sel].sum())
+    return float(_cell_lengths(f)[f.values >= k].sum())
 
 
 def l2_norm_sq(f: StepFunction) -> float:

@@ -177,29 +177,23 @@ class ProductSpec:
             raise SpecInvalid(f"need m + ell < n, got {self.m}+{self.ell} >= {self.n}")
 
 
-def split_products(
-    spec: ProductSpec, phi: ExpPoly, x, *, full: bool = False
-) -> tuple[np.ndarray, ...]:
-    """Evaluate (P1, P2, Psharp, Pflat) at x; P1 = Psharp*Pflat, P1*P2 = full.
+def split_products(spec: ProductSpec, phi: ExpPoly, x) -> tuple[np.ndarray, ...]:
+    """Evaluate (P1, P2, Psharp, Pflat, full) at x; P1 = Psharp*Pflat, P1*P2 = full.
 
-    With full=True the full product prod_{k=1..n} phi(L^-k x) is appended,
-    bit-equal to nu_hat_eval at depth n: each factor phi(L^-k x) is evaluated
-    once and multiplied into its block's running product and into the full
-    one, in the order of k.
+    The full product prod_{k=1..n} phi(L^-k x) is bit-equal to nu_hat_eval
+    at depth n: each factor phi(L^-k x) is evaluated once and multiplied into
+    its block's running product and into the full one, in the order of k.
     """
     r = 1.0 / len(phi.lambdas)
     n, m, ell = spec.n, spec.m, spec.ell
     x = np.asarray(x, dtype=float)
-    p_sharp, p_flat, p2 = (np.ones(x.shape, dtype=complex) for _ in range(3))
-    whole = np.ones(x.shape, dtype=complex) if full else None
+    p_sharp, p_flat, p2, whole = (np.ones(x.shape, dtype=complex) for _ in range(4))
     for k in range(1, n + 1):
         factor = phi(r**k * x)
         block = p_sharp if k < n - m - ell else p_flat if k < n - m else p2
         block *= factor
-        if full:
-            whole *= factor
-    blocks = (p_sharp * p_flat, p2, p_sharp, p_flat)
-    return blocks + (whole,) if full else blocks
+        whole *= factor
+    return p_sharp * p_flat, p2, p_sharp, p_flat, whole
 
 
 def check_scale(branching: int, power: int) -> None:

@@ -1,12 +1,12 @@
 """Combinatorial stacking checks on multiplicity profiles.
 
-Level sets of the maximal profile drive three empirical reports: the
-product inequality for stacked level sets, the scan for directions whose
-high-multiplicity set is abnormally small, and the L2 bound on those
-directions.  The depth bootstrap follows the decay of the shadow measure
-through the support recursion alone.  A fifth scan measures the set of
-directions where the medium-frequency block of the transform product stays
-large.
+Level sets of the maximal profile drive two empirical reports: the product
+inequality for stacked level sets, and the scan for directions whose
+high-multiplicity set is abnormally small, which also reads the L2 norms of
+the profiles along those directions.  The depth bootstrap follows the decay
+of the shadow measure through the support recursion alone.  A fourth scan
+measures the set of directions where the medium-frequency block of the
+transform product stays large.
 """
 
 from __future__ import annotations
@@ -38,13 +38,7 @@ class EScanReport:
     membership: tuple[bool, ...]
     level_measures: tuple[float, ...]
     measure_estimate: float
-
-
-@dataclass(frozen=True)
-class L2BoundReport:
-    max_ratio: float
-    per_theta: tuple[tuple[float, float], ...]  # (theta, max_n l2/K)
-    vacuous: bool
+    l2_ratios: tuple[tuple[float, float], ...]  # (theta, max_n ||f_n||^2 / K) per member
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,8 @@ def product_inequality_report(
 ) -> ProductCheckReport:
     """Measure |{f* > 4KM}| against K |{f* > K}| |{f* > M}| per direction.
 
-    Level sets use the strict inequality.  A ratio is recorded only when the
+    Level sets use the strict inequality: profile values are integers, so
+    {f* > K} is {f* >= K + 1}.  A ratio is recorded only when the
     stacked set is nonempty and both denominators are positive; empty stacked
     sets pass vacuously (ratio 0), empty denominators are skipped as nan.
     """
@@ -124,7 +119,7 @@ def product_inequality_report(
 
     def ratios(profiles) -> list[float]:
         fstar = shadow.pointwise_max(profiles)
-        above = {lv: shadow.level_measure(fstar, lv, strict=True) for lv in stacked}
+        above = {lv: shadow.level_measure(fstar, lv + 1) for lv in stacked}
         out = []
         for k, m in pairs:
             big, fk, fm = above[4 * k * m], above[k], above[m]
@@ -166,52 +161,36 @@ def e_scan(
     k_exponent: float = 3.0,
     cap: int = ifs.ENUMERATION_CAP,
 ) -> EScanReport:
-    """Per-direction membership in the exceptional set and its grid measure.
+    """Per-direction membership in the exceptional set, its grid measure, and
+    the L2 ratios along it.
 
     A direction is exceptional when the measure of {max profile >= K}, the
-    maximum taken over depths 1..N, is at most K^(-k_exponent).
+    maximum taken over depths 1..N, is at most K^(-k_exponent).  Each member
+    also records max_n ||f_n||^2 / K, read from the profiles its membership
+    was read from.  A cut K^(-k_exponent) past the float range is refused
+    before any profile is built, by the log2 test of `spectral.check_scale`.
     """
-
-    def level(profiles) -> float:
-        return shadow.level_measure(shadow.pointwise_max(profiles), K)
-
-    thetas, measures = _per_direction(system, N, (K,), theta_grid, level, cap)
+    if K < 1:
+        raise FavlabError("K must be at least 1")
+    if max(1.0, -k_exponent) * math.log2(K) >= 1024:
+        raise SpecInvalid(f"cut K^(-k) = {K}^{-k_exponent:g} exceeds the float range")
     cut = float(K) ** (-k_exponent)
-    member = tuple(m <= cut for m in measures)
+
+    def level_and_ratio(profiles) -> tuple[float, float | None]:
+        level = shadow.level_measure(shadow.pointwise_max(profiles), K)
+        if level <= cut:
+            return level, max(shadow.l2_norm_sq(f) for f in profiles) / K
+        return level, None
+
+    thetas, rows = _per_direction(system, N, (K,), theta_grid, level_and_ratio, cap)
+    member = tuple(r is not None for _, r in rows)
     span = max(thetas) - min(thetas) if len(thetas) > 1 else 0.0
     return EScanReport(
         membership=member,
-        level_measures=tuple(float(m) for m in measures),
+        level_measures=tuple(float(m) for m, _ in rows),
         measure_estimate=float(span * sum(member) / len(member)),
+        l2_ratios=tuple((t, float(r)) for t, (_, r) in zip(thetas, rows) if r is not None),
     )
-
-
-def l2_bound_report(
-    system: SimilaritySystem,
-    N: int,
-    K: int,
-    theta_grid: Sequence[float],
-    k_exponent: float = 3.0,
-    cap: int = ifs.ENUMERATION_CAP,
-) -> L2BoundReport:
-    """max over sampled exceptional directions and depths of ||f_n||^2 / K.
-
-    The sample is the directions of the grid that e_scan finds exceptional;
-    each one's ratio comes from the profiles its membership was read from.
-    An empty sample yields a vacuous report.
-    """
-    cut = float(K) ** (-k_exponent)
-
-    def ratio(profiles) -> float | None:
-        if shadow.level_measure(shadow.pointwise_max(profiles), K) > cut:
-            return None
-        return max(shadow.l2_norm_sq(f) for f in profiles) / K
-
-    thetas, ratios = _per_direction(system, N, (K,), theta_grid, ratio, cap)
-    per = tuple((t, float(r)) for t, r in zip(thetas, ratios) if r is not None)
-    if not per:
-        return L2BoundReport(max_ratio=0.0, per_theta=(), vacuous=True)
-    return L2BoundReport(max_ratio=max(r for _, r in per), per_theta=per, vacuous=False)
 
 
 _RHO_GRID = np.linspace(0.001, 0.999, 999)

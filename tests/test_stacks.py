@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from favlab import _parallel, baselines, cli, ifs, shadow, spectral, stacks
+from favlab.errors import SpecInvalid
 
 
 def test_strict_vs_weak_levels_nested():
@@ -17,7 +18,7 @@ def test_strict_vs_weak_levels_nested():
     for theta in (0.0, np.pi / 6, 0.8):
         fstar = oracles.maximal_profile(g, range(1, 4), theta)
         for k in (1, 2, 4):
-            strict = shadow.level_measure(fstar, k, strict=True)
+            strict = shadow.level_measure(fstar, k + 1)
             weak = shadow.level_measure(fstar, k)
             assert strict <= weak
 
@@ -80,19 +81,19 @@ def test_level_set_monotone_in_k():
             assert b <= a
 
 
-def test_l2_bound_report_vacuous_and_pointwise_bound():
+def test_escan_l2_ratios_vacuous_and_pointwise_bound():
     g = ifs.preset("gasket")
     grid = tuple(np.linspace(0, np.pi, 12, endpoint=False))
-    rep = stacks.l2_bound_report(g, 2, 1, grid)
+    ratios = [r for _, r in stacks.e_scan(g, 2, 1, grid).l2_ratios]
     # K=1 leaves no exceptional directions at these depths
-    assert rep.vacuous or rep.max_ratio >= 0
+    assert not ratios or max(ratios) >= 0
     # any direction with max multiplicity <= K obeys the mass bound l2 <= 2K
-    rep2 = stacks.l2_bound_report(g, 3, 30, grid)
-    assert not rep2.vacuous
-    assert rep2.max_ratio <= 2.0
+    ratios = [r for _, r in stacks.e_scan(g, 3, 30, grid).l2_ratios]
+    assert ratios
+    assert max(ratios) <= 2.0
 
 
-def test_l2_bound_report_builds_each_profile_once(monkeypatch):
+def test_escan_builds_each_profile_once(monkeypatch):
     g = ifs.preset("gasket")
     grid = np.linspace(0, np.pi, 64, endpoint=False)
     built = []
@@ -104,16 +105,34 @@ def test_l2_bound_report_builds_each_profile_once(monkeypatch):
 
     monkeypatch.setattr(shadow, "multiplicities", counted)
     monkeypatch.setattr(shadow, "multiplicity", None)  # the scan builds no profile alone
-    rep = stacks.l2_bound_report(g, 4, 8, grid)
-    assert not rep.vacuous and len(built) == 4 * 64
+    rep = stacks.e_scan(g, 4, 8, grid)
+    assert rep.l2_ratios and len(built) == 4 * 64
     assert sorted(built) == sorted((float(t), n) for t in grid for n in range(1, 5))
-    # the same report from the escan membership and a second pass over the sample
-    member = stacks.e_scan(g, 4, 8, grid).membership
+    # the members' ratios equal a second pass over the sample
     expect = [
         (float(t), max(shadow.l2_norm_sq(multiplicity(g, n, t)) for n in range(1, 5)) / 8)
-        for t, ok in zip(grid, member) if ok
+        for t, ok in zip(grid, rep.membership) if ok
     ]
-    assert list(rep.per_theta) == expect
+    assert list(rep.l2_ratios) == expect
+
+
+@pytest.mark.parametrize("K, k_exponent", [(2, -1e300), (2, -1024.0), (10**400, 3.0)],
+                         ids=["k-1e300", "k-1024", "K1e400"])
+def test_escan_refuses_a_cut_past_the_float_range_before_any_profile(K, k_exponent, monkeypatch):
+    monkeypatch.setattr(shadow, "multiplicities", None)
+    with pytest.raises(SpecInvalid, match="exceeds the float range"):
+        stacks.e_scan(ifs.preset("gasket"), 2, K, [0.1], k_exponent)
+
+
+def test_escan_keeps_every_cut_inside_the_float_range():
+    g = ifs.preset("gasket")
+    grid = np.linspace(0.0, np.pi, 8, endpoint=False)
+    assert all(stacks.e_scan(g, 2, 2, grid, -1023.0).membership)  # cut 2^1023
+    # a cut that underflows to 0.0 keeps the directions whose level set is empty
+    rep = stacks.e_scan(g, 2, 5, grid, 1e300)
+    assert rep.membership == (True, False, False, True, False, True, False, False)
+    assert rep.membership == tuple(m == 0.0 for m in rep.level_measures)
+    assert [t for t, _ in rep.l2_ratios] == [float(t) for t, ok in zip(grid, rep.membership) if ok]
 
 
 def chunk(system, N):
@@ -150,7 +169,7 @@ def test_scans_on_grids_around_a_chunk_equal_the_per_direction_route(events, off
     for f in maxima:
         row = []
         for k, m in pairs:
-            big, fk, fm = (shadow.level_measure(f, lv, strict=True) for lv in (4 * k * m, k, m))
+            big, fk, fm = (shadow.level_measure(f, lv + 1) for lv in (4 * k * m, k, m))
             row.append(0.0 if big == 0.0 else math.nan if min(fk, fm) <= 0.0 else big / (k * fk * fm))
         expect.append(row)
     assert same_floats(rep.ratios, expect)
@@ -160,14 +179,14 @@ def test_product_report_measures_each_distinct_level_once(monkeypatch):
     calls = []
     level_measure = shadow.level_measure
 
-    def counted(f, k, strict=False):
+    def counted(f, k):
         calls.append(k)
-        return level_measure(f, k, strict)
+        return level_measure(f, k)
 
     monkeypatch.setattr(shadow, "level_measure", counted)
     pairs = [(k, m) for k in (1, 2, 3) for m in (1, 2, 3)]
     stacks.product_inequality_report(ifs.preset("corner4"), 3, [0.1, 0.9], pairs)
-    levels = {1, 2, 3, 4, 8, 12, 16, 24, 36}
+    levels = {lv + 1 for lv in (1, 2, 3, 4, 8, 12, 16, 24, 36)}
     assert sorted(calls) == sorted(2 * list(levels))
 
 

@@ -21,7 +21,7 @@ CALLERS = (
     + sorted((ROOT / "tools").rglob("*.py"))
     + sorted((ROOT / "perfbench").glob("*.py"))
 )
-MAX_DEFAULTED_PARAMETERS = 30
+MAX_DEFAULTED_PARAMETERS = 26
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
