@@ -6,8 +6,9 @@ supremum ratios for exponential sums, box doubling ratios, and the
 frequency-cluster L2 bound.  Everything works on plain callables
 f(np.ndarray[complex]) -> np.ndarray[complex]; ExpPoly instances qualify.
 
-An ExpPoly gives a point the same bits in any batch, so the cover prunes its
-grid, golden-section suprema run in lockstep and a Newton step makes one call;
+An ExpPoly gives a point the same bits in any batch, so the cover and the box
+suprema evaluate it only in the grid blocks that a derivative bound cannot rule
+out, golden-section suprema run in lockstep and a Newton step makes one call;
 each keeps its abs() or np.abs, which can differ in the last bit.
 """
 
@@ -436,16 +437,52 @@ def turan_ratio(trial: TuranTrial) -> float:
     return (trial.subset.measure / trial.interval.measure) * ratio ** (1.0 / n_terms)
 
 
+# Grid points per side of the blocks that box_sup rules out at once.
+BOX_BLOCK = 8
+
+
+def _block_middles(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each BOX_BLOCK run of a monotone axis: its middle index, and the
+    farthest distance from that point within the run."""
+    lo = np.arange(0, v.size, BOX_BLOCK)
+    hi = np.minimum(lo + BOX_BLOCK, v.size) - 1
+    mid = (lo + hi) // 2
+    return mid, np.maximum(np.abs(v[mid] - v[lo]), np.abs(v[hi] - v[mid]))
+
+
+def _box_candidates(f: ExpPoly, xs: np.ndarray, ys: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The ravel indices, ascending, of the grid z = xs + i ys in the blocks
+    that can reach the largest middle value.  Re(lam z) is linear, so on the
+    box |f'| <= K = |norm| sum |c_j||lam_j| e^{max of Re(lam_j z) at a corner};
+    a block goes when |f| + K radius at its middle is below that less a slack
+    (a nan there, or in K, keeps it)."""
+    lams = np.array(f.lambdas, dtype=complex)
+    corners = xs[[0, -1, 0, -1]] + 1j * ys[[0, 0, -1, -1]]
+    tops = np.exp((lams[:, None] * corners).real.max(axis=1))
+    mags = abs(f.normalization) * np.abs(np.array(f.coefficients)) * tops
+    (mx, rx), (my, ry) = _block_middles(xs), _block_middles(ys)
+    mids = np.abs(np.asarray(f(z[(my[:, None] * xs.size + mx).ravel()])))
+    reach = mids + (mags @ np.abs(lams)) * np.hypot(ry[:, None], rx).ravel()
+    # Slack for the rounding of sums of at most mags.sum() in size.
+    far = (reach < mids.max() - 1e-9 * (mids.max() + mags.sum())).reshape(my.size, mx.size)
+    return np.flatnonzero(~far[np.arange(ys.size)[:, None] // BOX_BLOCK,
+                               np.arange(xs.size) // BOX_BLOCK])
+
+
 def box_sup(f, x0: float, x1: float, y0: float, y1: float, density: float = 60.0) -> float:
-    """Max of |f| on a closed box: coarse grid, then a refined local patch."""
+    """Max of |f| on a closed box: coarse grid, then a refined local patch
+    around its first maximum.  An ExpPoly is evaluated only where
+    `_box_candidates` keeps it, in grid order, so each result is the full grid's."""
     nx = max(9, int(density * (x1 - x0)) + 1)
     ny = max(9, int(density * (y1 - y0)) + 1)
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
-    z = xs[None, :] + 1j * ys[:, None]
-    vals = np.abs(np.asarray(f(z.ravel()))).reshape(z.shape)
-    j, i = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    best = float(vals[j, i])
+    z = (xs[None, :] + 1j * ys[:, None]).ravel()
+    idx = _box_candidates(f, xs, ys, z) if isinstance(f, ExpPoly) else np.arange(z.size)
+    vals = np.abs(np.asarray(f(z[idx])))
+    p = int(np.argmax(vals))
+    j, i = divmod(int(idx[p]), nx)
+    best = float(vals[p])
     hx = (x1 - x0) / (nx - 1)
     hy = (y1 - y0) / (ny - 1)
     fx0, fx1 = max(x0, xs[i] - hx), min(x1, xs[i] + hx)

@@ -301,14 +301,19 @@ def _scales(branching: int, ell: int, ys: np.ndarray) -> list[tuple[np.ndarray, 
     return [(z, SLOPE_FREE(z)) for z in zs]
 
 
-def _medium_product(tform: TForm, scales, ys: np.ndarray, t: float) -> np.ndarray:
-    """prod_{j=1..ell} phi_t(L^j y) over ys: slope t continues the slope-free
-    terms of each scale with its own, in the order of `TForm.poly`."""
+def _survivors(tform: TForm, scales, ys: np.ndarray, t: float, thr: float):
+    """(positions, products): the points of ys where no partial product of
+    prod_{j=1..ell} phi_t(L^j y) is at most thr (1 - 1e-9), and the whole
+    product there.  Slope t continues the slope-free terms of each scale with
+    its own, in the order of `TForm.poly`, at the points still alive."""
     terms = tform.slope_terms(t)
-    acc = np.ones_like(ys, dtype=complex)
+    idx = np.arange(ys.size)
+    acc = np.ones(ys.size, dtype=complex)
     for z, head in scales:
-        acc *= terms(z, head)
-    return acc
+        acc *= terms(z[idx], head[idx])
+        keep = np.abs(acc) > thr * (1.0 - 1e-9)
+        idx, acc = idx[keep], acc[keep]
+    return idx, acc
 
 
 def bad_direction_scan(
@@ -326,6 +331,15 @@ def bad_direction_scan(
     derivative bound so each cell oscillates by under a tenth of the
     threshold.  The grid is scanned SCAN_BLOCK points at a time, the
     slope-free terms once per scale for all the slopes.
+
+    Only the offenders are decided.  On the real line each factor has
+    |phi_t| <= 1 (L unimodular terms over L), and rounding moves a product of
+    ell factors by about ell (L + 2) 2^-53 of itself, far below 1e-9; so a
+    point whose partial product is at most thr (1 - 1e-9) cannot offend, and
+    later scales skip it.  An offending slope skips later blocks, and the scan
+    stops once every slope is decided.  A frequency times L^j y past the float
+    range makes the block nan, and a nan peak never offends; the grid's last
+    point at the last scale has the largest arguments, and decides that first.
     """
     L = tform.branching
     # The scanned arguments L^j y reach L^(m+ell).
@@ -344,16 +358,19 @@ def bad_direction_scan(
         x_grid = min(max(x_grid, 1000), _MAX_X_GRID)
     ys = np.linspace(y_lo, y_hi, x_grid)
     ts = [float(t) for t in t_grid]
-    peaks = np.zeros(len(ts))
+    top = _scales(L, spec.ell, ys[-1:])[-1:]
+    decided = [any(np.isnan(tform.slope_terms(t)(z, head)).any() for z, head in top) for t in ts]
+    offends = [False] * len(ts)
     for lo in range(0, x_grid, SCAN_BLOCK):
+        if all(decided):
+            break
         block = ys[lo:lo + SCAN_BLOCK]
         scales = _scales(L, spec.ell, block)
-
-        def peak(t: float) -> float:
-            return np.max(np.abs(_medium_product(tform, scales, block, t)))
-
-        peaks = np.maximum(peaks, [peak(t) for t in ts])
-    offenders = tuple(bool(p) for p in peaks > thr)
+        for k, t in enumerate(ts):
+            if not decided[k]:
+                alive = _survivors(tform, scales, block, t, thr)[1]
+                decided[k] = offends[k] = bool(np.any(np.abs(alive) > thr))
+    offenders = tuple(offends)
     span = max(t_grid) - min(t_grid) if len(t_grid) > 1 else 0.0
     h_measure = span * sum(offenders) / len(offenders)
     return BadDirectionReport(

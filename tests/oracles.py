@@ -11,9 +11,10 @@ quadrature in `favlab.favard` replaced.  The transform layer's loops are
 here too: the exponential sum that took an exponential for every term, the
 cetsq integrand built as one (samples x frequencies) matrix, the split search
 that called f once per candidate line, the bad-direction scan that
-evaluated the whole slope form once per slope, the golden-section supremum
-and the Newton step that called f at one point at a time, and the
-small-value cover that evaluated f on its whole quarter-disc grid.
+evaluated the whole slope form once per slope and took every slope's peak
+over the whole grid, the golden-section supremum and the Newton step that
+called f at one point at a time, and the small-value cover and the box
+supremum that evaluated f on their whole grids.
 They define the expected output: the array versions must return equal
 (`==`) results, and the writers equal bytes, on every input.
 
@@ -49,7 +50,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from favlab import favard, ifs, shadow, spectral
+from favlab import favard, ifs, shadow, spectral, stacks
 from favlab.errors import FavlabError
 from favlab.ifs import SimilaritySystem
 from favlab.shadow import (
@@ -523,15 +524,22 @@ def medium_product_loop(tform: spectral.TForm, ell: int, t: float, ys: np.ndarra
     return acc
 
 
-def bad_direction_offenders(
+def bad_direction_full_max(
     tform: spectral.TForm, spec: ProductSpec, tau: float, t_grid: Sequence[float], x_grid: int
-) -> tuple[bool, ...]:
-    """The slopes whose medium block exceeds e^(-tau*ell) on the whole grid."""
+) -> stacks.BadDirectionReport:
+    """The bad-direction report from the peak of each slope's medium block on
+    the whole grid: a slope offends when its peak exceeds e^(-tau*ell), and a
+    nan anywhere makes the peak nan."""
     thr = math.exp(-tau * spec.ell)
     ys = np.linspace(1.0, float(tform.branching) ** spec.m, x_grid)
-    return tuple(
+    offenders = tuple(
         bool(np.max(np.abs(medium_product_loop(tform, spec.ell, float(t), ys))) > thr)
         for t in t_grid
+    )
+    span = max(t_grid) - min(t_grid) if len(t_grid) > 1 else 0.0
+    return stacks.BadDirectionReport(
+        offenders, float(span * sum(offenders) / len(offenders)),
+        float(tform.branching) ** (-spec.ell / 2.0),
     )
 
 
@@ -589,3 +597,34 @@ def newton_polish_loop(f, z0: complex, box_size: float) -> complex | None:
 def small_samples_full_grid(f, delta: float, pts: np.ndarray) -> np.ndarray:
     """The samples with |f| < delta, from f on every sample."""
     return pts[np.abs(np.asarray(f(pts))) < delta]
+
+
+def box_sup_full_grid(f, x0: float, x1: float, y0: float, y1: float, density: float = 60.0) -> float:
+    """Max of |f| on a closed box from f on its whole coarse grid, then the
+    refined patch around the grid's first maximum."""
+    nx = max(9, int(density * (x1 - x0)) + 1)
+    ny = max(9, int(density * (y1 - y0)) + 1)
+    xs = np.linspace(x0, x1, nx)
+    ys = np.linspace(y0, y1, ny)
+    z = xs[None, :] + 1j * ys[:, None]
+    vals = np.abs(np.asarray(f(z.ravel()))).reshape(z.shape)
+    j, i = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    best = float(vals[j, i])
+    hx = (x1 - x0) / (nx - 1)
+    hy = (y1 - y0) / (ny - 1)
+    fx0, fx1 = max(x0, xs[i] - hx), min(x1, xs[i] + hx)
+    fy0, fy1 = max(y0, ys[j] - hy), min(y1, ys[j] + hy)
+    fxs = np.linspace(fx0, fx1, 33)
+    fys = np.linspace(fy0, fy1, 33)
+    fz = fxs[None, :] + 1j * fys[:, None]
+    return max(best, float(np.max(np.abs(np.asarray(f(fz.ravel()))))))
+
+
+def doubling_ratio_full_grid(phi: ExpPoly, x_prime: float, k: int = 0) -> float:
+    """`lemmas.doubling_ratio` with both box suprema from the whole grid."""
+    scale = (1.0 / len(phi.lambdas)) ** k
+    poly = ExpPoly(tuple(lam * scale for lam in phi.lambdas), phi.coefficients,
+                   phi.normalization)
+    half = box_sup_full_grid(poly, x_prime - 0.5, x_prime + 0.5, -0.5, 0.5)
+    full = max(box_sup_full_grid(poly, x_prime - 1.0, x_prime + 1.0, -1.0, 1.0), half)
+    return full / half

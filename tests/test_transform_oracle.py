@@ -4,12 +4,15 @@ Float results are compared bit for bit through `.view(np.uint64)`: the
 exponential sum that skips the exponential of a zero frequency, the slope
 form continued from its slope-free terms, the cetsq integrand built in row
 blocks, the split search that samples every candidate line in one call, the
-bad-direction scan in grid blocks, the golden-section suprema run in
+bad-direction scan that continues only the points still above its threshold
+and decides offenders rather than peaks, the golden-section suprema run in
 lockstep, the Newton step that takes its three points in one call, and the
-small-value cover pruned by grid blocks.  These rest on the exponential sum
-giving every point the same bits on any subset or batch of points.
+small-value cover and the box suprema pruned by grid blocks.  These rest on
+the exponential sum giving every point the same bits on any subset or batch
+of points.
 """
 
+import io
 import math
 import tracemalloc
 from dataclasses import dataclass, field
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from favlab import ifs, lemmas, spectral, stacks, verify
+from favlab import cli, ifs, lemmas, spectral, stacks, verify
 from favlab.errors import FavlabError
 from favlab.spectral import ExpPoly
 
@@ -141,26 +144,74 @@ def test_best_split_samples_every_candidate_in_one_call():
 
 @pytest.mark.parametrize("name", SLOPE_PRESETS)
 def test_medium_products_are_bit_equal_to_the_per_slope_loop(name):
+    # thr = -1 keeps every point; above it, the points a partial product
+    # drops can only end at or below thr.
     tform = spectral.t_form(ifs.preset(name))
     ys = np.linspace(1.0, 9.0, 5003)
     ts = [float(t) for t in np.linspace(0.0, 1.0, 7)]
     scales = stacks._scales(tform.branching, 4, ys)
     for t in ts:
-        got = stacks._medium_product(tform, scales, ys, t)
         want = oracles.medium_product_loop(tform, 4, t, ys)
-        assert np.array_equal(bits(got), bits(want))
+        for thr in (-1.0, 0.0, 0.01, 0.05, 0.3):
+            idx, got = stacks._survivors(tform, scales, ys, t, thr)
+            assert np.array_equal(bits(got), bits(want[idx]))
+            assert np.all(np.abs(np.delete(want, idx)) <= thr)
+        assert stacks._survivors(tform, scales, ys, t, -1.0)[0].size == ys.size
 
 
+# (m, ell, tau): the benchmark's spec, thr = 1 at tau = 0, a threshold that
+# underflows to 0, and ell = 0, where the block is the empty product 1.
+BADDIR_SPECS = [(2, 4, 0.05), (1, 2, 0.0), (2, 3, 0.0), (1, 3, 0.3), (1, 2, 1e3), (2, 0, 0.1)]
+
+
+@pytest.mark.parametrize("m, ell, tau", BADDIR_SPECS)
 @pytest.mark.parametrize("name", ("corner4", "gasket"))
-def test_bad_direction_scan_in_blocks_finds_the_loop_offenders(name):
+def test_bad_direction_scan_reports_the_full_max_loop(name, m, ell, tau):
     tform = spectral.t_form(ifs.preset(name))
-    spec = spectral.ProductSpec(7, 2, 4)
-    ts = np.linspace(0.0, 1.0, 50)
+    spec = spectral.ProductSpec(m + ell + 1, m, ell)
+    # A nan slope: its block is nan everywhere and never offends.
+    ts = np.insert(np.linspace(0.0, 1.0, 40), 17, math.nan)
     x_grid = 2 * stacks.SCAN_BLOCK + 1001
-    want = oracles.bad_direction_offenders(tform, spec, 0.05, ts, x_grid)
-    got = stacks.bad_direction_scan(tform, spec, 0.05, ts, x_grid=x_grid)
-    assert got.offenders == want
-    assert 0 < sum(want) < len(want)
+    want = oracles.bad_direction_full_max(tform, spec, tau, ts, x_grid)
+    got = stacks.bad_direction_scan(tform, spec, tau, ts, x_grid=x_grid)
+    assert got == want
+    assert not want.offenders[17]
+    if (m, ell, tau) == (2, 4, 0.05):
+        assert 0 < sum(want.offenders) < len(ts) - 1
+
+
+def test_bad_direction_scan_reports_a_slope_with_an_overflowing_argument_as_the_loop():
+    # random-5-seed1 has a frequency of about 9.3 at t = 1: times 5^440 that
+    # is past the float range, so the top of the grid is nan there, and a
+    # nan peak never offends although points below the top exceed thr.
+    tform = spectral.t_form(ifs.preset("random-5-seed1"))
+    spec = spectral.ProductSpec(441, 439, 1)
+    ts = np.linspace(0.0, 1.0, 5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = oracles.bad_direction_full_max(tform, spec, 0.05, ts, 3000)
+        got = stacks.bad_direction_scan(tform, spec, 0.05, ts, x_grid=3000)
+        ys = np.linspace(1.0, 5.0**439, 3000)
+        block = oracles.medium_product_loop(tform, 1, 1.0, ys)
+    assert got == want
+    assert np.isnan(block[-1]) and np.nanmax(np.abs(block)) > math.exp(-0.05)
+    assert not want.offenders[-1]
+
+
+def test_underflowing_threshold_decides_every_slope_in_the_first_grid_block(monkeypatch):
+    # e^(-1e300 * 2) is 0.0, so x_grid takes its 2,000,000-point cap: 245
+    # blocks of SCAN_BLOCK points, which the full-max loop builds.  Any
+    # nonzero product offends, and every slope does so in the first block.
+    sizes = []
+    scales = stacks._scales
+    monkeypatch.setattr(stacks, "_scales",
+                        lambda L, ell, ys: sizes.append(ys.size) or scales(L, ell, ys))
+    out = io.StringIO()
+    argv = ["scan", "--check", "baddir", "--preset", "gasket", "--tau", "1e300", "--m", "1",
+            "--ell", "2", "--t-grid", "5"]
+    assert cli.main(argv, stdout=out) == 0
+    assert out.getvalue() == ('{"bound":0.3333333333333333,"check":"baddir","ell":2,'
+                              '"h_measure":1.0,"m":1,"offenders":5,"tau":1e+300}\n')
+    assert sizes == [1, stacks.SCAN_BLOCK]  # the top point, then one block
 
 
 @pytest.mark.parametrize("k", range(len(polys())))
@@ -241,13 +292,17 @@ def test_newton_step_in_one_call_is_bit_equal_to_three_one_point_calls():
 
 @dataclass(frozen=True)
 class CountedExpPoly(ExpPoly):
-    """An ExpPoly that records how many points each call evaluates."""
+    """An ExpPoly that records the points of each call."""
 
-    points: list = field(default_factory=list)
+    calls: list = field(default_factory=list)
 
     def __call__(self, z, acc=None):
-        self.points.append(np.size(z))
+        self.calls.append(np.array(z))
         return super().__call__(z, acc)
+
+    @property
+    def points(self) -> list[int]:
+        return [z.size for z in self.calls]
 
 
 def counted(poly: ExpPoly) -> CountedExpPoly:
@@ -315,3 +370,102 @@ def test_cover_blocks_hold_every_sample_within_their_radius():
     assert np.all(np.bincount(lemmas._BLOCK_OF) == 100)
     # The rim samples round to within an ulp of 1/4, which the slack covers.
     assert np.all(np.abs(grid) <= 0.25 * (1 + 1e-15))
+
+
+def doubling_draws():
+    """(slope form, x', k) as the doubling suite draws them, for k = 0..5,
+    and x' where the half box's grid has 60 points, not 61, and the full
+    box's 120, not 121: (x' + 1/2) - (x' - 1/2) rounds below 1."""
+    rng = np.random.Generator(np.random.Philox(26))
+    gasket = spectral.t_form(ifs.preset("gasket"))
+    xps = rng.uniform(1.0, 30.0, 2000).tolist()
+    short = [x for x in xps if int(60.0 * ((x + 0.5) - (x - 0.5))) < 60][:12]
+    xps = xps[:48] + short + [1.0, 30.0]
+    return [(gasket.poly(float(rng.uniform(0.0, 1.0))), xp, i % 6) for i, xp in enumerate(xps)]
+
+
+def test_doubling_ratios_are_bit_equal_to_the_full_grid_suprema():
+    draws = doubling_draws()
+    got = [lemmas.doubling_ratio(phi, xp, k=k) for phi, xp, k in draws]
+    want = [oracles.doubling_ratio_full_grid(phi, xp, k) for phi, xp, k in draws]
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+    assert sum(int(60.0 * ((xp + 0.5) - (xp - 0.5))) < 60 for _, xp, _ in draws) >= 12
+    assert sum(int(60.0 * ((xp + 1.0) - (xp - 1.0))) < 120 for _, xp, _ in draws) >= 12
+
+
+def box_cases():
+    """(f, box): doubling boxes, boxes of other shapes and orientations, the
+    cone |1 - e^{lam z}| of small lam, whose derivative bound is nearly
+    tight, and plateaus of tiny lam, where |f| varies by rounding alone and
+    ties are common."""
+    rng = np.random.Generator(np.random.Philox(27))
+    cases = []
+    for phi, xp, k in doubling_draws()[::6]:
+        poly = ExpPoly(tuple(lam * 3.0**-k for lam in phi.lambdas), phi.coefficients,
+                       phi.normalization)
+        cases += [(poly, (xp - 0.5, xp + 0.5, -0.5, 0.5)), (poly, (xp - 1, xp + 1, -1.0, 1.0))]
+    for _ in range(10):
+        x0, y0 = rng.uniform(-2.0, 2.0, 2)
+        w, h = rng.uniform(0.05, 1.7, 2)
+        cases.append((verify.random_exp_poly(rng), (x0, x0 + w, y0, y0 + h)))
+    for h in (0.5, 1.0):
+        for _ in range(15):
+            lam = 10 ** rng.uniform(-3.0, -1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+            cases.append((ExpPoly((0j, lam), (1.0 + 0j, -1.0 + 0j)), (-h, h, -h, h)))
+            lam = 10 ** rng.uniform(-17.0, -15.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+            plateau = ExpPoly((0j, lam), (np.exp(1j * rng.uniform(0.0, 6.0)), 1.0 + 0j))
+            cases.append((plateau, (-h, h, -h, h)))
+    # Boxes given from their far corners: the grids run backwards.
+    return cases + [(f, (x1, x0, y1, y0)) for f, (x0, x1, y0, y1) in cases[-60::4]]
+
+
+@pytest.mark.parametrize("k", range(len(box_cases())))
+def test_box_sup_is_bit_equal_to_the_full_grid(k):
+    f, box = box_cases()[k]
+    got, want = lemmas.box_sup(f, *box), oracles.box_sup_full_grid(f, *box)
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+
+@pytest.mark.parametrize("k", range(len(box_cases())))
+def test_box_blocks_left_out_hold_no_value_as_large_as_the_largest_middle(k):
+    # The bound behind the pruning: a block left out lies below the largest
+    # middle value, so no grid maximum, nor a tie with it, is left out.
+    # Halving K or dropping the rounding slack breaks it on the cones and
+    # on the plateaus.
+    f, (x0, x1, y0, y1) = box_cases()[k]
+    xs = np.linspace(x0, x1, max(9, int(60.0 * (x1 - x0)) + 1))
+    ys = np.linspace(y0, y1, max(9, int(60.0 * (y1 - y0)) + 1))
+    z = (xs[None, :] + 1j * ys[:, None]).ravel()
+    kept = lemmas._box_candidates(f, xs, ys, z)
+    vals = np.abs(oracles.exp_poly_loop(f, z))
+    mx, my = lemmas._block_middles(xs)[0], lemmas._block_middles(ys)[0]
+    low = np.max(vals[(my[:, None] * xs.size + mx).ravel()])
+    assert np.all(np.diff(kept) > 0)
+    assert not np.any(np.delete(vals, kept) >= low)
+
+
+def test_box_sup_of_a_constant_takes_the_patch_at_the_first_grid_point():
+    # Every grid value ties, so the first grid point is the maximum, as in
+    # the full grid, and K = 0 rules no block out.
+    f = counted(ExpPoly((0j,), (0.6 + 0.8j,), 2.0))
+    assert lemmas.box_sup(f, 4.0, 6.0, -1.0, 1.0) == 2.0
+    assert f.points == [16 * 16, 121 * 121, 33 * 33]  # middles, the whole grid, the patch
+    patch = f.calls[-1]
+    assert patch[0] == 4.0 - 1.0j and patch[-1] == complex(4.0 + 2 / 120, -1.0 + 2 / 120)
+
+
+def test_box_sup_prunes_only_an_exp_poly_and_skips_most_of_its_grid():
+    draws = doubling_draws()
+    points = 0
+    for phi, xp, k in draws:
+        poly = counted(ExpPoly(tuple(lam * 3.0**-k for lam in phi.lambdas), phi.coefficients,
+                               phi.normalization))
+        lemmas.box_sup(poly, xp - 1.0, xp + 1.0, -1.0, 1.0)
+        lemmas.box_sup(poly, xp - 0.5, xp + 0.5, -0.5, 0.5)
+        points += sum(poly.points)
+    assert points < 0.3 * len(draws) * (121 * 121 + 61 * 61 + 2 * 33 * 33)
+    sizes = []
+    line = lambda z: sizes.append(np.size(z)) or 9 * (np.asarray(z) - 1 / 9)
+    got = lemmas.box_sup(line, 0.0, 1.0, -0.5, 0.25)
+    assert sizes == [61 * 46, 33 * 33]
+    assert got == oracles.box_sup_full_grid(line, 0.0, 1.0, -0.5, 0.25)
