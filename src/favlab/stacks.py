@@ -3,10 +3,13 @@
 Level sets of the maximal profile drive two empirical reports: the product
 inequality for stacked level sets, and the scan for directions whose
 high-multiplicity set is abnormally small, which also reads the L2 norms of
-the profiles along those directions.  The depth bootstrap follows the decay
-of the shadow measure through the support recursion alone.  A fourth scan
-measures the set of directions where the medium-frequency block of the
-transform product stays large.
+the profiles along those directions.  The scan reads most verdicts from the
+level sets of the single-depth profiles, whose measures bound the maximal
+profile's from both sides, and builds a deeper profile or the maximal
+profile only where those bounds leave the verdict open.  The depth
+bootstrap follows the decay of the shadow measure through the support
+recursion alone.  A fourth scan measures the set of directions where the
+medium-frequency block of the transform product stays large.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ class ProductCheckReport:
 @dataclass(frozen=True)
 class EScanReport:
     membership: tuple[bool, ...]
-    level_measures: tuple[float, ...]
     measure_estimate: float
     l2_ratios: tuple[tuple[float, float], ...]  # (theta, max_n ||f_n||^2 / K) per member
 
@@ -62,6 +64,27 @@ class BadDirectionReport:
 SCAN_EVENTS = 1 << 16
 
 
+def _grid(
+    system: SimilaritySystem, N: int, levels: Sequence[int], theta_grid: Sequence[float], cap: int
+) -> tuple[tuple[float, ...], int]:
+    """(thetas, chunk): the grid as floats, and the directions per chunk,
+    whose depth-N events number about SCAN_EVENTS (at least one direction).
+
+    Depth 0 is the root shadow and would make the K = 1 case vacuous, so N
+    must be at least 1, as must every level K.
+    """
+    if N < 1:
+        raise FavlabError(f"depth N must be at least 1, got {N}")
+    if any(k < 1 for k in levels):
+        raise FavlabError("K must be at least 1")
+    thetas = tuple(float(t) for t in theta_grid)
+    if not thetas:
+        raise FavlabError("theta grid must be nonempty")
+    # Depth by depth, so that the first depth over the cap names itself.
+    pieces = max(ifs.check_cap(system, n, cap) for n in range(1, N + 1))
+    return thetas, max(1, SCAN_EVENTS // (2 * pieces))
+
+
 def _per_direction(
     system: SimilaritySystem,
     N: int,
@@ -73,24 +96,11 @@ def _per_direction(
     """(thetas, [reduce(profiles) per theta]) over the grid, in grid order.
 
     profiles are the multiplicity profiles of depths 1..N at the direction,
-    each built once.  Depth 0 is the root shadow and would make the K = 1
-    case vacuous, so N must be at least 1, as must every level K.
-
-    The grid is walked in chunks of directions whose depth-N events number
-    about SCAN_EVENTS (at least one direction): `shadow.multiplicities`
-    builds each depth's profiles for the whole chunk, and one loop applies
-    the reduce to the chunk's directions in grid order.
+    each built once: `shadow.multiplicities` builds each depth's profiles
+    for a chunk of directions (see `_grid`), and one loop applies the
+    reduce to the chunk's directions in grid order.
     """
-    if N < 1:
-        raise FavlabError(f"depth N must be at least 1, got {N}")
-    if any(k < 1 for k in levels):
-        raise FavlabError("K must be at least 1")
-    thetas = tuple(float(t) for t in theta_grid)
-    if not thetas:
-        raise FavlabError("theta grid must be nonempty")
-    # Depth by depth, so that the first depth over the cap names itself.
-    pieces = max(ifs.check_cap(system, n, cap) for n in range(1, N + 1))
-    chunk = max(1, SCAN_EVENTS // (2 * pieces))
+    thetas, chunk = _grid(system, N, levels, theta_grid, cap)
     out = []
     for lo in range(0, len(thetas), chunk):
         part = thetas[lo : lo + chunk]
@@ -164,32 +174,67 @@ def e_scan(
     """Per-direction membership in the exceptional set, its grid measure, and
     the L2 ratios along it.
 
-    A direction is exceptional when the measure of {max profile >= K}, the
-    maximum taken over depths 1..N, is at most K^(-k_exponent).  Each member
-    also records max_n ||f_n||^2 / K, read from the profiles its membership
-    was read from.  A cut K^(-k_exponent) past the float range is refused
-    before any profile is built, by the log2 test of `spectral.check_scale`.
+    A direction is exceptional when the measure of {f* >= K}, f* the maximum
+    of the profiles f_n of depths 1..N, is at most cut = K^(-k_exponent), as
+    `shadow.level_measure(shadow.pointwise_max(profiles), K)` reads it.  Each
+    member also records max_n ||f_n||^2 / K.  A cut past the float range is
+    refused before any profile is built, by the log2 test of
+    `spectral.check_scale`.
+
+    The verdict is read from the levels l_n = |{f_n >= K}| where it can.
+    {f* >= K} is the union of the {f_n >= K}, so max_n l_n <= |{f* >= K}|
+    <= sum_n l_n.  `pointwise_max` departs from the exact maximum by its
+    cluster rule: a cluster of k merged breakpoints spans at most (k - 1)
+    MERGE_TOLERANCE, and reading every profile at the midpoints between
+    cluster starts misreads at most twice a cluster's span, so at most
+    2 MERGE_TOLERANCE per breakpoint, over the at most B = sum_n 2 L^n
+    breakpoints of the profiles.  Every breakpoint lies within R =
+    max|c_l| / (1 - r) + 2 root_size of 0, and the rounding of midpoints,
+    gaps, cell lengths and sums moves each measure by under 2^-46 R B.  The
+    band delta = B (4 MERGE_TOLERANCE + 2^-40 R) covers both with room to
+    spare, so a direction with some l_n > cut + delta is out and builds no
+    deeper profile, one with sum_n l_n + delta < cut is a member, and only a
+    direction between the two builds f*: each verdict is the one f* gives.
+    Directions are walked in the chunks of `_grid`, depth by depth, and a
+    member keeps its N profiles for its ratio.
     """
     if K < 1:
         raise FavlabError("K must be at least 1")
     if max(1.0, -k_exponent) * math.log2(K) >= 1024:
         raise SpecInvalid(f"cut K^(-k) = {K}^{-k_exponent:g} exceeds the float range")
     cut = float(K) ** (-k_exponent)
-
-    def level_and_ratio(profiles) -> tuple[float, float | None]:
-        level = shadow.level_measure(shadow.pointwise_max(profiles), K)
-        if level <= cut:
-            return level, max(shadow.l2_norm_sq(f) for f in profiles) / K
-        return level, None
-
-    thetas, rows = _per_direction(system, N, (K,), theta_grid, level_and_ratio, cap)
-    member = tuple(r is not None for _, r in rows)
+    thetas, chunk = _grid(system, N, (K,), theta_grid, cap)
+    reach = float(np.abs(system.centers()).max()) / (1.0 - system.ratio) + 2.0 * system.root_size
+    breakpoints = 2 * sum(system.branching**n for n in range(1, N + 1))
+    delta = breakpoints * (4.0 * shadow.MERGE_TOLERANCE + 2.0**-40 * reach)
+    member = [False] * len(thetas)
+    l2_ratios = []
+    for lo in range(0, len(thetas), chunk):
+        undecided = {i: [] for i in range(lo, min(lo + chunk, len(thetas)))}
+        sums = dict.fromkeys(undecided, 0.0)
+        for n in range(1, N + 1):
+            if not undecided:
+                break
+            built = shadow.multiplicities(system, n, [thetas[i] for i in undecided], cap)
+            for i, f in zip(list(undecided), built):
+                level = shadow.level_measure(f, K)
+                if level > cut + delta:
+                    del undecided[i]
+                else:
+                    undecided[i].append(f)
+                    sums[i] += level
+        for i, profiles in undecided.items():
+            if sums[i] + delta < cut or (
+                shadow.level_measure(shadow.pointwise_max(profiles), K) <= cut
+            ):
+                member[i] = True
+                l2_ratios.append((thetas[i], max(shadow.l2_norm_sq(f) for f in profiles) / K))
+        del undecided, built  # free this chunk's profiles before the next chunk is built
     span = max(thetas) - min(thetas) if len(thetas) > 1 else 0.0
     return EScanReport(
-        membership=member,
-        level_measures=tuple(float(m) for m, _ in rows),
+        membership=tuple(member),
         measure_estimate=float(span * sum(member) / len(member)),
-        l2_ratios=tuple((t, float(r)) for t, (_, r) in zip(thetas, rows) if r is not None),
+        l2_ratios=tuple(l2_ratios),
     )
 
 
@@ -337,9 +382,14 @@ def bad_direction_scan(
     ell factors by about ell (L + 2) 2^-53 of itself, far below 1e-9; so a
     point whose partial product is at most thr (1 - 1e-9) cannot offend, and
     later scales skip it.  An offending slope skips later blocks, and the scan
-    stops once every slope is decided.  A frequency times L^j y past the float
-    range makes the block nan, and a nan peak never offends; the grid's last
-    point at the last scale has the largest arguments, and decides that first.
+    stops once every slope is decided.
+
+    A frequency a + b t of phi_t times an argument L^j y past the float range
+    would make the block nan, so such a scan is refused before any block.
+    The grid's last point at the last scale is the largest argument, and
+    rounding is monotone, so where |a + b t| times it is finite for every
+    slope, every product of the scan is.  A nan slope passes the test; its
+    block is nan and never offends.
     """
     L = tform.branching
     # The scanned arguments L^j y reach L^(m+ell).
@@ -358,18 +408,25 @@ def bad_direction_scan(
         x_grid = min(max(x_grid, 1000), _MAX_X_GRID)
     ys = np.linspace(y_lo, y_hi, x_grid)
     ts = [float(t) for t in t_grid]
-    top = _scales(L, spec.ell, ys[-1:])[-1:]
-    decided = [any(np.isnan(tform.slope_terms(t)(z, head)).any() for z, head in top) for t in ts]
+    top = float(L) ** spec.ell * float(ys[-1]) if spec.ell else 0.0
+    for t in ts:
+        for a, b in ((1.0, 0.0), (0.0, 1.0), *tform.extra):
+            if abs(a + b * t) * top == math.inf:
+                raise SpecInvalid(
+                    f"frequency a + b t = {a + b * t:.6g} at slope t = {t:g} times the top "
+                    f"argument L^ell y = {L}^{spec.ell} * {float(ys[-1]):.6g} "
+                    "exceeds the float range"
+                )
     offends = [False] * len(ts)
     for lo in range(0, x_grid, SCAN_BLOCK):
-        if all(decided):
+        if all(offends):
             break
         block = ys[lo:lo + SCAN_BLOCK]
         scales = _scales(L, spec.ell, block)
         for k, t in enumerate(ts):
-            if not decided[k]:
+            if not offends[k]:
                 alive = _survivors(tform, scales, block, t, thr)[1]
-                decided[k] = offends[k] = bool(np.any(np.abs(alive) > thr))
+                offends[k] = bool(np.any(np.abs(alive) > thr))
     offenders = tuple(offends)
     span = max(t_grid) - min(t_grid) if len(t_grid) > 1 else 0.0
     h_measure = span * sum(offenders) / len(offenders)

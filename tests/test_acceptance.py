@@ -252,7 +252,10 @@ def test_criterion_11_exceptional_set_behavior():
     g = ifs.preset("gasket")
     grid = tuple(np.linspace(0.0, np.pi, 64, endpoint=False))
     full = stacks.e_scan(g, 3, 28, grid)
-    full_ok = all(full.membership) and all(m == 0.0 for m in full.level_measures)
+    full_ok = all(full.membership) and all(
+        shadow.level_measure(oracles.maximal_profile(g, range(1, 4), theta), 28) == 0.0
+        for theta in grid
+    )
     estimates = {}
     for K in (2, 4, 8):
         rep = stacks.e_scan(g, 4, K, grid)

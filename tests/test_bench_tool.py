@@ -142,3 +142,17 @@ def test_traced_spread_keeps_min_median_and_max_of_each_side(monkeypatch):
     assert [c[0] for c in calls] == ["base-tree", "head-tree", "head-tree", "base-tree",
                                      "base-tree", "head-tree"]
     assert {c[1:] for c in calls} == {("stacking", 5, 2.0, 1)}
+
+
+@pytest.mark.parametrize("pairs", [["stacking=3"], ["stacking=10", "quadrature=5"]])
+def test_an_odd_pair_count_is_a_usage_error_before_anything_runs(pairs, monkeypatch, capsys):
+    def ran(*args, **kwargs):
+        raise AssertionError("ran before the usage check")
+
+    for name in ("git", "export", "run_bench", "traced_spread"):
+        monkeypatch.setattr(bench, name, ran)
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--label", "odd", "--first-seed", "1", "--pairs", *pairs])
+    assert exc.value.code == 2
+    assert "--pairs takes an even N, got" in capsys.readouterr().err
+    assert not (ROOT / "BENCH_odd.json").exists()

@@ -62,13 +62,15 @@ def test_escan_large_k_gives_full_membership():
     grid = tuple(np.linspace(0, np.pi, 16, endpoint=False))
     rep = stacks.e_scan(g, 2, 10, grid)  # K > 3^2
     assert all(rep.membership)
-    assert all(m == 0.0 for m in rep.level_measures)
+    assert all(shadow.level_measure(fstar(g, 2, t), 10) == 0.0 for t in grid)
 
 
 def test_escan_angle_zero_not_exceptional_at_k1():
     g = ifs.preset("gasket")
     rep = stacks.e_scan(g, 3, 1, (0.0, 0.5))
-    assert rep.level_measures[0] == pytest.approx(1.2440169358562922, abs=1e-9)
+    profiles = [shadow.multiplicity(g, n, 0.0) for n in range(1, 4)]
+    level = shadow.level_measure(shadow.pointwise_max(profiles), 1)
+    assert level == pytest.approx(1.2440169358562922, abs=1e-9)
     assert not rep.membership[0]
 
 
@@ -93,27 +95,45 @@ def test_escan_l2_ratios_vacuous_and_pointwise_bound():
     assert max(ratios) <= 2.0
 
 
-def test_escan_builds_each_profile_once(monkeypatch):
-    g = ifs.preset("gasket")
-    grid = np.linspace(0, np.pi, 64, endpoint=False)
-    built = []
-    multiplicity, multiplicities = shadow.multiplicity, shadow.multiplicities
+def counted_scan(monkeypatch, system, N, K, grid, k_exponent=3.0):
+    """(report, [(theta, depth) per profile built], pointwise_max calls) of one e_scan."""
+    built, maxima = [], []
+    multiplicities, pointwise_max = shadow.multiplicities, shadow.pointwise_max
 
     def counted(system, depth, thetas, cap):
         built.extend((t, depth) for t in thetas)
         return multiplicities(system, depth, thetas, cap)
 
-    monkeypatch.setattr(shadow, "multiplicities", counted)
-    monkeypatch.setattr(shadow, "multiplicity", None)  # the scan builds no profile alone
-    rep = stacks.e_scan(g, 4, 8, grid)
-    assert rep.l2_ratios and len(built) == 4 * 64
-    assert sorted(built) == sorted((float(t), n) for t in grid for n in range(1, 5))
+    with monkeypatch.context() as mp:
+        mp.setattr(shadow, "multiplicities", counted)
+        mp.setattr(shadow, "pointwise_max", lambda fs: maxima.append(1) or pointwise_max(fs))
+        mp.setattr(shadow, "multiplicity", None)  # the scan builds no profile alone
+        rep = stacks.e_scan(system, N, K, grid, k_exponent)
+    return rep, built, len(maxima)
+
+
+def test_escan_builds_each_profile_once(monkeypatch):
+    g = ifs.preset("gasket")
+    grid = np.linspace(0, np.pi, 64, endpoint=False)
+    rep, built, _ = counted_scan(monkeypatch, g, 4, 8, grid)
+    assert rep.l2_ratios and len(set(built)) == len(built)
+    # every member has all its depths, read for its ratio
+    members = [float(t) for t, ok in zip(grid, rep.membership) if ok]
+    assert {(t, n) for t in members for n in range(1, 5)} <= set(built)
     # the members' ratios equal a second pass over the sample
-    expect = [
-        (float(t), max(shadow.l2_norm_sq(multiplicity(g, n, t)) for n in range(1, 5)) / 8)
-        for t, ok in zip(grid, rep.membership) if ok
-    ]
+    expect = [(t, max(shadow.l2_norm_sq(shadow.multiplicity(g, n, t)) for n in range(1, 5)) / 8)
+              for t in members]
     assert list(rep.l2_ratios) == expect
+
+
+def test_escan_builds_deeper_profiles_and_maxima_only_for_open_verdicts(monkeypatch):
+    # corner4 at N=4, K=2 on 128 directions: the per-direction route builds
+    # 4 * 128 profiles and 128 maxima.
+    rep, built, maxima = counted_scan(monkeypatch, ifs.preset("corner4"), 4, 2,
+                                      np.linspace(0.0, np.pi, 128, endpoint=False))
+    assert len(set(built)) == len(built) < 512
+    assert maxima < 16
+    assert sum(rep.membership) == len(rep.l2_ratios) > 0
 
 
 @pytest.mark.parametrize("K, k_exponent", [(2, -1e300), (2, -1024.0), (10**400, 3.0)],
@@ -131,7 +151,7 @@ def test_escan_keeps_every_cut_inside_the_float_range():
     # a cut that underflows to 0.0 keeps the directions whose level set is empty
     rep = stacks.e_scan(g, 2, 5, grid, 1e300)
     assert rep.membership == (True, False, False, True, False, True, False, False)
-    assert rep.membership == tuple(m == 0.0 for m in rep.level_measures)
+    assert rep.membership == tuple(shadow.level_measure(fstar(g, 2, t), 5) == 0.0 for t in grid)
     assert [t for t, _ in rep.l2_ratios] == [float(t) for t, ok in zip(grid, rep.membership) if ok]
 
 
@@ -162,7 +182,7 @@ def test_scans_on_grids_around_a_chunk_equal_the_per_direction_route(events, off
     grid = np.linspace(0.0, np.pi, size, endpoint=False)
     maxima = [fstar(system, N, float(t)) for t in grid]
     rep = stacks.e_scan(system, N, 2, grid)
-    assert same_floats(rep.level_measures, [shadow.level_measure(f, 2) for f in maxima])
+    assert rep.membership == tuple(shadow.level_measure(f, 2) <= 2.0**-3 for f in maxima)
     pairs = [(1, 2), (2, 2), (1, 1)]
     rep = stacks.product_inequality_report(system, N, grid, pairs)
     expect = []
@@ -173,6 +193,78 @@ def test_scans_on_grids_around_a_chunk_equal_the_per_direction_route(events, off
             row.append(0.0 if big == 0.0 else math.nan if min(fk, fm) <= 0.0 else big / (k * fk * fm))
         expect.append(row)
     assert same_floats(rep.ratios, expect)
+
+
+def escan_per_direction(system, N, K, grid, k_exponent=3.0, profiles=None):
+    """The e_scan report by the per-direction route: each direction's
+    maximal profile by `oracles.pointwise_max`, then its level against the cut."""
+    if profiles is None:
+        profiles = [[shadow.multiplicity(system, n, float(t)) for n in range(1, N + 1)]
+                    for t in grid]
+    cut = float(K) ** (-k_exponent)
+    member, ratios = [], []
+    for t, fs in zip(grid, profiles):
+        member.append(shadow.level_measure(oracles.pointwise_max(fs), K) <= cut)
+        if member[-1]:
+            ratios.append((float(t), max(shadow.l2_norm_sq(f) for f in fs) / K))
+    span = max(grid) - min(grid) if len(grid) > 1 else 0.0
+    return stacks.EScanReport(tuple(member), float(span * sum(member) / len(member)),
+                              tuple(ratios))
+
+
+def same_report(got, want):
+    return (got.membership == want.membership
+            and same_floats([got.measure_estimate], [want.measure_estimate])
+            and same_floats([x for r in got.l2_ratios for x in r],
+                            [x for r in want.l2_ratios for x in r]))
+
+
+@pytest.mark.parametrize("name, N", [("gasket", 1), ("gasket", 3), ("gasket", 5), ("corner4", 2),
+                                     ("corner4", 4), ("random-3-seed1", 3), ("random-3-seed1", 4)])
+@pytest.mark.parametrize("size", [1, 4, 5, 6, 11, 40])
+def test_escan_equals_the_per_direction_route(name, N, size, monkeypatch):
+    # A chunk of five directions, so the sizes fall on, below and above its edges.
+    system = ifs.preset(name)
+    monkeypatch.setattr(stacks, "SCAN_EVENTS", 5 * 2 * system.branching**N)
+    grid = np.linspace(0.1, np.pi + 0.1, size, endpoint=False)
+    profiles = [[shadow.multiplicity(system, n, float(t)) for n in range(1, N + 1)] for t in grid]
+    for K in (1, 2, 3, 5, 3**N + 1):
+        for k_exponent in (3.0, 1.0, 0.25, 0.0, -1.0):
+            got = stacks.e_scan(system, N, K, grid, k_exponent)
+            want = escan_per_direction(system, N, K, grid, k_exponent, profiles)
+            assert same_report(got, want), (K, k_exponent)
+
+
+def exponent_for(K, cut):
+    """A k with float(K) ** -k == cut, searched over the floats around
+    -log(cut) / log(K), or None."""
+    k = -math.log(cut) / math.log(K)
+    lo = hi = k
+    for _ in range(4000):
+        for cand in (lo, hi):
+            if float(K) ** -cand == cut:
+                return cand
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return None
+
+
+def test_escan_at_a_cut_on_a_direction_level_reads_the_maximal_profile(monkeypatch):
+    # The cut sits at the level of f* along the gasket's direction 2 pi / 3,
+    # and one ulp either side.  There the depth-3 level exceeds that of f*
+    # by rounding, so only the band keeps the bounds from calling the
+    # direction out; its verdict comes from f*.
+    system, N, K = ifs.preset("gasket"), 3, 2
+    grid = np.linspace(0.0, np.pi, 12, endpoint=False)
+    profiles = [shadow.multiplicity(system, n, float(grid[8])) for n in range(1, N + 1)]
+    level = shadow.level_measure(shadow.pointwise_max(profiles), K)
+    assert shadow.level_measure(profiles[-1], K) > level
+    for cut, member in ((math.nextafter(level, 0.0), False), (level, True),
+                        (math.nextafter(level, 1.0), True)):
+        k_exponent = exponent_for(K, cut)
+        assert k_exponent is not None
+        rep, _, maxima = counted_scan(monkeypatch, system, N, K, grid, k_exponent)
+        assert rep.membership[8] is member and maxima >= 1
+        assert same_report(rep, escan_per_direction(system, N, K, grid, k_exponent))
 
 
 def test_product_report_measures_each_distinct_level_once(monkeypatch):
@@ -219,11 +311,12 @@ def test_scan_json_is_the_same_at_one_and_two_threads(scan, monkeypatch):
 
 def test_deep_scan_peak_memory_is_bounded_by_the_chunk():
     g, N = ifs.preset("gasket"), 7  # 2 * 3^7 events a direction, 14 directions a chunk
-    stacks.e_scan(g, N, 2, [0.1])  # the piece centers are cached outside the budget
+    K = 3**N + 1  # every level set is empty, so no verdict comes before depth N
+    stacks.e_scan(g, N, K, [0.1])  # the piece centers are cached outside the budget
     peaks = []
     for size in (chunk(g, N), 8 * chunk(g, N)):
         tracemalloc.start()
-        stacks.e_scan(g, N, 2, np.linspace(0.0, np.pi, size, endpoint=False))
+        stacks.e_scan(g, N, K, np.linspace(0.0, np.pi, size, endpoint=False))
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[0] <= 128 * stacks.SCAN_EVENTS  # about 80 bytes an event

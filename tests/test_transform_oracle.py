@@ -15,13 +15,14 @@ of points.
 import io
 import math
 import tracemalloc
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from favlab import cli, ifs, lemmas, spectral, stacks, verify
-from favlab.errors import FavlabError
+from favlab.errors import FavlabError, SpecInvalid
 from favlab.spectral import ExpPoly
 
 import oracles
@@ -180,21 +181,35 @@ def test_bad_direction_scan_reports_the_full_max_loop(name, m, ell, tau):
         assert 0 < sum(want.offenders) < len(ts) - 1
 
 
-def test_bad_direction_scan_reports_a_slope_with_an_overflowing_argument_as_the_loop():
-    # random-5-seed1 has a frequency of about 9.3 at t = 1: times 5^440 that
-    # is past the float range, so the top of the grid is nan there, and a
-    # nan peak never offends although points below the top exceed thr.
+def test_bad_direction_scan_refuses_an_argument_past_the_float_range_before_any_block(
+    monkeypatch, capsys
+):
+    # random-5-seed1 has the frequency a + b t = 7.959 + 1.361 t: times the
+    # top argument 5 * 5^439 that is past the float range at every slope,
+    # where the block would be nan.  One depth less, every product is finite.
     tform = spectral.t_form(ifs.preset("random-5-seed1"))
-    spec = spectral.ProductSpec(441, 439, 1)
     ts = np.linspace(0.0, 1.0, 5)
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = oracles.bad_direction_full_max(tform, spec, 0.05, ts, 3000)
-        got = stacks.bad_direction_scan(tform, spec, 0.05, ts, x_grid=3000)
-        ys = np.linspace(1.0, 5.0**439, 3000)
-        block = oracles.medium_product_loop(tform, 1, 1.0, ys)
-    assert got == want
-    assert np.isnan(block[-1]) and np.nanmax(np.abs(block)) > math.exp(-0.05)
-    assert not want.offenders[-1]
+    monkeypatch.setattr(stacks, "_scales", None)  # no grid block is built
+    with pytest.raises(SpecInvalid, match=r"a \+ b t = 7\.95914 at slope t = 0 .*5\^1 \*"):
+        stacks.bad_direction_scan(tform, spectral.ProductSpec(441, 439, 1), 0.05, ts, x_grid=3000)
+    monkeypatch.undo()
+    with np.errstate(all="raise"):
+        got = stacks.bad_direction_scan(tform, spectral.ProductSpec(440, 438, 1), 0.05, ts,
+                                        x_grid=3000)
+    assert got == oracles.bad_direction_full_max(tform, spectral.ProductSpec(440, 438, 1),
+                                                 0.05, ts, 3000)
+    assert all(got.offenders)
+    out = io.StringIO()
+    argv = ["scan", "--check", "baddir", "--preset", "random-5-seed1", "--m", "439", "--ell", "1",
+            "--t-grid", "5"]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        assert cli.main(argv, stdout=out) == 2
+    err = capsys.readouterr().err
+    assert out.getvalue() == ""
+    assert err.startswith("favlab: SpecInvalid: frequency a + b t = 7.95914 at slope t = 0 ")
+    assert err.endswith("exceeds the float range\n") and err.count("\n") == 1
 
 
 def test_underflowing_threshold_decides_every_slope_in_the_first_grid_block(monkeypatch):
@@ -211,7 +226,7 @@ def test_underflowing_threshold_decides_every_slope_in_the_first_grid_block(monk
     assert cli.main(argv, stdout=out) == 0
     assert out.getvalue() == ('{"bound":0.3333333333333333,"check":"baddir","ell":2,'
                               '"h_measure":1.0,"m":1,"offenders":5,"tau":1e+300}\n')
-    assert sizes == [1, stacks.SCAN_BLOCK]  # the top point, then one block
+    assert sizes == [stacks.SCAN_BLOCK]  # one block
 
 
 @pytest.mark.parametrize("k", range(len(polys())))

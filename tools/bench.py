@@ -3,13 +3,14 @@
 
 Run from the repository root:
 
-    python3 tools/bench.py --label mychange --first-seed 801 --pairs stacking=10 quadrature=5
+    python3 tools/bench.py --label mychange --first-seed 801 --pairs stacking=10 quadrature=6
 
 For each workload it runs `perfbench/run.py --trace 0` for the run length
 that BENCHMARK.json declares, once on a clean export of the base commit
 (`git archive`, in a temporary directory removed on every way out) and once
-on the working tree, alternating which side goes first.  Pair i of every
-workload uses seed first-seed + i on both sides.  Each side then makes
+on the working tree, alternating which side goes first; N must be even,
+so each side goes first in half the pairs.  Pair i of every workload uses
+seed first-seed + i on both sides.  Each side then makes
 TRACED_RUNS `--trace 1` runs per workload at the first seed, again
 alternating which side goes first, for the per-layer counters and times.
 
@@ -155,6 +156,9 @@ def main(argv: list[str] | None = None) -> int:
         name, _, count = item.partition("=")
         if name not in {w["name"] for w in declared["workloads"]} or not count.isdigit():
             ap.error(f"--pairs takes WORKLOAD=N with a declared workload, got {item!r}")
+        # Each side goes first in half the pairs, so run order cannot bias a metric.
+        if int(count) % 2:
+            ap.error(f"--pairs takes an even N, got {item!r}")
         plan[name] = int(count)
 
     # A SIGTERM unwinds like Ctrl-C, so the export is removed either way.
