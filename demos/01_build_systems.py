@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Build self-similar systems and walk their piece tree.
 
-A system is L homothety maps applied to a root disc or square.  The two
+A system is L centers with one ratio and one shape: the L homothety maps
+z -> center + ratio*z applied to a root disc or square.  The two
 canned systems are the three-disc gasket (radius-1/3 discs in the unit
 disc) and the four-corner square set (ratio-1/4 squares in a unit square).
 """
@@ -16,8 +17,8 @@ for name in ("gasket", "corner4", "random-5-seed11"):
 
 g = ifs.preset("gasket")
 print("\ngasket level-1 centers (letters 0,1,2 <-> lower right, top, lower left):")
-for i, m in enumerate(g.maps):
-    print(f"  {i}: {m.center:.6f}")
+for i, c in enumerate(g.centers()):
+    print(f"  {i}: {c:.6f}")
 
 print("\npiece centers are nested affine sums: center(w) = sum ratio^(k-1) c_{w_k}")
 for word in ([], [1], [1, 1], [1, 0, 2]):
@@ -38,6 +39,6 @@ print(" ", ifs.system_to_json(ifs.preset("corner4")))
 
 print("\ncontainment is validated; a map escaping the root region is rejected:")
 try:
-    ifs.build_system([ifs.GeneratorMap(center=0.9 + 0j, ratio=0.5)])
+    ifs.build_system([0.9 + 0j, -0.9 + 0j], 0.5, ifs.DISC)
 except Exception as exc:
     print(f"  {type(exc).__name__}: {exc}")

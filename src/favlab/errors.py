@@ -10,7 +10,10 @@ class EmptySystem(FavlabError):
 
 
 class MixedShapes(FavlabError):
-    """All maps of one system must share the same shape and ratio."""
+    """A system's shape is neither "disc" nor "square".
+
+    The name is kept because it is the error kind printed on stderr.
+    """
 
 
 class ContainmentViolation(FavlabError):

@@ -1,7 +1,8 @@
 """Self-similar systems of discs or squares inside a root region.
 
-A system is a list of L homothety maps z -> center_l + ratio*z applied to a
-root region (disc of radius root_size, or axis-parallel square of half-side
+A system is its L centers with one ratio and one shape, as in the JSON
+schema: the L homothety maps z -> center_l + ratio*z applied to a root
+region (disc of radius root_size, or axis-parallel square of half-side
 root_size, both centered at the origin).  The depth-n set is the union of the
 L^n images of the root under n-fold compositions; the centers are one array in
 lexicographic word order over the alphabet 0..L-1.
@@ -34,41 +35,28 @@ SQUARE = "square"
 
 
 @dataclass(frozen=True)
-class GeneratorMap:
-    """One homothety: z -> center + ratio*z, with a region shape tag."""
-
-    center: complex
-    ratio: float
-    shape: str = DISC
-
-
-@dataclass(frozen=True)
 class SimilaritySystem:
-    """Validated tuple of maps sharing one ratio and shape.
+    """L centers c_l sharing one ratio and one shape: the maps z -> c_l + ratio*z.
 
     root_size is the radius (disc) or half-side (square) of the root region.
     The four-corner preset uses root_size 1/2 so its depth-n sets follow the
     unit-square convention; everything downstream scales with this field.
+    points holds the centers in letter order; `centers()` returns them as an
+    array.  Build a system with `build_system`, which validates it.
     """
 
-    maps: tuple[GeneratorMap, ...]
-    label: str = ""
-    root_size: float = 1.0
+    points: tuple[complex, ...]
+    ratio: float
+    shape: str
+    label: str
+    root_size: float
 
     @property
     def branching(self) -> int:
-        return len(self.maps)
-
-    @property
-    def ratio(self) -> float:
-        return self.maps[0].ratio
-
-    @property
-    def shape(self) -> str:
-        return self.maps[0].shape
+        return len(self.points)
 
     def centers(self) -> np.ndarray:
-        return np.array([m.center for m in self.maps], dtype=complex)
+        return np.array(self.points, dtype=complex)
 
 
 def _center_norm(center: complex, shape: str) -> float:
@@ -80,40 +68,34 @@ def _center_norm(center: complex, shape: str) -> float:
 
 
 def build_system(
-    maps: Sequence[GeneratorMap], label: str = "", root_size: float = 1.0
+    centers: Sequence[complex], ratio: float, shape: str, label: str = "", root_size: float = 1.0
 ) -> SimilaritySystem:
-    """Validate maps and assemble a system.
+    """Validate L centers with one ratio and shape and assemble a system.
 
-    Raises EmptySystem, MixedShapes, or ContainmentViolation.  Containment
-    requires each first-level piece to stay inside the root region up to
-    CONTAINMENT_TOLERANCE (strict containment is not load-bearing downstream).
+    Raises EmptySystem, MixedShapes (an unknown shape), or
+    ContainmentViolation.  Containment requires each first-level piece to
+    stay inside the root region up to CONTAINMENT_TOLERANCE (strict
+    containment is not load-bearing downstream).
     """
-    maps = tuple(maps)
-    if not maps:
+    points = tuple(complex(c) for c in centers)
+    if not points:
         raise EmptySystem("system has no maps")
     if not (np.isfinite(root_size) and root_size > 0.0):
         raise ContainmentViolation(f"root size {root_size} is not a positive finite number")
-    shape = maps[0].shape
-    ratio = maps[0].ratio
     if shape not in (DISC, SQUARE):
         raise MixedShapes(f"unknown shape {shape!r}")
-    for i, m in enumerate(maps):
-        if m.shape != shape:
-            raise MixedShapes(f"map {i} has shape {m.shape!r}, expected {shape!r}")
-        # Range before equality: a nan ratio is unequal to itself.
-        if not (0.0 < m.ratio < 1.0):
-            raise ContainmentViolation(f"map {i}: ratio {m.ratio} outside (0, 1)")
-        if m.ratio != ratio:
-            raise MixedShapes(f"map {i} has ratio {m.ratio}, expected {ratio}")
-        reach = _center_norm(m.center, shape) + m.ratio * root_size
+    if not (0.0 < ratio < 1.0):  # false for a nan ratio
+        raise ContainmentViolation(f"map 0: ratio {ratio} outside (0, 1)")
+    for i, c in enumerate(points):
+        reach = _center_norm(c, shape) + ratio * root_size
         if not (reach <= root_size + CONTAINMENT_TOLERANCE):  # false for a nan center
             raise ContainmentViolation(
-                f"map {i}: center {m.center} with ratio {m.ratio} "
+                f"map {i}: center {c} with ratio {ratio} "
                 f"escapes the root region by {reach - root_size:.3g}"
             )
-    if len(maps) < 2:
+    if len(points) < 2:
         raise EmptySystem("system needs at least two maps")
-    return SimilaritySystem(maps=maps, label=label, root_size=float(root_size))
+    return SimilaritySystem(points, float(ratio), shape, label, float(root_size))
 
 
 def gasket_system() -> SimilaritySystem:
@@ -123,8 +105,7 @@ def gasket_system() -> SimilaritySystem:
     a = 1 (lower left).
     """
     centers = [np.exp(1j * np.pi * (0.5 + 2.0 * a / 3.0)) / 3.0 for a in (-1, 0, 1)]
-    maps = [GeneratorMap(center=c, ratio=1.0 / 3.0, shape=DISC) for c in centers]
-    return build_system(maps, label="gasket")
+    return build_system(centers, 1.0 / 3.0, DISC, label="gasket")
 
 
 def corner4_system() -> SimilaritySystem:
@@ -135,11 +116,8 @@ def corner4_system() -> SimilaritySystem:
     (-,-), (+,-), (-,+), (+,+).
     """
     offs = [(-1, -1), (1, -1), (-1, 1), (1, 1)]
-    maps = [
-        GeneratorMap(center=complex(0.375 * sx, 0.375 * sy), ratio=0.25, shape=SQUARE)
-        for sx, sy in offs
-    ]
-    return build_system(maps, label="corner4", root_size=0.5)
+    centers = [complex(0.375 * sx, 0.375 * sy) for sx, sy in offs]
+    return build_system(centers, 0.25, SQUARE, label="corner4", root_size=0.5)
 
 
 _RANDOM_PRESET = re.compile(r"^random-(\d+)-seed(\d+)$")
@@ -159,8 +137,7 @@ def random_system(branching: int, seed: int) -> SimilaritySystem:
     radii = rmax * np.sqrt(rng.uniform(size=branching))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=branching)
     centers = radii * np.exp(1j * angles)
-    maps = [GeneratorMap(center=complex(c), ratio=ratio, shape=DISC) for c in centers]
-    return build_system(maps, label=f"random-{branching}-seed{seed}")
+    return build_system(centers, ratio, DISC, label=f"random-{branching}-seed{seed}")
 
 
 def preset(name: str) -> SimilaritySystem:
@@ -224,7 +201,7 @@ def system_to_json(system: SimilaritySystem) -> str:
         "label": system.label,
         "shape": system.shape,
         "ratio": system.ratio,
-        "centers": [[m.center.real, m.center.imag] for m in system.maps],
+        "centers": [[c.real, c.imag] for c in system.points],
         "root_size": system.root_size,
     }
     return json.dumps(obj, sort_keys=True, default=float)
@@ -246,13 +223,11 @@ def system_from_json(text: str | bytes) -> SimilaritySystem:
         obj = json.loads(text)
         if not isinstance(obj, dict) or not isinstance(obj.get("label", ""), str):
             raise TypeError("the document must be a JSON object with a string label")
-        maps = [
-            GeneratorMap(complex(_number(x), _number(y)), _number(obj["ratio"]), obj["shape"])
-            for x, y in obj["centers"]
-        ]
+        centers = [complex(_number(x), _number(y)) for x, y in obj["centers"]]
+        ratio, shape = _number(obj["ratio"]), obj["shape"]
         root_size = _number(obj.get("root_size", 1.0))
     except KeyError as exc:
         raise FavlabError(f"system file lacks the key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise FavlabError(f"system file is malformed: {exc}") from None
-    return build_system(maps, label=obj.get("label", ""), root_size=root_size)
+    return build_system(centers, ratio, shape, label=obj.get("label", ""), root_size=root_size)

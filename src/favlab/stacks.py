@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,31 +85,6 @@ def _grid(
     return thetas, max(1, SCAN_EVENTS // (2 * pieces))
 
 
-def _per_direction(
-    system: SimilaritySystem,
-    N: int,
-    levels: Sequence[int],
-    theta_grid: Sequence[float],
-    reduce: Callable,
-    cap: int,
-) -> tuple[tuple[float, ...], list]:
-    """(thetas, [reduce(profiles) per theta]) over the grid, in grid order.
-
-    profiles are the multiplicity profiles of depths 1..N at the direction,
-    each built once: `shadow.multiplicities` builds each depth's profiles
-    for a chunk of directions (see `_grid`), and one loop applies the
-    reduce to the chunk's directions in grid order.
-    """
-    thetas, chunk = _grid(system, N, levels, theta_grid, cap)
-    out = []
-    for lo in range(0, len(thetas), chunk):
-        part = thetas[lo : lo + chunk]
-        by_depth = [shadow.multiplicities(system, n, part, cap) for n in range(1, N + 1)]
-        out += [reduce(list(p)) for p in zip(*by_depth)]
-        del by_depth  # free this chunk's profiles before the next chunk is built
-    return thetas, out
-
-
 def product_inequality_report(
     system: SimilaritySystem,
     max_depth: int,
@@ -123,6 +98,10 @@ def product_inequality_report(
     {f* > K} is {f* >= K + 1}.  A ratio is recorded only when the
     stacked set is nonempty and both denominators are positive; empty stacked
     sets pass vacuously (ratio 0), empty denominators are skipped as nan.
+    Each direction's profiles of depths 1..N are built once:
+    `shadow.multiplicities` builds each depth's profiles for a chunk of
+    directions (see `_grid`), and the chunk's directions are read in grid
+    order.
     """
     pairs = tuple((int(k), int(m)) for k, m in pairs)
     stacked = sorted({lv for k, m in pairs for lv in (k, m, 4 * k * m)})
@@ -142,7 +121,13 @@ def product_inequality_report(
         return out
 
     levels = [level for pair in pairs for level in pair]
-    thetas, rows = _per_direction(system, max_depth, levels, theta_grid, ratios, cap)
+    thetas, chunk = _grid(system, max_depth, levels, theta_grid, cap)
+    rows = []
+    for lo in range(0, len(thetas), chunk):
+        part = thetas[lo : lo + chunk]
+        by_depth = [shadow.multiplicities(system, n, part, cap) for n in range(1, max_depth + 1)]
+        rows += [ratios(list(p)) for p in zip(*by_depth)]
+        del by_depth  # free this chunk's profiles before the next chunk is built
     worst = 0.0
     worst_at = None
     checked = 0
@@ -392,6 +377,9 @@ def bad_direction_scan(
     block is nan and never offends.
     """
     L = tform.branching
+    ts = [float(t) for t in t_grid]
+    if not ts:
+        raise FavlabError("slope grid must be nonempty")
     # The scanned arguments L^j y reach L^(m+ell).
     check_scale(L, spec.m + spec.ell)
     if -tau * spec.ell > _LOG_FLOAT_MAX:
@@ -407,7 +395,6 @@ def bad_direction_scan(
         x_grid = int(cells) + 2 if cells < _MAX_X_GRID else _MAX_X_GRID
         x_grid = min(max(x_grid, 1000), _MAX_X_GRID)
     ys = np.linspace(y_lo, y_hi, x_grid)
-    ts = [float(t) for t in t_grid]
     top = float(L) ** spec.ell * float(ys[-1]) if spec.ell else 0.0
     for t in ts:
         for a, b in ((1.0, 0.0), (0.0, 1.0), *tform.extra):

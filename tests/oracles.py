@@ -77,12 +77,13 @@ def piece_center(system: SimilaritySystem, word: Sequence[int]) -> complex:
     root center 0.
     """
     L = system.branching
+    centers = system.centers()
     z = 0.0 + 0.0j
     scale = 1.0
     for k, letter in enumerate(word):
         if not 0 <= letter < L:
             raise IndexError(f"letter {letter} at position {k} outside [0, {L})")
-        z += scale * system.maps[letter].center
+        z += scale * centers[letter]
         scale *= system.ratio
     return z
 

@@ -403,9 +403,8 @@ def test_bad_config_exits_2_with_message(argv, override, message, tmp_path, caps
 def gasket_file(tmp_path, ratio):
     """A --system-file gasket whose three maps share the given ratio."""
     g = ifs.preset("gasket")
-    maps = [ifs.GeneratorMap(center=m.center, ratio=ratio, shape=m.shape) for m in g.maps]
     path = tmp_path / "sys.json"
-    path.write_text(ifs.system_to_json(ifs.build_system(maps, label="gasket-r")))
+    path.write_text(ifs.system_to_json(ifs.build_system(g.centers(), ratio, g.shape, "gasket-r")))
     return str(path)
 
 
@@ -459,6 +458,20 @@ def sysdoc(body: bytes) -> bytes:
                      "root size inf is not a positive finite number", id="inf-root"),
         pytest.param(sysdoc(b'"ratio": 0.3, "root_size": 0, ' + PAIRS),
                      "root size 0.0 is not a positive finite number", id="zero-root"),
+        pytest.param(b'{"shape": "hexagon", "ratio": 0.3, ' + PAIRS + b"}",
+                     "MixedShapes: unknown shape 'hexagon'", id="hexagon"),
+        pytest.param(b'{"shape": ["disc"], "ratio": 0.3, ' + PAIRS + b"}",
+                     "MixedShapes: unknown shape ['disc']", id="shape-list"),
+        pytest.param(b'{"ratio": 0.3, ' + PAIRS + b"}", "system file lacks the key 'shape'",
+                     id="no-shape"),
+        pytest.param(sysdoc(b'"ratio": 0.3, "centers": [[0.5, 0]]'),
+                     "EmptySystem: system needs at least two maps", id="one-center"),
+        pytest.param(sysdoc(b'"ratio": 0.3, "centers": []'), "EmptySystem: system has no maps",
+                     id="no-centers"),
+        pytest.param(sysdoc(b'"ratio": 1.5, ' + PAIRS),
+                     "ContainmentViolation: map 0: ratio 1.5 outside (0, 1)", id="ratio-above-1"),
+        pytest.param(sysdoc(b'"ratio": 0, ' + PAIRS),
+                     "ContainmentViolation: map 0: ratio 0.0 outside (0, 1)", id="zero-ratio"),
     ],
 )
 @pytest.mark.parametrize("argv", [["gen"], ["favard", "--n", "2", "--grid", "16"]], ids=["gen", "favard"])

@@ -84,11 +84,9 @@ def test_symmetry_domain_matches_full_domain_oracle(name, depth, grid, limit):
 
 
 def rebuilt(system, centers, shape=None):
-    maps = [
-        ifs.GeneratorMap(center=complex(c), ratio=system.ratio, shape=shape or system.shape)
-        for c in centers
-    ]
-    return ifs.build_system(maps, root_size=system.root_size)
+    return ifs.build_system(
+        centers, system.ratio, shape or system.shape, root_size=system.root_size
+    )
 
 
 def test_symmetry_domain_of_presets():
@@ -105,12 +103,12 @@ def test_symmetry_domain_of_built_systems():
     # Rotated off the axis: the third turn stays, the reflection about 0 goes.
     turned = rebuilt(gasket, gasket.centers() * np.exp(0.1j))
     assert favard._domain(turned, 128) == (3, 128)
-    pair = ifs.build_system([ifs.GeneratorMap(center=x, ratio=0.5) for x in (-0.5, 0.5)])
+    pair = ifs.build_system([-0.5, 0.5], 0.5, ifs.DISC)
     assert favard._domain(pair, 128) == (2, 64)
     # Three-fold centers: a third turn keeps discs but not squares, so the
     # square system keeps only its reflection in the imaginary axis.
     tri = 0.4 * np.exp(1j * np.pi * (0.5 + 2.0 * np.arange(3) / 3.0))
-    base = ifs.build_system([ifs.GeneratorMap(center=complex(c), ratio=0.25) for c in tri])
+    base = ifs.build_system(tri, 0.25, ifs.DISC)
     assert favard._domain(base, 128) == (6, 64)
     assert favard._domain(rebuilt(base, tri, ifs.SQUARE), 128) == (2, 64)
     # A symmetry must hold to 1e-12: moving one center by 1e-9 breaks all.
@@ -192,11 +190,13 @@ def test_batch_hits_matches_scalar():
 
 def scaled(system, factor):
     """The same system with every length multiplied by factor."""
-    maps = [
-        ifs.GeneratorMap(center=factor * m.center, ratio=m.ratio, shape=m.shape)
-        for m in system.maps
-    ]
-    return ifs.build_system(maps, label=system.label, root_size=factor * system.root_size)
+    return ifs.build_system(
+        factor * system.centers(),
+        system.ratio,
+        system.shape,
+        label=system.label,
+        root_size=factor * system.root_size,
+    )
 
 
 @pytest.mark.parametrize(

@@ -18,8 +18,7 @@ def compose_maps_oracle(system, word):
     """Apply the maps left to right to 0 (independent of oracles.piece_center)."""
     z = 0.0 + 0.0j
     for letter in reversed(word):
-        m = system.maps[letter]
-        z = m.center + m.ratio * z
+        z = system.centers()[letter] + system.ratio * z
     return z
 
 
@@ -38,9 +37,9 @@ def test_corner4_preset_tiles_unit_square():
     assert c4.branching == 4
     assert c4.shape == ifs.SQUARE
     assert c4.root_size == 0.5
-    for m in c4.maps:
-        assert abs(abs(m.center.real) - 0.375) < 1e-15
-        assert abs(abs(m.center.imag) - 0.375) < 1e-15
+    for c in c4.centers():
+        assert abs(abs(c.real) - 0.375) < 1e-15
+        assert abs(abs(c.imag) - 0.375) < 1e-15
 
 
 def test_random_preset_is_deterministic_and_valid():
@@ -48,8 +47,8 @@ def test_random_preset_is_deterministic_and_valid():
     b = ifs.preset("random-5-seed11")
     assert a == b
     assert a.branching == 5
-    for m in a.maps:
-        assert abs(m.center) + m.ratio <= 1 + 1e-9
+    for c in a.centers():
+        assert abs(c) + a.ratio <= 1 + 1e-9
 
 
 def test_unknown_preset():
@@ -59,28 +58,16 @@ def test_unknown_preset():
 
 def test_build_rejects_escaping_map():
     with pytest.raises(ContainmentViolation):
-        ifs.build_system([ifs.GeneratorMap(center=0.9 + 0j, ratio=0.5)])
+        ifs.build_system([0.9 + 0j], 0.5, ifs.DISC)
 
 
-def test_build_rejects_empty_and_single_and_mixed():
+def test_build_rejects_empty_and_single_and_unknown_shape():
     with pytest.raises(EmptySystem):
-        ifs.build_system([])
+        ifs.build_system([], 0.25, ifs.DISC)
     with pytest.raises(EmptySystem):
-        ifs.build_system([ifs.GeneratorMap(center=0.1 + 0j, ratio=0.25)])
+        ifs.build_system([0.1 + 0j], 0.25, ifs.DISC)
     with pytest.raises(MixedShapes):
-        ifs.build_system(
-            [
-                ifs.GeneratorMap(center=0.1 + 0j, ratio=0.25, shape=ifs.DISC),
-                ifs.GeneratorMap(center=-0.1 + 0j, ratio=0.25, shape=ifs.SQUARE),
-            ]
-        )
-    with pytest.raises(MixedShapes):
-        ifs.build_system(
-            [
-                ifs.GeneratorMap(center=0.1 + 0j, ratio=0.25),
-                ifs.GeneratorMap(center=-0.1 + 0j, ratio=0.2),
-            ]
-        )
+        ifs.build_system([0.1 + 0j, -0.1 + 0j], 0.25, "hexagon")
 
 
 def test_piece_center_examples():

@@ -265,8 +265,7 @@ def test_multiplicities_rows_through_step_function_and_no_rows():
     # Pieces of radius 1e-7^depth: from depth 2 every shadow is shorter than
     # the tolerance, so each row's first cell comes out 0 and the row takes
     # the step_function route; two centers 1e-13 apart stack at depth 1.
-    maps = [ifs.GeneratorMap(c, 1e-7) for c in (0.5, -0.5, 0.5 + 1e-13)]
-    system = ifs.build_system(maps)
+    system = ifs.build_system([0.5, -0.5, 0.5 + 1e-13], 1e-7, ifs.DISC)
     thetas = (0.0, 0.3, np.pi / 2)
     for depth in range(4):
         rows = shadow.multiplicities(system, depth, thetas, ifs.ENUMERATION_CAP)
@@ -281,12 +280,8 @@ def test_multiplicities_mix_both_routes_in_one_call(monkeypatch):
     # at most the tolerance near the axes, so those rows' first cells come out
     # 0 and take the step_function route; longer near the diagonals, where the
     # rows take the fast path.
-    maps = [
-        ifs.GeneratorMap(0.5 * complex(sx, sy), 4e-13, ifs.SQUARE)
-        for sx in (-1, 1)
-        for sy in (-1, 1)
-    ]
-    system = ifs.build_system(maps)
+    centers = [0.5 * complex(sx, sy) for sx in (-1, 1) for sy in (-1, 1)]
+    system = ifs.build_system(centers, 4e-13, ifs.SQUARE)
     thetas = (0.0, 0.2, 0.5, np.pi / 4, 1.0, np.pi / 2, 2.0, 3.0)
     short = [2 * shadow.shadow_half_length(system, 1, t) <= TOL for t in thetas]
     assert 0 < sum(short) < len(thetas)
@@ -324,7 +319,7 @@ def test_support_unions_equal_profile_support(name):
 def test_support_unions_keep_exact_contacts():
     # Two halves of [-1, 1]: at theta 0 every depth's pieces abut end to end,
     # so the support stays one component of measure exactly 2.
-    system = ifs.build_system([ifs.GeneratorMap(c, 0.5) for c in (0.5, -0.5)])
+    system = ifs.build_system([0.5, -0.5], 0.5, ifs.DISC)
     for depth, u in enumerate(shadow.support_unions(system, 14, 0.0)):
         assert (u.count, u.measure) == (1, 2.0), depth
         assert shadow.support_measure(shadow.multiplicity(system, depth, 0.0)) == 2.0

@@ -285,8 +285,7 @@ def test_presets_have_ratio_one_over_l_for_both_phase_forms(name):
 
 def test_phase_constructors_reject_ratio_other_than_one_over_l():
     g = ifs.preset("gasket")
-    maps = [ifs.GeneratorMap(center=m.center, ratio=0.3, shape=m.shape) for m in g.maps]
-    system = ifs.build_system(maps)
+    system = ifs.build_system(g.centers(), 0.3, g.shape)
     for build in (lambda: spectral.phi_theta_poly(system, 0.3), lambda: spectral.t_form(system)):
         with pytest.raises(FavlabError, match="ratio 1/L = 1/3, got ratio 0.3"):
             build()

@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from favlab import _parallel, baselines, cli, ifs, shadow, spectral, stacks
-from favlab.errors import SpecInvalid
+from favlab.errors import FavlabError, SpecInvalid
 
 
 def test_strict_vs_weak_levels_nested():
@@ -375,6 +375,19 @@ def test_bad_direction_scan_bound_and_monotone():
     # offenders can only appear as tau grows (threshold shrinks)
     for lo, hi in zip(rep.offenders, rep_hi.offenders):
         assert hi or not lo
+
+
+def test_bad_direction_scan_refuses_an_empty_slope_grid_before_any_block(monkeypatch):
+    tf = spectral.t_form(ifs.preset("gasket"))
+    spec = spectral.ProductSpec(8, 2, 4)
+
+    def no_block(*args):
+        raise AssertionError("a grid block was scanned")
+
+    monkeypatch.setattr(stacks, "_scales", no_block)
+    for empty in ([], np.array([]), ()):
+        with pytest.raises(FavlabError, match="slope grid must be nonempty"):
+            stacks.bad_direction_scan(tf, spec, 0.05, empty)
 
 
 def test_bad_direction_tau_zero_degenerate():
