@@ -76,7 +76,6 @@ class FavardResult:
 
 @dataclass(frozen=True)
 class DecayFit:
-    model: str
     params: tuple[float, float]
     residual: float
 
@@ -324,12 +323,10 @@ def fit_decay(series: Sequence[tuple[int, float]], model: str) -> DecayFit:
         ratio = vals * ns / np.log(ns)
         c = float(np.mean(ratio))
         resid = float(np.sqrt(np.mean((ratio - c) ** 2)))
-        return DecayFit(model=model, params=(c, float(np.min(ratio))), residual=resid)
+        return DecayFit(params=(c, float(np.min(ratio))), residual=resid)
     else:
         raise FavlabError(f"unknown decay model {model!r}")
     a = np.column_stack([np.ones_like(design), -design])
     coef, *_ = np.linalg.lstsq(a, logv, rcond=None)
     resid = float(np.sqrt(np.mean((a @ coef - logv) ** 2)))
-    return DecayFit(
-        model=model, params=(float(np.exp(coef[0])), float(coef[1])), residual=resid
-    )
+    return DecayFit(params=(float(np.exp(coef[0])), float(coef[1])), residual=resid)

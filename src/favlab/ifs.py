@@ -82,6 +82,10 @@ def build_system(
         raise EmptySystem("system has no maps")
     if not (np.isfinite(root_size) and root_size > 0.0):
         raise ContainmentViolation(f"root size {root_size} is not a positive finite number")
+    # Up to 2^256, sums of up to 2^59 piece lengths and of their squares stay
+    # far inside the float range (below 2^1024).
+    if root_size > 2.0**256:
+        raise ContainmentViolation(f"root size {root_size} exceeds 2^256")
     if shape not in (DISC, SQUARE):
         raise MixedShapes(f"unknown shape {shape!r}")
     if not (0.0 < ratio < 1.0):  # false for a nan ratio
@@ -127,10 +131,14 @@ def random_system(branching: int, seed: int) -> SimilaritySystem:
     """L discs of radius 1/L with centers drawn from a Philox stream.
 
     Centers are uniform in the disc of radius 1 - 1/L, so containment always
-    holds; the draw is reproducible across platforms.
+    holds; the draw is reproducible across platforms.  From 2^59 maps (4 EiB
+    of float64 per draw) it raises MemoryError before any draw, as numpy
+    raises ValueError, not MemoryError, near its 2^63-byte index limit.
     """
     if branching < 2:
         raise EmptySystem("random system needs at least two maps")
+    if branching >= 1 << 59:
+        raise MemoryError(f"a random system of {branching} maps exceeds the address space")
     rng = np.random.Generator(np.random.Philox(seed))
     ratio = 1.0 / branching
     rmax = 1.0 - ratio
@@ -192,7 +200,9 @@ def piece_centers(
         return _centers_cached(system, depth)
     prev = piece_centers(system, depth - 1, cap)
     step = system.ratio ** (depth - 1) * system.centers()
-    return (prev[:, None] + step[None, :]).ravel()
+    out = (prev[:, None] + step[None, :]).ravel()
+    out.setflags(write=False)
+    return out
 
 
 def system_to_json(system: SimilaritySystem) -> str:

@@ -262,7 +262,6 @@ class BlaschkeReport:
     zero_count: int
     sup_bound: float
     bound: float
-    passed: bool
 
 
 def blaschke_check(f) -> BlaschkeReport:
@@ -277,7 +276,7 @@ def blaschke_check(f) -> BlaschkeReport:
     m = len(count_zeros(f, 0.0, 0.5).zeros)
     sup = max(float(np.max(np.abs(np.asarray(f(_CIRCLE))))), base)
     bound = math.log2(sup)
-    return BlaschkeReport(zero_count=m, sup_bound=sup, bound=bound, passed=m <= bound)
+    return BlaschkeReport(zero_count=m, sup_bound=sup, bound=bound)
 
 
 @dataclass(frozen=True)
@@ -286,7 +285,6 @@ class CoverReport:
     eps: float
     small_samples: int
     worst_margin: float
-    passed: bool
 
 
 def _quarter_disc_grid(points: int) -> np.ndarray:
@@ -343,20 +341,14 @@ def small_value_cover_check(f, delta: float) -> CoverReport:
     small = _small_samples(f, delta)
     m = len(zeros)
     if m == 0:
-        return CoverReport(
-            zero_count=0,
-            eps=0.0,
-            small_samples=small.size,
-            worst_margin=-math.inf if small.size == 0 else math.inf,
-            passed=small.size == 0,
-        )
+        return CoverReport(0, 0.0, small.size, -math.inf if small.size == 0 else math.inf)
     eps = (9.0 / 16.0) * (3.0 * delta) ** (1.0 / m)
     if small.size == 0:
-        return CoverReport(m, eps, 0, -math.inf, True)
+        return CoverReport(m, eps, 0, -math.inf)
     zs = np.array(zeros)
     dist = np.min(np.abs(small[:, None] - zs[None, :]), axis=1)
     worst = float(np.max(dist) - eps)
-    return CoverReport(m, eps, int(small.size), worst, worst <= 0.0)
+    return CoverReport(m, eps, int(small.size), worst)
 
 
 def _golden_lane(xs: np.ndarray, vals: np.ndarray):

@@ -32,7 +32,6 @@ class ProductCheckReport:
     pairs: tuple[tuple[int, int], ...]
     worst_ratio: float
     worst_at: tuple[float, int, int] | None
-    ratios: tuple[tuple[float, ...], ...]  # per theta, per pair; nan = vacuous
     checked: int
 
 
@@ -95,57 +94,38 @@ def product_inequality_report(
     """Measure |{f* > 4KM}| against K |{f* > K}| |{f* > M}| per direction.
 
     Level sets use the strict inequality: profile values are integers, so
-    {f* > K} is {f* >= K + 1}.  A ratio is recorded only when the
-    stacked set is nonempty and both denominators are positive; empty stacked
-    sets pass vacuously (ratio 0), empty denominators are skipped as nan.
-    Each direction's profiles of depths 1..N are built once:
+    {f* > K} is {f* >= K + 1}.  A pair whose stacked set is empty passes
+    vacuously (ratio 0); one over an empty denominator is skipped.  The report
+    holds the largest ratio, the first direction and pair that reach it (None
+    if none exceeds 0) and the count of checked pairs, all read in the one
+    pass that builds each direction's profiles of depths 1..N once:
     `shadow.multiplicities` builds each depth's profiles for a chunk of
-    directions (see `_grid`), and the chunk's directions are read in grid
-    order.
+    directions (see `_grid`), read in grid order.
     """
     pairs = tuple((int(k), int(m)) for k, m in pairs)
     stacked = sorted({lv for k, m in pairs for lv in (k, m, 4 * k * m)})
-
-    def ratios(profiles) -> list[float]:
-        fstar = shadow.pointwise_max(profiles)
-        above = {lv: shadow.level_measure(fstar, lv + 1) for lv in stacked}
-        out = []
-        for k, m in pairs:
-            big, fk, fm = above[4 * k * m], above[k], above[m]
-            if big == 0.0:
-                out.append(0.0)
-            elif fk <= 0.0 or fm <= 0.0:
-                out.append(math.nan)
-            else:
-                out.append(big / (k * fk * fm))
-        return out
-
     levels = [level for pair in pairs for level in pair]
     thetas, chunk = _grid(system, max_depth, levels, theta_grid, cap)
-    rows = []
+    worst, worst_at, checked = 0.0, None, 0
     for lo in range(0, len(thetas), chunk):
         part = thetas[lo : lo + chunk]
         by_depth = [shadow.multiplicities(system, n, part, cap) for n in range(1, max_depth + 1)]
-        rows += [ratios(list(p)) for p in zip(*by_depth)]
-        del by_depth  # free this chunk's profiles before the next chunk is built
-    worst = 0.0
-    worst_at = None
-    checked = 0
-    for theta, row in zip(thetas, rows):
-        for (k, m), r in zip(pairs, row):
-            if math.isnan(r):
-                continue
-            checked += 1
-            if r > worst:
-                worst = r
-                worst_at = (theta, k, m)
-    return ProductCheckReport(
-        pairs=pairs,
-        worst_ratio=worst,
-        worst_at=worst_at,
-        ratios=tuple(tuple(row) for row in rows),
-        checked=checked,
-    )
+        for theta, profiles in zip(part, zip(*by_depth)):
+            fstar = shadow.pointwise_max(profiles)
+            above = {lv: shadow.level_measure(fstar, lv + 1) for lv in stacked}
+            for k, m in pairs:
+                big, fk, fm = above[4 * k * m], above[k], above[m]
+                if big == 0.0:
+                    ratio = 0.0
+                elif fk <= 0.0 or fm <= 0.0:
+                    continue
+                else:
+                    ratio = big / (k * fk * fm)
+                checked += 1
+                if ratio > worst:
+                    worst, worst_at = ratio, (theta, k, m)
+        del by_depth, profiles, fstar  # free this chunk's profiles before the next chunk is built
+    return ProductCheckReport(pairs=pairs, worst_ratio=worst, worst_at=worst_at, checked=checked)
 
 
 def e_scan(

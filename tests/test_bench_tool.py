@@ -156,3 +156,13 @@ def test_an_odd_pair_count_is_a_usage_error_before_anything_runs(pairs, monkeypa
     assert exc.value.code == 2
     assert "--pairs takes an even N, got" in capsys.readouterr().err
     assert not (ROOT / "BENCH_odd.json").exists()
+
+
+def test_summary_row_prints_each_side_median_and_quartiles():
+    out = bench.compare(BASE, [b * 1.3 for b in BASE], "lower", 0.25)
+    row = bench.summary_row("quadrature", "setup_s", out)
+    assert row == ("quadrature   setup_s              10 (9.925..10.07)                 13"
+                   " (12.9..13.1)             +30.0% 0/10 REGRESSION")
+    out = bench.compare([0.0] * 10, [0.0] * 10, "lower", None)
+    assert bench.summary_row("needle", "failed_frac", out).split() == [
+        "needle", "failed_frac", "0", "(0..0)", "0", "(0..0)", "0/10"]

@@ -73,6 +73,21 @@ def test_huge_grid_exits_3_with_one_line_message(argv, flag, size, tmp_path, cap
         assert json.loads(err)["error"] == "out-of-memory"
 
 
+@pytest.mark.parametrize("branching", [2**59, 2**63, 10**22])
+def test_huge_random_preset_exits_3_with_one_line_message(branching, tmp_path, capsys):
+    # From 2^63 maps numpy's draw raises ValueError, not MemoryError; the
+    # 2^59-map ceiling refuses them all before any draw.
+    name = f"random-{branching}-seed1"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": name}))
+    for given in (["--preset", name], ["--config", str(cfg)]):
+        code, out = run(["gen"] + given)
+        err = capsys.readouterr().err
+        assert code == 3 and out == ""
+        assert err == ("favlab: out-of-memory: a random system of "
+                       f"{branching} maps exceeds the address space\n")
+
+
 @pytest.mark.parametrize("check", ["bootstrap", "baddir"])
 def test_scans_that_read_no_theta_grid_ignore_it(check):
     argv = ["scan", "--check", check, "--preset", "gasket", "--N", "2", "--l-max", "2",
@@ -458,6 +473,10 @@ def sysdoc(body: bytes) -> bytes:
                      "root size inf is not a positive finite number", id="inf-root"),
         pytest.param(sysdoc(b'"ratio": 0.3, "root_size": 0, ' + PAIRS),
                      "root size 0.0 is not a positive finite number", id="zero-root"),
+        pytest.param(sysdoc(b'"ratio": 0.3, "root_size": 1e308, ' + PAIRS),
+                     "ContainmentViolation: root size 1e+308 exceeds 2^256", id="1e308-root"),
+        pytest.param(sysdoc(b'"ratio": 0.3, "root_size": %d, ' % 2**257 + PAIRS),
+                     f"ContainmentViolation: root size {2.0**257} exceeds 2^256", id="2^257-root"),
         pytest.param(b'{"shape": "hexagon", "ratio": 0.3, ' + PAIRS + b"}",
                      "MixedShapes: unknown shape 'hexagon'", id="hexagon"),
         pytest.param(b'{"shape": ["disc"], "ratio": 0.3, ' + PAIRS + b"}",

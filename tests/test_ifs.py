@@ -61,6 +61,14 @@ def test_build_rejects_escaping_map():
         ifs.build_system([0.9 + 0j], 0.5, ifs.DISC)
 
 
+def test_build_accepts_a_root_size_up_to_2_to_the_256():
+    system = ifs.build_system([0.5 + 0j, -0.5 + 0j], 0.25, ifs.DISC, root_size=2.0**256)
+    assert system.root_size == 2.0**256
+    for size in (2.0**257, 1e308):
+        with pytest.raises(ContainmentViolation, match=r"exceeds 2\^256"):
+            ifs.build_system([0.5 + 0j, -0.5 + 0j], 0.25, ifs.DISC, root_size=size)
+
+
 def test_build_rejects_empty_and_single_and_unknown_shape():
     with pytest.raises(EmptySystem):
         ifs.build_system([], 0.25, ifs.DISC)
@@ -114,6 +122,17 @@ def test_enumeration_is_lexicographic():
         for depth in range(5):
             words = [p.center for p in oracles.enumerate_pieces(system, depth)]
             assert np.abs(ifs.piece_centers(system, depth) - words).max() < 1e-15
+
+
+def test_uncached_enumeration_is_read_only_and_matches_sampled_words():
+    # Gasket depth 13 has 3^13 = 1,594,323 > 2^20 pieces, past the cache.
+    g = ifs.preset("gasket")
+    centers = ifs.piece_centers(g, 13)
+    assert centers.size == 3**13 and not centers.flags.writeable
+    rng = np.random.Generator(np.random.Philox(13))
+    for index in rng.integers(0, 3**13, 50).tolist():
+        word = [index // 3 ** (12 - k) % 3 for k in range(13)]
+        assert abs(centers[index] - oracles.piece_center(g, word)) < 1e-15
 
 
 def test_enumeration_cap():

@@ -84,13 +84,13 @@ def test_count_zeros_slope_form_vs_subdivision_oracle():
 def test_blaschke_trivial_and_explicit():
     ones = lambda z: np.ones(np.shape(z), dtype=complex)
     rep = lemmas.blaschke_check(ones)
-    assert rep.zero_count == 0 and rep.passed
+    assert rep.zero_count == 0 and rep.zero_count <= rep.bound
 
     rep = lemmas.blaschke_check(lambda z: 16 * (np.asarray(z) ** 2 - 1 / 16))
     assert rep.zero_count == 2
     assert rep.sup_bound == pytest.approx(17.0, rel=1e-6)
     assert rep.bound == pytest.approx(math.log2(17.0), rel=1e-6)
-    assert rep.passed
+    assert rep.zero_count <= rep.bound
 
 
 def test_blaschke_precondition():
@@ -113,14 +113,14 @@ def test_cover_explicit_linear():
     assert rep.zero_count == 1
     assert rep.eps == pytest.approx(9 / 16 * 0.3, abs=1e-12)
     assert rep.small_samples > 0
-    assert rep.passed
+    assert rep.worst_margin <= 0.0
 
 
 def test_cover_vacuous_when_bounded_below():
     rep = lemmas.small_value_cover_check(
         lambda z: np.exp(0.5 * np.asarray(z)), 0.1
     )
-    assert rep.zero_count == 0 and rep.small_samples == 0 and rep.passed
+    assert rep.zero_count == 0 and rep.small_samples == 0 and rep.worst_margin <= 0.0
 
 
 def test_cover_randomized_sweep():

@@ -50,11 +50,18 @@ def test_product_report_regression_baseline():
 
 
 def test_product_ratio_stable_under_grid_refinement():
+    # A direction's ratio does not depend on the grid around it: each grid's
+    # report is the fold of its directions' one-direction reports.
     c4 = ifs.preset("corner4")
-    coarse = stacks.product_inequality_report(c4, 3, [0.0, 0.5], [(2, 2)])
-    fine = stacks.product_inequality_report(c4, 3, [0.0, 0.25, 0.5], [(2, 2)])
-    assert coarse.ratios[0] == fine.ratios[0]
-    assert coarse.ratios[1] == fine.ratios[2]
+    pairs = [(1, 1), (2, 2)]
+    one = {t: stacks.product_inequality_report(c4, 3, [t], pairs) for t in (0.5, 0.25, 0.0)}
+    assert one[0.5].worst_at is None and one[0.0].worst_ratio > one[0.25].worst_ratio > 0.0
+    for grid in ([0.5, 0.25], [0.5, 0.25, 0.0]):
+        rep = stacks.product_inequality_report(c4, 3, grid, pairs)
+        first_largest = max(grid, key=lambda t: one[t].worst_ratio)
+        assert rep.worst_ratio == one[first_largest].worst_ratio
+        assert rep.worst_at == one[first_largest].worst_at
+        assert rep.checked == sum(one[t].checked for t in grid)
 
 
 def test_escan_large_k_gives_full_membership():
@@ -185,14 +192,18 @@ def test_scans_on_grids_around_a_chunk_equal_the_per_direction_route(events, off
     assert rep.membership == tuple(shadow.level_measure(f, 2) <= 2.0**-3 for f in maxima)
     pairs = [(1, 2), (2, 2), (1, 1)]
     rep = stacks.product_inequality_report(system, N, grid, pairs)
-    expect = []
-    for f in maxima:
-        row = []
+    worst, worst_at, checked = 0.0, None, 0
+    for t, f in zip(grid, maxima):
         for k, m in pairs:
             big, fk, fm = (shadow.level_measure(f, lv + 1) for lv in (4 * k * m, k, m))
-            row.append(0.0 if big == 0.0 else math.nan if min(fk, fm) <= 0.0 else big / (k * fk * fm))
-        expect.append(row)
-    assert same_floats(rep.ratios, expect)
+            if big > 0.0 and min(fk, fm) <= 0.0:
+                continue
+            ratio = big / (k * fk * fm) if big > 0.0 else 0.0
+            checked += 1
+            if ratio > worst:
+                worst, worst_at = ratio, (float(t), k, m)
+    assert same_floats([rep.worst_ratio], [worst])
+    assert (rep.worst_at, rep.checked) == (worst_at, checked)
 
 
 def escan_per_direction(system, N, K, grid, k_exponent=3.0, profiles=None):

@@ -3,9 +3,11 @@
 Every public function, class, method and property of `favlab` must be named
 in code (as a name, an attribute or an import) somewhere in src/, demos/,
 tools/ or perfbench/*.py, outside its own definition; names that only tests
-use belong in tests/oracles.py.  The defaulted parameters of the library's
-functions are counted and capped, so that a value no caller sets stays a
-constant rather than a keyword.
+use belong in tests/oracles.py.  Likewise every public annotated field of a
+library class must be read as an attribute there, outside its own class, so
+that a report holds only what its callers read.  The defaulted parameters
+of the library's functions are counted and capped, so that a value no caller
+sets stays a constant rather than a keyword.
 """
 
 from __future__ import annotations
@@ -75,3 +77,41 @@ def test_defaulted_parameters_stay_few():
                 count += len(node.args.defaults)
                 count += sum(d is not None for d in node.args.kw_defaults)
     assert count <= MAX_DEFAULTED_PARAMETERS
+
+
+def _public_fields(path: Path):
+    """(Class.field, first line, last line of the class) of every public
+    annotated field of the top-level classes."""
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        for item in node.body:
+            if (
+                isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+                and not item.target.id.startswith("_")
+            ):
+                yield f"{node.name}.{item.target.id}", node.lineno, node.end_lineno
+
+
+def _attribute_reads(path: Path):
+    """(attribute, line) of every attribute read in code."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+
+
+def test_every_public_field_is_read_outside_tests():
+    reads = {path: list(_attribute_reads(path)) for path in CALLERS}
+    unread = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for qualname, first, last in _public_fields(path):
+            name = qualname.rsplit(".", 1)[-1]
+            read = any(
+                attr == name and not (where == path and first <= line <= last)
+                for where, found in reads.items()
+                for attr, line in found
+            )
+            if not read:
+                unread.append(f"{path.name}:{qualname}")
+    assert unread == []

@@ -25,7 +25,9 @@ base run); per side, each traced metric's min, median and max over its
 traced runs; and the change in src/ lines between
 the base and the working tree (added, deleted and net, from
 `git diff --numstat`; files git does not track yet count as added).
-perfbench/ is only run, never edited.
+It then prints one row per workload and metric: each side's median with its
+q1..q3, the change, the wins and the flags.  perfbench/ is only run, never
+edited.
 """
 
 from __future__ import annotations
@@ -138,6 +140,21 @@ def compare(base: list[float], head: list[float], better: str, bound: float | No
     return out
 
 
+def summary_row(workload: str, name: str, m: dict) -> str:
+    """One line of the summary table: each side's median with its q1-q3,
+    the change of the medians, the head's wins and the verdict flags."""
+    cells = []
+    for side in SIDES:
+        spread = f"({m[side]['q1']:.4g}..{m[side]['q3']:.4g})"
+        cells.append(f"{m[side]['median']:10.4g} {spread:22s}")
+    change = "" if m["change"] is None else f"{100 * m['change']:+.1f}%"
+    flag = " gain" if m["gain"] else ""
+    flag += " REGRESSION" if m.get("regression") else ""
+    flag += " unresolved" if m.get("unresolved") else ""
+    wins = f"{m['head_wins']}/{m['pairs']}"
+    return f"{workload:12s} {name:12s} {' '.join(cells)} {change:>8s} {wins}{flag}"
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
@@ -200,15 +217,11 @@ def main(argv: list[str] | None = None) -> int:
 
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"{'workload':12s} {'metric':12s} {'base':>10s} {'head':>10s} {'change':>8s} wins")
+    print(f"{'workload':12s} {'metric':12s} {'base':>10s} {'(q1..q3)':22s} "
+          f"{'head':>10s} {'(q1..q3)':22s} {'change':>8s} wins")
     for workload, row in report["workloads"].items():
         for name, m in row["metrics"].items():
-            change = "" if m["change"] is None else f"{100 * m['change']:+.1f}%"
-            flag = " gain" if m["gain"] else ""
-            flag += " REGRESSION" if m.get("regression") else ""
-            flag += " unresolved" if m.get("unresolved") else ""
-            print(f"{workload:12s} {name:12s} {m['base']['median']:10.4g} "
-                  f"{m['head']['median']:10.4g} {change:>8s} {m['head_wins']}/{m['pairs']}{flag}")
+            print(summary_row(workload, name, m))
     lines = report["src_lines"]
     print(f"src/ lines: +{lines['added']} -{lines['deleted']} (net {lines['net']:+d})")
     print(f"wrote {out.name}")
