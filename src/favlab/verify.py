@@ -1,9 +1,10 @@
 """Named verification suites behind the `verify` subcommand.
 
-Each suite runs its trials deterministically from a Philox seed and returns
-a report dict {suite, trials, worst_case, pass}.  Randomized suites draw
-every trial parameter up front in index order and then run the trials in
-that order, in one thread: `--threads` sizes the pool of `favard` alone.
+Each suite runs its trials deterministically from a Philox seed and returns a
+report dict {suite, trials, worst_case, pass}.  Randomized suites draw every
+trial up front in index order, then run them in that order in one thread
+(`--threads` sizes `favard`'s pool alone); cetsq bounds every trial and runs
+Simpson's rule only where the bounds leave its report open.
 """
 
 from __future__ import annotations
@@ -115,31 +116,38 @@ def _clustered_frequencies(rng: np.random.Generator) -> np.ndarray:
 
 def suite_cetsq(trials: int, seed: int) -> dict:
     """Cluster-L2 ratios: exact degenerate values plus a randomized sweep."""
-    lhs1, s1, r1 = lemmas.cetsq_ratio([3.0])
-    lhsk, sk, rk = lemmas.cetsq_ratio([2.0] * 7)
-    degenerate_ok = abs(r1 - 0.5) < 1e-6 and abs(rk - 0.5) < 1e-6
+    degenerate_ok = _near_half([3.0]) and _near_half([2.0] * 7)
     rng = _rng(seed)
     jobs = []
     for _ in range(trials):
         freqs = _clustered_frequencies(rng)
         phases = rng.uniform(0.0, 2.0 * np.pi, freqs.size)
         jobs.append((freqs, np.exp(1j * phases)))
+    worst_ratio, ok = _cetsq_worst(jobs)
+    return _report("cetsq", trials, worst_ratio, degenerate_ok and ok)
 
-    def one(job) -> tuple[float, float]:
-        freqs, coeffs = job
-        lhs, _, ratio = lemmas.cetsq_ratio(freqs, coeffs)
-        per_unit = _max_per_unit_interval(freqs)
-        return ratio, lhs / (freqs.size * per_unit)
 
-    out = [one(job) for job in jobs]
-    worst_ratio = max(r for r, _ in out)
-    worst_coroll = float(max(c for _, c in out))
-    ok = (
-        degenerate_ok
-        and worst_ratio <= baselines.CETSQ_RATIO_CEILING
-        and worst_coroll <= baselines.CET_COROLLARY_CEILING
-    )
-    return _report("cetsq", trials, worst_ratio, ok)
+def _near_half(freqs: list[float]) -> bool:
+    s = lemmas.box_l2_norm_sq(np.array(freqs), 1.0)
+    lo, hi = (b / s - 0.5 for b in lemmas.cetsq_bounds(freqs, None, 1.0))
+    if lo <= -1e-6 <= hi or lo <= 1e-6 <= hi:
+        lo = hi = lemmas.cetsq_ratio(freqs)[2] - 0.5
+    return abs(lo) < 1e-6 and abs(hi) < 1e-6
+
+
+def _cetsq_worst(jobs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[float, bool]:
+    """The largest ratio, and whether every ratio and corollary value is within its ceiling;
+    Simpson runs only where bounds, kept in order by rounding, reach the top floor or a ceiling."""
+    ceilings = (baselines.CETSQ_RATIO_CEILING, baselines.CET_COROLLARY_CEILING)
+    scales = [(lemmas.box_l2_norm_sq(f, 1.0), f.size * _max_per_unit_interval(f)) for f, _ in jobs]
+    lhs = [lemmas.cetsq_bounds(f, c, 1.0) for f, c in jobs]
+    floor = max(lo / s for (lo, _), (s, _) in zip(lhs, scales))
+    for i, ((f, c), (lo, hi)) in enumerate(zip(jobs, lhs)):
+        bounds = [(lo / s, hi / s) for s in scales[i]]
+        if bounds[0][1] >= floor or any(a <= cap <= b for (a, b), cap in zip(bounds, ceilings)):
+            lhs[i] = (lemmas.cetsq_ratio(f, c)[0],) * 2
+    ok = all(hi / s <= cap for (_, hi), pair in zip(lhs, scales) for s, cap in zip(pair, ceilings))
+    return max(hi / s for (_, hi), (s, _) in zip(lhs, scales)), ok
 
 
 def _max_per_unit_interval(freqs: np.ndarray) -> int:
@@ -201,7 +209,8 @@ TRIAL_CEILINGS = {
     "cover": 10**5,
     "turan": 10**5,
     "doubling": 10**5,
-    # About 60 ms and up to 7 KB of frequencies a trial: 10^4 take 10 minutes.
+    # About 1.5 ms a trial, 15 s for 10^4: the ceiling now holds the memory
+    # of the drawn trials, up to about 7 KB of frequencies each.
     "cetsq": 10**4,
     # The grid side: side^2 gap values at about 70 ns each, 10 minutes at 10^5.
     "keyobs": 10**5,

@@ -6,7 +6,8 @@ writer in `favlab.emit` replaced, the scalar and complex-node needle
 tests that the projected-residual descent in `favlab.favard` replaced, the
 same descent in exact rational arithmetic (`exact_needle_hits`), and
 the full-grid geometric fit that the screened fit in `favlab.stacks`
-replaced, and the trapezoid over all of [0, pi] that the symmetry-domain
+replaced, the cetsq suite that ran Simpson's rule on every trial where
+`favlab.verify` now runs it only where `lemmas.cetsq_bounds` cannot decide, and the trapezoid over all of [0, pi] that the symmetry-domain
 quadrature in `favlab.favard` replaced.  The transform layer's loops are
 here too: the exponential sum that took an exponential for every term, the
 cetsq integrand built as one (samples x frequencies) matrix, the split search
@@ -50,7 +51,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from favlab import favard, ifs, shadow, spectral, stacks
+from favlab import baselines, favard, ifs, lemmas, shadow, spectral, stacks, verify
 from favlab.errors import FavlabError
 from favlab.ifs import SimilaritySystem
 from favlab.shadow import (
@@ -496,6 +497,36 @@ def cetsq_integrand_matrix(freqs: np.ndarray, coeffs: np.ndarray, ys: np.ndarray
     """The cetsq integrand |sum_a c_a e^{i a y}|^2 from one full matrix."""
     vals = coeffs[None, :] * np.exp(1j * freqs[None, :] * ys[:, None])
     return np.abs(vals.sum(axis=1)) ** 2
+
+
+def suite_cetsq(trials: int, seed: int) -> dict:
+    """`verify.suite_cetsq` with the Simpson ratio of every trial and of
+    both degenerate sets."""
+    lhs1, s1, r1 = lemmas.cetsq_ratio([3.0])
+    lhsk, sk, rk = lemmas.cetsq_ratio([2.0] * 7)
+    degenerate_ok = abs(r1 - 0.5) < 1e-6 and abs(rk - 0.5) < 1e-6
+    rng = verify._rng(seed)
+    jobs = []
+    for _ in range(trials):
+        freqs = verify._clustered_frequencies(rng)
+        phases = rng.uniform(0.0, 2.0 * np.pi, freqs.size)
+        jobs.append((freqs, np.exp(1j * phases)))
+
+    def one(job) -> tuple[float, float]:
+        freqs, coeffs = job
+        lhs, _, ratio = lemmas.cetsq_ratio(freqs, coeffs)
+        per_unit = verify._max_per_unit_interval(freqs)
+        return ratio, lhs / (freqs.size * per_unit)
+
+    out = [one(job) for job in jobs]
+    worst_ratio = max(r for r, _ in out)
+    worst_coroll = float(max(c for _, c in out))
+    ok = (
+        degenerate_ok
+        and worst_ratio <= baselines.CETSQ_RATIO_CEILING
+        and worst_coroll <= baselines.CET_COROLLARY_CEILING
+    )
+    return verify._report("cetsq", trials, worst_ratio, ok)
 
 
 def best_split_loop(f, x0, x1, y0, y1) -> tuple[float, float]:

@@ -1,6 +1,6 @@
 """tools/bench.py: the src/ line change between a base commit and the tree, the
-paired comparison of one metric (gain rule, bound check, direction), and the
-spread of the traced runs."""
+paired comparison of one metric (gain rule, bound check, direction), the
+spread of the traced runs and the rows that print them."""
 
 import importlib.util
 import subprocess
@@ -166,3 +166,26 @@ def test_summary_row_prints_each_side_median_and_quartiles():
     out = bench.compare([0.0] * 10, [0.0] * 10, "lower", None)
     assert bench.summary_row("needle", "failed_frac", out).split() == [
         "needle", "failed_frac", "0", "(0..0)", "0", "(0..0)", "0/10"]
+
+
+def test_traced_rows_print_nonzero_layer_metrics_with_each_side_spread():
+    def spread(lo, mid, hi):
+        return {"min": lo, "median": mid, "max": hi}
+
+    traced = {
+        "base": {"run_s": spread(1.0, 1.1, 1.2), "lemmas.cetsq_s": spread(0.25, 0.27, 0.28),
+                 "ifs.enum_s": spread(0.0, 0.0, 0.0), "stacks.directions": spread(0, 0, 0),
+                 "verify.trials": spread(0, 0, 0)},
+        "head": {"run_s": spread(0.9, 1.0, 1.1), "lemmas.cetsq_s": spread(0.06, 0.07, 0.08),
+                 "ifs.enum_s": spread(0.0, 0.0, 0.0), "stacks.directions": spread(4, 4, 4),
+                 "verify.trials": spread(0, 0, 0)},
+    }
+    rows = bench.traced_rows("transform", traced, {"run_s"})
+    # run_s is skipped as end-to-end, ifs.enum_s and verify.trials as zero on
+    # both sides; a zero base median prints no change.
+    assert rows == [
+        "transform    lemmas.cetsq_s             0.27 (0.25..0.28)                 0.07"
+        " (0.06..0.08)             -74.1%",
+        "transform    stacks.directions             0 (0..0)                          4"
+        " (4..4)                         ",
+    ]

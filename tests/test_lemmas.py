@@ -207,6 +207,113 @@ def test_cetsq_randomized_sweep_with_corollary():
     assert rep["pass"], rep
 
 
+def unsampled(*args, **kwargs):
+    raise AssertionError("sampled before the input check")
+
+
+@pytest.mark.parametrize(
+    "freqs, delta, message",
+    [
+        ([1.0, 2.5], math.nan, "delta must be finite and positive"),
+        ([1.0, 2.5], math.inf, "delta must be finite and positive"),
+        ([1.0, 2.5], 0.0, "delta must be finite and positive"),
+        ([1.0, 2.5], -1.0, "delta must be finite and positive"),
+        ([math.nan], 1.0, "frequencies must be finite, and at least one"),
+        ([math.inf, 1.0], 1.0, "frequencies must be finite, and at least one"),
+        ([], 1.0, "frequencies must be finite, and at least one"),
+    ],
+)
+def test_cetsq_refuses_bad_input_before_any_sample(freqs, delta, message, monkeypatch):
+    monkeypatch.setattr(lemmas, "simpson", unsampled)
+    with pytest.raises(FavlabError, match=message):
+        lemmas.cetsq_ratio(freqs, delta=delta)
+    with pytest.raises(FavlabError, match=message):
+        lemmas.cetsq_bounds(freqs, None, delta)
+
+
+def test_cetsq_refuses_coefficients_off_the_unit_circle_before_any_sample(monkeypatch):
+    monkeypatch.setattr(lemmas, "simpson", unsampled)
+    with pytest.raises(FavlabError, match="unimodular"):
+        lemmas.cetsq_ratio([1.0, 2.5], [1.0, 0.5])
+    with pytest.raises(FavlabError, match="unimodular"):
+        lemmas.cetsq_bounds([1.0, 2.5], [1.0, 0.5], 1.0)
+
+
+def cetsq_bound_cases():
+    rng = np.random.Generator(np.random.Philox(29))
+    cases = []
+    for _ in range(100):
+        freqs = verify._clustered_frequencies(rng)
+        cases.append((freqs, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, freqs.size))))
+    return cases + [([3.0], None), ([2.0] * 7, None), (np.arange(100) * 10.0, None)]
+
+
+@pytest.mark.parametrize("delta", [0.25, 1.0, 4.0])
+def test_cetsq_bounds_hold_the_simpson_lhs_with_room(delta):
+    for freqs, coeffs in cetsq_bound_cases():
+        lhs = lemmas.cetsq_ratio(freqs, coeffs, delta)[0]
+        lo, hi = lemmas.cetsq_bounds(freqs, coeffs, delta)
+        closed, band = (lo + hi) / 2, (hi - lo) / 2
+        assert lo <= lhs <= hi
+        assert 1000 * abs(lhs - closed) <= band
+        assert band < 1e-6 * lhs
+
+
+@pytest.mark.parametrize("freqs", [[0.0, 30000.0], [0.0, 20000 * math.pi], [-5e4, 0.0, 7e4]])
+def test_cetsq_bounds_hold_the_lhs_past_one_radian_a_step(freqs):
+    # Pairs with |a - b| h > 1, h = 1/20000, keep the integral and the
+    # rule's error bound; 20000 pi puts sin(dh) at 0, where rho is not used.
+    lhs = lemmas.cetsq_ratio(freqs)[0]
+    lo, hi = lemmas.cetsq_bounds(freqs, None, 1.0)
+    assert lo <= lhs <= hi
+
+
+def counted_cetsq_ratio(monkeypatch) -> list:
+    calls = []
+    ratio = lemmas.cetsq_ratio
+
+    def counted(freqs, coeffs=None, delta=1.0):
+        calls.append(np.asarray(freqs))
+        return ratio(freqs, coeffs, delta)
+
+    monkeypatch.setattr(lemmas, "cetsq_ratio", counted)
+    return calls
+
+
+def test_cetsq_overlapping_trials_run_simpson_and_keep_the_first_maximum(monkeypatch):
+    # A lone frequency has ratio 1/2; a tight cluster with spread phases has
+    # ratio near 0.014, so only the two lone trials reach the largest floor.
+    rng = np.random.Generator(np.random.Philox(3))
+    cluster = (10.0 + rng.uniform(-0.3, 0.3, 30), np.exp(1j * rng.uniform(0.0, 6.0, 30)))
+    lone = (np.array([3.0]), np.ones(1, dtype=complex))
+    calls = counted_cetsq_ratio(monkeypatch)
+    worst, ok = verify._cetsq_worst([cluster, lone, lone])
+    assert len(calls) == 2 and all(c is lone[0] for c in calls)
+    assert worst == lemmas.cetsq_ratio(*lone)[2] == 0.5 and ok
+
+
+def test_cetsq_trial_straddling_a_ceiling_runs_simpson(monkeypatch):
+    low = (np.array([3.0, 40.0]), np.ones(2, dtype=complex))
+    high = (np.array([10.0, 10.2, 10.4]), np.ones(3, dtype=complex))
+    lo, hi = lemmas.cetsq_bounds(*low, 1.0)
+    s = lemmas.box_l2_norm_sq(low[0], 1.0)
+    ceiling = (lo / s + hi / s) / 2
+    monkeypatch.setattr(baselines, "CETSQ_RATIO_CEILING", ceiling)
+    calls = counted_cetsq_ratio(monkeypatch)
+    worst, ok = verify._cetsq_worst([low, high])
+    assert [c is low[0] for c in calls] == [True, False]
+    assert worst == lemmas.cetsq_ratio(*high)[2] and not ok
+
+
+def test_cetsq_degenerate_set_straddling_its_window_runs_simpson(monkeypatch):
+    calls = counted_cetsq_ratio(monkeypatch)
+    assert verify._near_half([3.0]) and calls == []
+    monkeypatch.setattr(lemmas, "cetsq_bounds", lambda freqs, coeffs, delta: (0.0, 10.0))
+    assert verify._near_half([3.0]) and len(calls) == 1
+    monkeypatch.setattr(lemmas, "cetsq_bounds", lambda freqs, coeffs, delta: (0.9, 0.9))
+    assert not verify._near_half([3.0]) and len(calls) == 1
+
+
 def test_ssv_certified_cover_contains_small_value_samples():
     # the interval structure pairs the definition threshold L^(-alpha m^2)
     # with the radius L^(n-m-ell); slopes 1/2 and 2/7 have exact real zeros,

@@ -3,7 +3,8 @@
 Float results are compared bit for bit through `.view(np.uint64)`: the
 exponential sum that skips the exponential of a zero frequency, the slope
 form continued from its slope-free terms, the cetsq integrand built in row
-blocks, the split search that samples every candidate line in one call, the
+blocks, the cetsq suite that runs Simpson's rule only where its closed-form
+bounds cannot decide (its JSON report is compared byte for byte), the split search that samples every candidate line in one call, the
 bad-direction scan that continues only the points still above its threshold
 and decides offenders rather than peaks, the golden-section suprema run in
 lockstep, the Newton step that takes its three points in one call, and the
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from favlab import cli, ifs, lemmas, spectral, stacks, verify
+from favlab import cli, emit, ifs, lemmas, spectral, stacks, verify
 from favlab.errors import FavlabError, SpecInvalid
 from favlab.spectral import ExpPoly
 
@@ -109,6 +110,15 @@ def test_cetsq_ratio_peak_memory_stays_in_budget():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "trials, seed",
+    [(t, s) for s in range(31) for t in (1, 3, 20)] + [(5, 3), (120, 104)],
+)
+def test_cetsq_suite_equals_the_all_simpson_oracle(trials, seed):
+    got = emit.json_report(verify.suite_cetsq(trials, seed))
+    assert got == emit.json_report(oracles.suite_cetsq(trials, seed))
 
 
 def split_cases():

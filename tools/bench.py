@@ -26,8 +26,10 @@ traced runs; and the change in src/ lines between
 the base and the working tree (added, deleted and net, from
 `git diff --numstat`; files git does not track yet count as added).
 It then prints one row per workload and metric: each side's median with its
-q1..q3, the change, the wins and the flags.  perfbench/ is only run, never
-edited.
+q1..q3, the change, the wins and the flags; then, per workload, one row per
+traced per-layer metric that is nonzero on either side: each side's median
+with its min..max over the traced runs, and the change of the medians.
+perfbench/ is only run, never edited.
 """
 
 from __future__ import annotations
@@ -155,6 +157,23 @@ def summary_row(workload: str, name: str, m: dict) -> str:
     return f"{workload:12s} {name:12s} {' '.join(cells)} {change:>8s} {wins}{flag}"
 
 
+def traced_rows(workload: str, traced: dict, skip) -> list[str]:
+    """The per-layer table of one workload: per traced metric not in `skip`
+    and nonzero on either side, each side's median with its min-max over
+    the traced runs, and the change of the medians."""
+    rows = []
+    for name in traced["base"]:
+        sides = [traced[side][name] for side in SIDES]
+        if name in skip or not any(m["min"] or m["max"] for m in sides):
+            continue
+        cells = [f"{m['median']:10.4g} {'(%.4g..%.4g)' % (m['min'], m['max']):22s}"
+                 for m in sides]
+        base, head = (m["median"] for m in sides)
+        change = f"{100 * (head / base - 1.0):+.1f}%" if base else ""
+        rows.append(f"{workload:12s} {name:20s} {' '.join(cells)} {change:>8s}")
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
@@ -222,6 +241,11 @@ def main(argv: list[str] | None = None) -> int:
     for workload, row in report["workloads"].items():
         for name, m in row["metrics"].items():
             print(summary_row(workload, name, m))
+    print(f"{'workload':12s} {'traced metric':20s} {'base':>10s} {'(min..max)':22s} "
+          f"{'head':>10s} {'(min..max)':22s} {'change':>8s}")
+    for workload, row in report["workloads"].items():
+        for line in traced_rows(workload, row["traced"], ends):
+            print(line)
     lines = report["src_lines"]
     print(f"src/ lines: +{lines['added']} -{lines['deleted']} (net {lines['net']:+d})")
     print(f"wrote {out.name}")
