@@ -250,7 +250,7 @@ def _cmd_favard(args, stdout) -> int:
     res = favard.favard_length(system, args.n, cfg, cap=args.cap, threads=args.threads)
     if not res.converged:
         print("warning: refinement limit reached before target error", file=sys.stderr)
-    _write_estimate(args, stdout, system.label, res.depth, "quadrature",
+    _write_estimate(args, stdout, system.label, args.n, "quadrature",
                     res.value, res.error_estimate, res.grid, "")
     return EXIT_OK
 
@@ -304,7 +304,7 @@ def _thetas(args) -> np.ndarray:
 def _scan_product(args, system) -> dict:
     pairs = [(k, m) for k in args.K for m in args.M]
     rep = stacks.product_inequality_report(system, args.N, _thetas(args), pairs, cap=args.cap)
-    return {"N": args.N, "pairs": [list(p) for p in rep.pairs], "worst_ratio": rep.worst_ratio,
+    return {"N": args.N, "pairs": [list(p) for p in pairs], "worst_ratio": rep.worst_ratio,
             "worst_at": list(rep.worst_at) if rep.worst_at else None, "checked": rep.checked}
 
 
@@ -331,7 +331,7 @@ def _scan_l2(args, system) -> dict:
 
 def _scan_bootstrap(args, system) -> dict:
     rep = stacks.bootstrap_report(system, args.theta, args.N, args.l_max, cap=args.cap)
-    return {"theta": rep.theta, "depths": list(rep.depths), "measures": list(rep.measures),
+    return {"theta": args.theta, "depths": list(rep.depths), "measures": list(rep.measures),
             "geom_a": rep.geom_a, "geom_rho": rep.geom_rho, "residual": rep.residual}
 
 

@@ -3,9 +3,9 @@
 Floats are serialized with 17 significant digits (`"%.17g"`, the same bytes
 as `format(x, ".17g")`), so equal inputs produce byte-identical files.
 
-CSV goes out a column at a time: `write_csv` takes whole columns (numpy
-float or signed-int arrays) and writes them `CHUNK_ROWS` rows at a time, one
-`stream.write` per chunk.
+CSV goes out a column at a time: `write_csv` takes whole float columns and
+writes them `CHUNK_ROWS` rows at a time, one `stream.write` per chunk;
+`write_cells` writes a profile's float breakpoints and integer values.
 
 Each chunk (of the `spectral` CSV, or of a `shadow` profile through
 `write_cells`) is formatted by array arithmetic into one zeroed byte buffer
@@ -215,22 +215,16 @@ def write_cells(stream, breakpoints: np.ndarray, values: np.ndarray) -> None:
         _write_buffer(stream, buf)
 
 
-def write_rows(stream, columns: Sequence[np.ndarray]) -> None:
-    """Write equal-length float or signed-int arrays as CSV rows (floats as %.17g)."""
-    cols = [np.asarray(c, np.float64 if c.dtype.kind == "f" else np.int64) for c in columns]
-    widths = [_FLOAT_WIDTH if c.dtype.kind == "f" else _int_width(c) for c in cols]
-    buf, views = _row_buffer(len(cols[0]), widths)
-    with np.errstate(all="ignore"):
-        for col, view in zip(cols, views):
-            (_float_fields if col.dtype.kind == "f" else _int_fields)(col, view)
-    _write_buffer(stream, buf)
-
-
 def write_csv(stream, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """A header line, then the rows of `columns`, CHUNK_ROWS rows per write."""
+    """A header line, then the rows of equal-length float columns, CHUNK_ROWS rows per write."""
     stream.write(",".join(header) + "\n")
     for lo in range(0, len(columns[0]), CHUNK_ROWS):
-        write_rows(stream, [c[lo : lo + CHUNK_ROWS] for c in columns])
+        cols = [np.asarray(c[lo : lo + CHUNK_ROWS], dtype=np.float64) for c in columns]
+        buf, views = _row_buffer(len(cols[0]), [_FLOAT_WIDTH] * len(cols))
+        with np.errstate(all="ignore"):
+            for col, view in zip(cols, views):
+                _float_fields(col, view)
+        _write_buffer(stream, buf)
 
 
 def json_report(obj: Mapping) -> str:

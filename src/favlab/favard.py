@@ -47,6 +47,12 @@ NEEDLE_TRIAL_CEILING = 1 << 32
 # needles; at n=22 (2^44) one differs, and at n=25 about 1 in 400.  It admits
 # gasket n <= 26, corner4 n <= 21 and L = 5 n <= 18.
 NEEDLE_PRECISION_BITS = 42
+# The smallest piece size root_size * r^n that favard_length admits, 3.7e-9.
+# Profile breakpoints merge within shadow.MERGE_TOLERANCE, an absolute 1e-12,
+# so smaller pieces lose cells: at 1e-9 random-4-seed3 n=2 is off by 1.6e-6
+# relative, at root size 1e-11 gasket n=2 by 0.16; from 2e-9 up a scaled system
+# agrees to rounding.  Every preset under the default cap stays above it.
+RESOLUTION_FLOOR = 2.0**-28
 
 
 @dataclass(frozen=True)
@@ -68,8 +74,6 @@ class QuadratureConfig:
 class FavardResult:
     value: float
     error_estimate: float
-    depth: int
-    label: str
     converged: bool
     grid: int
 
@@ -78,13 +82,6 @@ class FavardResult:
 class DecayFit:
     params: tuple[float, float]
     residual: float
-
-
-def _support_at(system: SimilaritySystem, depth: int, cap: int):
-    def g(theta: float) -> float:
-        return shadow.support_measure(shadow.multiplicity(system, depth, theta, cap))
-
-    return g
 
 
 def _domain(system: SimilaritySystem, grid: int) -> tuple[int, int]:
@@ -128,9 +125,16 @@ def favard_length(
 
     The value is the Richardson step of the last two levels when the solve
     converges, and the last trapezoid sum when it stops at refinement_limit.
+    A depth with pieces below RESOLUTION_FLOOR raises FavlabError (after the cap check).
     """
     ifs.check_cap(system, depth, cap)
-    g = _support_at(system, depth, cap)
+    size = system.root_size * system.ratio**depth
+    if size < RESOLUTION_FLOOR:
+        raise FavlabError(f"depth {depth}: piece size {size:.3g} < floor {RESOLUTION_FLOOR:.3g}")
+
+    def g(theta: float) -> float:
+        return shadow.support_measure(shadow.multiplicity(system, depth, theta, cap))
+
     fold, m = _domain(system, cfg.grid_size)
     grid = cfg.grid_size
     span = np.pi / fold
@@ -158,8 +162,6 @@ def favard_length(
     return FavardResult(
         value=float(fold * value / np.pi),
         error_estimate=float(fold * err / np.pi),
-        depth=depth,
-        label=system.label,
         converged=converged,
         grid=grid,
     )

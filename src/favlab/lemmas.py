@@ -81,12 +81,6 @@ def _winding_on_loop(
     raise ContourThroughZero("phase steps stay too large; zero on contour?")
 
 
-def _circle_winding(f, center: complex, radius: float, boundary_tol: float) -> int:
-    return _winding_on_loop(
-        f, lambda s: center + radius * np.exp(2j * np.pi * s), boundary_tol
-    )
-
-
 def _rect_winding(f, x0, x1, y0, y1) -> int:
     def loop(s: np.ndarray) -> np.ndarray:
         # Perimeter parameterized by arc fraction, counterclockwise.
@@ -240,7 +234,8 @@ def count_zeros(f, center: complex, radius: float, jitter_sign: int = -1) -> Zer
     for attempt in range(MAX_JITTER_ATTEMPTS):
         r = radius * (1.0 + jitter_sign * 0.002 * attempt)
         try:
-            m = _circle_winding(f, center, r, BOUNDARY_TOLERANCE)
+            m = _winding_on_loop(f, lambda s: center + r * np.exp(2j * np.pi * s),
+                                 BOUNDARY_TOLERANCE)
             pad = r * 0.0137
             x0, x1 = center.real - r - pad, center.real + r + pad
             y0, y1 = center.imag - r - pad, center.imag + r + pad
@@ -520,11 +515,13 @@ def cetsq_ratio(
 
 
 def _cetsq_args(frequencies, coefficients, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nonempty finite frequencies, unimodular coefficients and a finite delta > 0."""
+    """Nonempty finite frequencies, one unimodular coefficient each and a finite delta > 0."""
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.size == 0 or not np.all(np.isfinite(freqs)):
         raise FavlabError("frequencies must be finite, and at least one")
     coeffs = np.asarray(np.ones(freqs.size) if coefficients is None else coefficients, complex)
+    if coeffs.shape != freqs.shape:
+        raise FavlabError(f"{coeffs.size} coefficients for {freqs.size} frequencies")
     if not np.allclose(np.abs(coeffs), 1.0, atol=1e-12):
         raise FavlabError("coefficients must be unimodular")
     if not 0.0 < delta < math.inf:

@@ -210,10 +210,6 @@ def low_block_interval(phi: ExpPoly, spec: ProductSpec) -> tuple[float, float]:
     return L ** (spec.n - spec.m), L**spec.n
 
 
-def _low_block(phi: ExpPoly, spec: ProductSpec, xs: np.ndarray) -> np.ndarray:
-    return _scale_product(phi, range(spec.n - spec.m, spec.n + 1), xs)
-
-
 def ssv_cover(xs: np.ndarray, p2: np.ndarray, threshold: float) -> IntervalUnion:
     """Cover of |P2| <= threshold from P2 sampled on the uniform grid xs,
     each small sample padded by one grid step."""
@@ -229,7 +225,7 @@ def ssv_scan(
     if grid_size < 1000:
         raise FavlabError("grid_size must be at least 1000")
     xs = np.linspace(*low_block_interval(phi, spec), grid_size)
-    return ssv_cover(xs, _low_block(phi, spec, xs), threshold)
+    return ssv_cover(xs, _scale_product(phi, range(spec.n - spec.m, spec.n + 1), xs), threshold)
 
 
 def simpson(f, hi: float, grid: int) -> float:

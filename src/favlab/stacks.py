@@ -29,7 +29,6 @@ from .spectral import SLOPE_FREE, ProductSpec, TForm, check_scale
 
 @dataclass(frozen=True)
 class ProductCheckReport:
-    pairs: tuple[tuple[int, int], ...]
     worst_ratio: float
     worst_at: tuple[float, int, int] | None
     checked: int
@@ -44,7 +43,6 @@ class EScanReport:
 
 @dataclass(frozen=True)
 class BootstrapReport:
-    theta: float
     depths: tuple[int, ...]
     measures: tuple[float, ...]
     geom_a: float
@@ -125,7 +123,7 @@ def product_inequality_report(
                 if ratio > worst:
                     worst, worst_at = ratio, (theta, k, m)
         del by_depth, profiles, fstar  # free this chunk's profiles before the next chunk is built
-    return ProductCheckReport(pairs=pairs, worst_ratio=worst, worst_at=worst_at, checked=checked)
+    return ProductCheckReport(worst_ratio=worst, worst_at=worst_at, checked=checked)
 
 
 def e_scan(
@@ -289,14 +287,7 @@ def bootstrap_report(
     ls = np.arange(1, l_max + 1, dtype=float)
     ys = np.array(measures) / max(measures[0], 1e-300)
     a, rho, resid = _fit_geometric(ls, ys)
-    return BootstrapReport(
-        theta=float(theta),
-        depths=depths,
-        measures=measures,
-        geom_a=a,
-        geom_rho=rho,
-        residual=resid,
-    )
+    return BootstrapReport(depths=depths, measures=measures, geom_a=a, geom_rho=rho, residual=resid)
 
 
 # Grid points of the bad-direction scan held at once.

@@ -390,8 +390,6 @@ def favard_full_domain(
     return favard.FavardResult(
         value=float(value / np.pi),
         error_estimate=float(err / np.pi),
-        depth=depth,
-        label=system.label,
         converged=converged,
         grid=m,
     )
@@ -454,7 +452,8 @@ def ssv_small_points(
         if b > a:
             parts.append(np.linspace(a, b, focus_points))
     xs = np.concatenate(parts)
-    return xs[np.abs(spectral._low_block(phi, spec, xs)) <= threshold]
+    p2 = spectral._scale_product(phi, range(spec.n - spec.m, spec.n + 1), xs)
+    return xs[np.abs(p2) <= threshold]
 
 
 def theta_to_t(system: SimilaritySystem, theta: float) -> tuple[float, float]:

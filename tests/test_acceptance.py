@@ -76,20 +76,20 @@ def test_criterion_04_monotone_decay_and_fits():
     for name, n_max in (("gasket", 6), ("corner4", 8)):
         system = ifs.preset(name)
         res = [favard.favard_length(system, n, cfg) for n in range(n_max + 1)]
-        series[name] = res
-        for a, b in zip(res, res[1:]):
+        series[name] = list(enumerate(res))
+        for n, (a, b) in enumerate(zip(res, res[1:]), start=1):
             if b.value > a.value + a.error_estimate + b.error_estimate:
                 ok = False
-                notes.append(f"{name}: decay breaks at n={b.depth}")
+                notes.append(f"{name}: decay breaks at n={n}")
     for name in ("gasket", "corner4"):
-        pts = [(r.depth, r.value) for r in series[name] if 1 <= r.depth <= 6]
+        pts = [(n, r.value) for n, r in series[name] if 1 <= n <= 6]
         p = favard.fit_decay(pts, "power").params[1]
         notes.append(f"{name} power p={p:.3f}")
         ok = ok and 0.0 < p < 1.0
     ratios = [
-        r.value * r.depth / math.log(r.depth)
-        for r in series["corner4"]
-        if 2 <= r.depth <= 8
+        r.value * n / math.log(n)
+        for n, r in series["corner4"]
+        if 2 <= n <= 8
     ]
     notes.append(f"inf corner4 Fav*n/log n = {min(ratios):.4f}")
     ok = ok and min(ratios) > 0.0

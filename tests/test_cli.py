@@ -39,6 +39,22 @@ def test_cap_exceeded_exits_3():
     assert code == 3
 
 
+def test_favard_below_the_resolution_floor_exits_2_and_past_the_cap_3(tmp_path, capsys):
+    g = ifs.preset("gasket")
+    path = tmp_path / "tiny.json"
+    path.write_text(ifs.system_to_json(
+        ifs.build_system(1e-11 * g.centers(), g.ratio, g.shape, "tiny", root_size=1e-11)))
+    argv = ["favard", "--system-file", str(path), "--grid", "64", "--refine-limit", "2"]
+    code, out = run(argv + ["--n", "2"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err == "favlab: FavlabError: depth 2: piece size 1.11e-12 < floor 3.73e-09\n"
+    # A depth past the piece cap is refused as before, whatever its piece size.
+    code, out = run(argv + ["--n", "20"])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.startswith("favlab: cap-exceeded: ")
+
+
 HUGE = str(10**15)
 
 GRID_FLAGS = [

@@ -364,3 +364,28 @@ def test_gasket_series_power_exponent_in_unit_interval():
 def test_quadrature_config_rejects_nan_target_and_negative_limit(kwargs):
     with pytest.raises(FavlabError):
         favard.QuadratureConfig(**kwargs)
+
+
+def test_quadrature_refuses_pieces_below_the_resolution_floor():
+    # Gasket at root size 1e-11: depth 2 has pieces of 1.1e-12, where the
+    # absolute merge tolerance of the profiles would shift the value by 16%.
+    tiny = scaled(ifs.preset("gasket"), 1e-11)
+    cfg = favard.QuadratureConfig(grid_size=64, refinement_limit=2, target_rel_error=1e-4)
+    with pytest.raises(FavlabError) as exc:
+        favard.favard_length(tiny, 2, cfg)
+    assert str(exc.value) == "depth 2: piece size 1.11e-12 < floor 3.73e-09"
+    # The floor reads the piece size, not the depth: root size 1e-11 is
+    # already below it at depth 0, and 2^-28 itself is admitted.
+    with pytest.raises(FavlabError, match="< floor"):
+        favard.favard_length(tiny, 0, cfg)
+    at_floor = scaled(ifs.preset("gasket"), favard.RESOLUTION_FLOOR)
+    value = favard.favard_length(at_floor, 0, cfg).value
+    assert value == pytest.approx(2 * favard.RESOLUTION_FLOOR, rel=1e-12)
+
+
+@pytest.mark.parametrize("depth", [2, 4])
+def test_scaled_gasket_scales_the_favard_length(depth):
+    cfg = favard.QuadratureConfig(grid_size=64, refinement_limit=2, target_rel_error=1e-4)
+    unit = favard.favard_length(ifs.preset("gasket"), depth, cfg).value
+    small = favard.favard_length(scaled(ifs.preset("gasket"), 1e-6), depth, cfg).value
+    assert abs(small / 1e-6 - unit) <= 1e-12 * unit

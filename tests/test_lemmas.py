@@ -239,6 +239,16 @@ def test_cetsq_refuses_coefficients_off_the_unit_circle_before_any_sample(monkey
         lemmas.cetsq_bounds([1.0, 2.5], [1.0, 0.5], 1.0)
 
 
+@pytest.mark.parametrize("coeffs", [[1.0], [1.0, 1.0, 1.0]])
+def test_cetsq_refuses_a_coefficient_count_other_than_the_frequencies(coeffs, monkeypatch):
+    monkeypatch.setattr(lemmas, "simpson", unsampled)
+    message = f"{len(coeffs)} coefficients for 2 frequencies"
+    with pytest.raises(FavlabError, match=message):
+        lemmas.cetsq_ratio([1.0, 2.0], coeffs)
+    with pytest.raises(FavlabError, match=message):
+        lemmas.cetsq_bounds([1.0, 2.0], coeffs, 1.0)
+
+
 def cetsq_bound_cases():
     rng = np.random.Generator(np.random.Philox(29))
     cases = []

@@ -5,7 +5,9 @@ in code (as a name, an attribute or an import) somewhere in src/, demos/,
 tools/ or perfbench/*.py, outside its own definition; names that only tests
 use belong in tests/oracles.py.  Likewise every public annotated field of a
 library class must be read as an attribute there, outside its own class, so
-that a report holds only what its callers read.  The defaulted parameters
+that a report holds only what its callers read, and no field of a returned
+report or result repeats one of its function's arguments, which the caller
+already holds.  The defaulted parameters
 of the library's functions are counted and capped, so that a value no caller
 sets stays a constant rather than a keyword.
 """
@@ -115,3 +117,34 @@ def test_every_public_field_is_read_outside_tests():
             if not read:
                 unread.append(f"{path.name}:{qualname}")
     assert unread == []
+
+
+def _field_names(paths) -> dict[str, set[str]]:
+    """Annotated field names of each top-level class of the library."""
+    fields = {}
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                fields[node.name] = {
+                    item.target.id
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                }
+    return fields
+
+
+def test_no_result_echoes_its_arguments():
+    paths = sorted(LIBRARY.glob("*.py"))
+    fields = _field_names(paths)
+    echoes = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or not node.returns:
+                continue
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            for name in ast.walk(node.returns):
+                if isinstance(name, ast.Name) and name.id.endswith(("Report", "Result")):
+                    echoes += [f"{name.id}.{f} ({node.name})"
+                               for f in sorted(fields.get(name.id, set()) & params)]
+    assert echoes == []
