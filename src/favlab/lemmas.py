@@ -6,10 +6,12 @@ supremum ratios for exponential sums, box doubling ratios, and the
 frequency-cluster L2 bound.  Everything works on plain callables
 f(np.ndarray[complex]) -> np.ndarray[complex]; ExpPoly instances qualify.
 
-An ExpPoly gives a point the same bits in any batch, so the cover and the box
-suprema evaluate it only in the grid blocks that a derivative bound cannot rule
-out, golden-section suprema run in lockstep and a Newton step makes one call;
-each keeps its abs() or np.abs, which can differ in the last bit.
+An ExpPoly gives a point the same bits in any batch, so the cover, the box
+suprema and the Blaschke circle supremum evaluate it only in the grid blocks or
+arcs that a derivative bound cannot rule out, golden-section suprema run in
+lockstep and a Newton step makes one call; each keeps its abs() or np.abs,
+which can differ in the last bit.  Any f winds the four child contours of a
+quadrisection split from one call.
 """
 
 from __future__ import annotations
@@ -46,13 +48,13 @@ class ZeroCertificate:
     zeros: tuple[complex, ...]
 
 
-def _phase_winding(vals: np.ndarray) -> tuple[bool, float]:
-    """Total winding of a closed loop of nonzero values; ok=False if jumps
-    exceed pi/2 (sampling too coarse to trust)."""
+def _phase_winding(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Total winding of each closed loop of nonzero values (the last axis);
+    ok=False where jumps exceed pi/2 (sampling too coarse to trust)."""
     args = np.angle(vals)
-    d = np.diff(np.concatenate([args, args[:1]]))
+    d = np.diff(args, append=args[..., :1])
     d = (d + np.pi) % (2.0 * np.pi) - np.pi
-    return bool(np.max(np.abs(d)) < 0.5 * np.pi), float(d.sum() / (2.0 * np.pi))
+    return np.max(np.abs(d), axis=-1) < 0.5 * np.pi, d.sum(axis=-1) / (2.0 * np.pi)
 
 
 def _winding_on_loop(
@@ -73,6 +75,7 @@ def _winding_on_loop(
             raise ContourThroughZero("contour passes too close to a zero")
         ok, w = _phase_winding(vals)
         if ok:
+            w = float(w)
             k = round(w)
             if abs(w - k) > 0.05:
                 raise FavlabError(f"winding {w} is not close to an integer")
@@ -81,24 +84,27 @@ def _winding_on_loop(
     raise ContourThroughZero("phase steps stay too large; zero on contour?")
 
 
-def _rect_winding(f, x0, x1, y0, y1) -> int:
-    def loop(s: np.ndarray) -> np.ndarray:
-        # Perimeter parameterized by arc fraction, counterclockwise.
-        w, h = x1 - x0, y1 - y0
-        per = 2.0 * (w + h)
-        d = s * per
-        out = np.empty(d.shape, dtype=complex)
-        m1 = d < w
-        m2 = (d >= w) & (d < w + h)
-        m3 = (d >= w + h) & (d < 2 * w + h)
-        m4 = d >= 2 * w + h
-        out[m1] = x0 + d[m1] + 1j * y0
-        out[m2] = x1 + 1j * (y0 + (d[m2] - w))
-        out[m3] = x1 - (d[m3] - w - h) + 1j * y1
-        out[m4] = x0 + 1j * (y1 - (d[m4] - 2 * w - h))
-        return out
+def _rect_loops(boxes: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The perimeter of each box (rows x0, x1, y0, y1) at arc fractions s,
+    counterclockwise from (x0, y0): one row of points per box."""
+    x0, x1, y0, y1 = boxes.T[:, :, None]
+    w, h = x1 - x0, y1 - y0
+    d = s * (2.0 * (w + h))
+    out = np.empty(d.shape, dtype=complex)
+    m1 = d < w
+    m2 = (d >= w) & (d < w + h)
+    m3 = (d >= w + h) & (d < 2 * w + h)
+    m4 = d >= 2 * w + h
+    out[m1] = (x0 + d + 1j * y0)[m1]
+    out[m2] = (x1 + 1j * (y0 + (d - w)))[m2]
+    out[m3] = (x1 - (d - w - h) + 1j * y1)[m3]
+    out[m4] = (x0 + 1j * (y1 - (d - 2 * w - h)))[m4]
+    return out
 
-    return _winding_on_loop(f, loop)
+
+def _rect_winding(f, x0, x1, y0, y1) -> int:
+    box = np.array([[x0, x1, y0, y1]], dtype=float)
+    return _winding_on_loop(f, lambda s: _rect_loops(box, s)[0])
 
 
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39, 0.65)
@@ -148,13 +154,14 @@ def _newton_polish(f, z0: complex, box_size: float) -> complex | None:
     return z
 
 
-def _localize(f, x0, x1, y0, y1, tol, out: list, depth: int = 0):
-    """Recursive quadrisection: push (zero, multiplicity) pairs into out.
+def _localize(f, x0, x1, y0, y1, w: int, tol, out: list, depth: int = 0):
+    """Recursive quadrisection of a box of winding w: push (zero,
+    multiplicity) pairs into out.
 
-    The outer contour is assumed validated by the caller; split lines are
-    chosen per box to stay away from zeros, so child contours are sound.
+    Split lines are chosen per box to stay away from zeros.  The four child
+    contours take one call of f at 64 samples each; a child whose samples
+    touch a zero, do not settle or wind to no integer winds alone at its turn.
     """
-    w = _rect_winding(f, x0, x1, y0, y1)
     if w == 0:
         return
     size = max(x1 - x0, y1 - y0)
@@ -176,17 +183,20 @@ def _localize(f, x0, x1, y0, y1, tol, out: list, depth: int = 0):
     fx, fy = _best_split(f, x0, x1, y0, y1)
     xm = x0 + fx * (x1 - x0)
     ym = y0 + fy * (y1 - y0)
-    _localize(f, x0, xm, y0, ym, tol, out, depth + 1)
-    _localize(f, xm, x1, y0, ym, tol, out, depth + 1)
-    _localize(f, x0, xm, ym, y1, tol, out, depth + 1)
-    _localize(f, xm, x1, ym, y1, tol, out, depth + 1)
+    kids = [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
+    vals = np.asarray(f(_rect_loops(np.array(kids), np.arange(64) / 64).ravel())).reshape(4, 64)
+    ok, ws = _phase_winding(vals)
+    ks = np.round(ws)
+    sure = ok & (np.min(np.abs(vals), axis=1) > 0.0) & (np.abs(ws - ks) <= 0.05)
+    for kid, k, settled in zip(kids, ks.tolist(), sure.tolist()):
+        _localize(f, *kid, int(k) if settled else _rect_winding(f, *kid), tol, out, depth + 1)
 
 
 def _box_zeros(f, x0: float, x1: float, y0: float, y1: float, tol: float) -> list[complex]:
     """The zeros of f in the box, repeated by multiplicity; a zero within
     10 tol of an earlier one merges into it with the larger multiplicity."""
     found: list[tuple[complex, int]] = []
-    _localize(f, x0, x1, y0, y1, tol, found)
+    _localize(f, x0, x1, y0, y1, _rect_winding(f, x0, x1, y0, y1), tol, found)
     kept: list[tuple[complex, int]] = []
     for z, m in found:
         for i, (zk, mk) in enumerate(kept):
@@ -263,13 +273,26 @@ def blaschke_check(f) -> BlaschkeReport:
     """Zero count in the half-disc against log2 of the sup on the unit disc.
 
     Requires |f(0)| >= 1.  The sup is sampled at 4096 points of |z| = 1 (max
-    modulus) and floored by |f(0)|.
+    modulus) and floored by |f(0)|.  An ExpPoly has |f'| <= K = |norm| sum
+    |c_j||lam_j| e^{|lam_j|} on the unit disc: it is evaluated at the middle
+    of each 16-sample arc, then only on the arcs where |f| + K radius at the
+    middle can reach the largest middle value less a slack (a nan there, or
+    in K, opens the arc).  Other callables see all 4096 samples.
     """
     base = float(abs(np.asarray(f(np.array([0.0 + 0.0j])))[0]))
     if base < 1.0:
         raise PreconditionUnmet(f"|f(0)| = {base} < 1")
     m = len(count_zeros(f, 0.0, 0.5).zeros)
-    sup = max(float(np.max(np.abs(np.asarray(f(_CIRCLE))))), base)
+    pts = _CIRCLE
+    if isinstance(f, ExpPoly):
+        lams = np.abs(np.array(f.lambdas, dtype=complex))
+        mags = abs(f.normalization) * np.abs(np.array(f.coefficients)) * np.exp(lams)
+        mids = np.abs(np.asarray(f(_ARCS[:, 8])))
+        reach = mids + (mags @ lams) * _ARC_RADIUS
+        # Slack for the rounding of sums of at most mags.sum() in size.
+        far = reach < mids.max() - 1e-9 * (mids.max() + mags.sum())
+        pts = _ARCS[~far].ravel()
+    sup = max(float(np.max(np.abs(np.asarray(f(pts))))), base)
     bound = math.log2(sup)
     return BlaschkeReport(zero_count=m, sup_bound=sup, bound=bound)
 
@@ -295,6 +318,10 @@ _CIRCLE = np.exp(2j * np.pi * np.arange(4096) / 4096)
 _QUARTER_DISC = _quarter_disc_grid(40000)
 _CIRCLE.setflags(write=False)
 _QUARTER_DISC.setflags(write=False)
+# The circle in 16-sample arcs, and the farthest distance of a sample from
+# the middle (index 8) of its arc.
+_ARCS = _CIRCLE.reshape(256, 16)
+_ARC_RADIUS = float(np.abs(_ARCS - _ARCS[:, 8:9]).max())
 # The grid in 10 x 10 blocks of (radius, angle) indices: each block's middle
 # sample, the farthest distance from it within the block, each sample's block.
 _CUT = _QUARTER_DISC.reshape(20, 10, 20, 10)

@@ -14,8 +14,10 @@ cetsq integrand built as one (samples x frequencies) matrix, the split search
 that called f once per candidate line, the bad-direction scan that
 evaluated the whole slope form once per slope and took every slope's peak
 over the whole grid, the golden-section supremum and the Newton step that
-called f at one point at a time, and the small-value cover and the box
-supremum that evaluated f on their whole grids.
+called f at one point at a time, the small-value cover and the box
+supremum that evaluated f on their whole grids, the quadrisection that wound
+each child contour with its own calls of f, and the circle supremum of the
+Blaschke check that evaluated f at all 4096 samples.
 They define the expected output: the array versions must return equal
 (`==`) results, and the writers equal bytes, on every input.
 
@@ -659,3 +661,104 @@ def doubling_ratio_full_grid(phi: ExpPoly, x_prime: float, k: int = 0) -> float:
     half = box_sup_full_grid(poly, x_prime - 0.5, x_prime + 0.5, -0.5, 0.5)
     full = max(box_sup_full_grid(poly, x_prime - 1.0, x_prime + 1.0, -1.0, 1.0), half)
     return full / half
+
+
+def phase_winding_loop(vals: np.ndarray) -> tuple[bool, float]:
+    """Total winding of one closed loop of nonzero values; ok=False if a
+    jump exceeds pi/2."""
+    args = np.angle(vals)
+    d = np.diff(np.concatenate([args, args[:1]]))
+    d = (d + np.pi) % (2.0 * np.pi) - np.pi
+    return bool(np.max(np.abs(d)) < 0.5 * np.pi), float(d.sum() / (2.0 * np.pi))
+
+
+def winding_on_loop(f, loop, boundary_tol: float = 0.0) -> int:
+    """`lemmas._winding_on_loop` on one loop at a time."""
+    n = 64
+    while n <= 1 << 16:
+        vals = np.asarray(f(loop(np.arange(n) / n)))
+        low = float(np.min(np.abs(vals)))
+        if low <= boundary_tol or low == 0.0:
+            raise lemmas.ContourThroughZero("contour passes too close to a zero")
+        ok, w = phase_winding_loop(vals)
+        if ok:
+            k = round(w)
+            if abs(w - k) > 0.05:
+                raise FavlabError(f"winding {w} is not close to an integer")
+            return int(k)
+        n *= 2
+    raise lemmas.ContourThroughZero("phase steps stay too large; zero on contour?")
+
+
+def rect_loop(x0, x1, y0, y1):
+    """The perimeter of one box, parameterized by arc fraction, counterclockwise."""
+    def loop(s: np.ndarray) -> np.ndarray:
+        w, h = x1 - x0, y1 - y0
+        d = s * (2.0 * (w + h))
+        out = np.empty(d.shape, dtype=complex)
+        m1 = d < w
+        m2 = (d >= w) & (d < w + h)
+        m3 = (d >= w + h) & (d < 2 * w + h)
+        m4 = d >= 2 * w + h
+        out[m1] = x0 + d[m1] + 1j * y0
+        out[m2] = x1 + 1j * (y0 + (d[m2] - w))
+        out[m3] = x1 - (d[m3] - w - h) + 1j * y1
+        out[m4] = x0 + 1j * (y1 - (d[m4] - 2 * w - h))
+        return out
+
+    return loop
+
+
+def localize_per_child(f, x0, x1, y0, y1, tol, out: list, depth: int = 0) -> None:
+    """The quadrisection in which every box winds its own contour."""
+    w = winding_on_loop(f, rect_loop(x0, x1, y0, y1))
+    if w == 0:
+        return
+    size = max(x1 - x0, y1 - y0)
+    if size <= tol:
+        out.append((complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), w))
+        return
+    if w == 1 and size < 0.02:
+        z = lemmas._newton_polish(f, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), size)
+        if (
+            z is not None
+            and x0 - tol <= z.real <= x1 + tol
+            and y0 - tol <= z.imag <= y1 + tol
+            and abs(np.asarray(f(np.array([z])))[0]) < lemmas.RESIDUAL_TOLERANCE
+        ):
+            out.append((z, 1))
+            return
+    if depth > 80:
+        raise lemmas.ContourThroughZero("quadrisection failed to separate zeros")
+    fx, fy = lemmas._best_split(f, x0, x1, y0, y1)
+    xm = x0 + fx * (x1 - x0)
+    ym = y0 + fy * (y1 - y0)
+    localize_per_child(f, x0, xm, y0, ym, tol, out, depth + 1)
+    localize_per_child(f, xm, x1, y0, ym, tol, out, depth + 1)
+    localize_per_child(f, x0, xm, ym, y1, tol, out, depth + 1)
+    localize_per_child(f, xm, x1, ym, y1, tol, out, depth + 1)
+
+
+def box_zeros_per_child(f, x0: float, x1: float, y0: float, y1: float, tol: float) -> list:
+    """`lemmas._box_zeros` through `localize_per_child`."""
+    found: list[tuple[complex, int]] = []
+    localize_per_child(f, x0, x1, y0, y1, tol, found)
+    kept: list[tuple[complex, int]] = []
+    for z, m in found:
+        for i, (zk, mk) in enumerate(kept):
+            if abs(z - zk) <= 10.0 * tol:
+                kept[i] = (zk, max(mk, m))
+                break
+        else:
+            kept.append((z, m))
+    return [z for z, m in kept for _ in range(m)]
+
+
+def blaschke_check_full_circle(f) -> lemmas.BlaschkeReport:
+    """`lemmas.blaschke_check` with the supremum from f at every circle sample."""
+    base = float(abs(np.asarray(f(np.array([0.0 + 0.0j])))[0]))
+    if base < 1.0:
+        raise lemmas.PreconditionUnmet(f"|f(0)| = {base} < 1")
+    m = len(lemmas.count_zeros(f, 0.0, 0.5).zeros)
+    sup = max(float(np.max(np.abs(np.asarray(f(lemmas._CIRCLE))))), base)
+    return lemmas.BlaschkeReport(m, sup, math.log2(sup))

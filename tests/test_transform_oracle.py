@@ -8,9 +8,11 @@ bounds cannot decide (its JSON report is compared byte for byte), the split sear
 bad-direction scan that continues only the points still above its threshold
 and decides offenders rather than peaks, the golden-section suprema run in
 lockstep, the Newton step that takes its three points in one call, and the
-small-value cover and the box suprema pruned by grid blocks.  These rest on
-the exponential sum giving every point the same bits on any subset or batch
-of points.
+small-value cover and the box suprema pruned by grid blocks, the
+quadrisection that winds a split's four child contours from one call of f,
+and the Blaschke circle supremum pruned by arcs.  These rest on the
+exponential sum giving every point the same bits on any subset or batch of
+points.
 """
 
 import io
@@ -494,3 +496,167 @@ def test_box_sup_prunes_only_an_exp_poly_and_skips_most_of_its_grid():
     got = lemmas.box_sup(line, 0.0, 1.0, -0.5, 0.25)
     assert sizes == [61 * 46, 33 * 33]
     assert got == oracles.box_sup_full_grid(line, 0.0, 1.0, -0.5, 0.25)
+
+
+def zero_draws() -> list[ExpPoly]:
+    rng = np.random.Generator(np.random.Philox(31))
+    return [verify.random_exp_poly(rng) for _ in range(200)]
+
+
+def outcome(fn, *args):
+    """What fn returns, zeros as bits and a report as its repr, or the type
+    and message of the FavlabError it raises."""
+    try:
+        got = fn(*args)
+    except FavlabError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, lemmas.BlaschkeReport):
+        return repr(got)
+    return bits(np.array(getattr(got, "zeros", got), dtype=complex)).tolist()
+
+
+def per_child(monkeypatch, fn, *args):
+    """`outcome` of fn with every box and loop winding alone, as before the
+    child contours were batched."""
+    with monkeypatch.context() as m:
+        m.setattr(lemmas, "_box_zeros", oracles.box_zeros_per_child)
+        m.setattr(lemmas, "_winding_on_loop", oracles.winding_on_loop)
+        return outcome(fn, *args)
+
+
+def test_rect_loops_rows_are_bit_equal_to_the_per_box_loop():
+    rng = np.random.default_rng(30)
+    s = np.arange(64) / 64
+    for _ in range(300):
+        (x0, x1), (y0, y1) = np.sort(rng.uniform(-3.0, 3.0, (2, 2)), axis=1).tolist()
+        boxes = [(x0, x1, y0, y1), (-0.0, x1, 0.0, y1), (x0, 0.0, y0, -0.0), (x0, x1, y0, y1)]
+        rows = lemmas._rect_loops(np.array(boxes), s)
+        for row, box in zip(rows, boxes):
+            assert np.array_equal(bits(row), bits(oracles.rect_loop(*box)(s)))
+            assert np.array_equal(bits(lemmas._rect_loops(np.array([box]), s)[0]), bits(row))
+
+
+def assert_zero_routes_agree(monkeypatch, f) -> None:
+    for sign in (-1, 1):
+        got = outcome(lemmas.count_zeros, f, 0.0, 0.5, sign)
+        assert got == per_child(monkeypatch, lemmas.count_zeros, f, 0.0, 0.5, sign)
+    got = outcome(lemmas.zeros_in_rect, f, -1.5, 1.5, -1.5, 1.5)
+    assert got == per_child(monkeypatch, lemmas.zeros_in_rect, f, -1.5, 1.5, -1.5, 1.5)
+
+
+@pytest.mark.parametrize("k", range(len(polys())))
+def test_batched_child_contours_find_the_per_child_zeros(k, monkeypatch):
+    assert_zero_routes_agree(monkeypatch, polys()[k])
+
+
+def test_batched_child_contours_find_the_per_child_zeros_on_random_draws(monkeypatch):
+    for f in zero_draws():
+        assert_zero_routes_agree(monkeypatch, f)
+
+
+def unsettled_rows(f, z: np.ndarray) -> int:
+    """Rows of a four-child call whose 64 samples touch a zero, jump by pi/2
+    or wind to no integer."""
+    count = 0
+    for vals in np.asarray(f(z)).reshape(4, 64):
+        ok, w = oracles.phase_winding_loop(vals)
+        count += not (ok and np.min(np.abs(vals)) > 0.0 and abs(w - round(w)) <= 0.05)
+    return count
+
+
+def test_each_split_winds_its_four_children_in_one_call():
+    polys_ = zero_draws()[:40] + [spectral.t_form(ifs.preset("gasket")).poly(0.5)]
+    splits = 0
+    for poly in polys_:
+        f = counted(poly)
+        lemmas._box_zeros(f, -1.5, 1.5, -1.5, 1.5, lemmas.ZERO_TOLERANCE)
+        sizes = f.points
+        after_split = [i + 1 for i, n in enumerate(sizes) if n == 2 * 8 * 33]
+        # The call after each split search holds the four child contours; a
+        # 64-point call is the outer contour or a child that falls back.
+        assert all(sizes[i] == 4 * 64 for i in after_split)
+        fallbacks = sum(unsettled_rows(poly, f.calls[i]) for i in after_split)
+        assert sizes.count(64) == 1 + fallbacks
+        splits += len(after_split)
+    assert splits > 100
+
+
+def test_a_later_child_that_needs_doubling_winds_alone_as_before(monkeypatch):
+    # |f| = |z - c| makes the middle cross the split; the phase factor is
+    # single-valued, so it leaves every winding alone, but right of x = 1/2
+    # it turns by 60 per unit length: the right children's 64 samples step
+    # by 60/32 > pi/2 and double, the left ones settle.
+    c = 0.2 + 0.8j
+    sizes = []
+
+    def f(z):
+        sizes.append(np.size(z))
+        return (z - c) * np.exp(60j * np.maximum(np.real(z) - 0.5, 0.0))
+
+    got = outcome(lemmas._box_zeros, f, 0.0, 1.0, 0.0, 1.0, 1e-9)
+    assert sizes[:8] == [64, 128, 256, 2 * 8 * 33, 4 * 64, 64, 128, 2 * 8 * 33]
+    assert got == bits(np.array([c])).tolist()
+    assert got == per_child(monkeypatch, lemmas._box_zeros, f, 0.0, 1.0, 0.0, 1.0, 1e-9)
+    assert outcome(lemmas.zeros_in_rect, f, 0.0, 1.0, 0.0, 1.0) == per_child(
+        monkeypatch, lemmas.zeros_in_rect, f, 0.0, 1.0, 0.0, 1.0)
+
+
+def test_a_later_child_through_a_zero_raises_as_before(monkeypatch):
+    # f vanishes at p, the fourth sample of the second child's bottom edge
+    # when the box splits at its middle; no sample of the outer contour or
+    # of the first child is there.
+    c, p = 0.2 + 0.8j, 0.5 + 3 / 32
+    sizes = []
+
+    def f(z):
+        sizes.append(np.size(z))
+        return np.where(np.abs(z - p) < 1e-9, 0.0, z - c)
+
+    got = outcome(lemmas._box_zeros, f, 0.0, 1.0, 0.0, 1.0, 1e-9)
+    assert got == (lemmas.ContourThroughZero, "contour passes too close to a zero")
+    assert sizes == [64, 2 * 8 * 33, 4 * 64, 64]
+    assert got == per_child(monkeypatch, lemmas._box_zeros, f, 0.0, 1.0, 0.0, 1.0, 1e-9)
+    assert outcome(lemmas.zeros_in_rect, f, 0.0, 1.0, 0.0, 1.0) == per_child(
+        monkeypatch, lemmas.zeros_in_rect, f, 0.0, 1.0, 0.0, 1.0)
+
+
+def blaschke_routes(monkeypatch, f) -> tuple:
+    return outcome(lemmas.blaschke_check, f), per_child(
+        monkeypatch, oracles.blaschke_check_full_circle, f)
+
+
+def test_blaschke_reports_equal_the_full_circle_and_per_child_route(monkeypatch):
+    reports = 0
+    for f in polys() + zero_draws():
+        got, want = blaschke_routes(monkeypatch, f)
+        assert got == want
+        reports += isinstance(got, str)
+    assert reports > 200
+
+
+def test_blaschke_opens_every_arc_when_the_derivative_bound_overflows(monkeypatch):
+    # e^{|lam|} = e^{710} overflows, so K is inf and no arc can be ruled out.
+    poly = ExpPoly((0j, 710 + 0j), (1.0 + 0j, 1e-300 + 0j))
+    f = counted(poly)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = blaschke_routes(monkeypatch, poly)
+        assert got == want
+        lemmas.blaschke_check(f)
+    assert f.points[-2:] == [256, 4096]
+
+
+def test_blaschke_prunes_only_an_exp_poly_and_skips_most_of_its_circle(monkeypatch):
+    middles = lemmas._CIRCLE[8::16]
+    for f in zero_draws()[:30]:
+        poly = counted(f)
+        lemmas.blaschke_check(poly)
+        on_circle = [z for z in poly.calls if np.isin(z, lemmas._CIRCLE).all()]
+        assert sum(z.size for z in on_circle) < lemmas._CIRCLE.size
+        assert len(on_circle) == 2
+        assert np.array_equal(bits(on_circle[0]), bits(middles))
+    calls = []
+    line = lambda z: calls.append(np.array(z)) or 3 + 2 * np.asarray(z)
+    got, want = blaschke_routes(monkeypatch, line)
+    assert got == want
+    assert np.array_equal(bits(calls[-1]), bits(lemmas._CIRCLE))
+    assert not any(np.array_equal(bits(z), bits(middles)) for z in calls)
