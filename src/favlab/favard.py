@@ -15,8 +15,8 @@ even q (T_N = T_2N, a false convergence), where this rule doubles the grid.
 
 The Monte Carlo route drops random needles (theta, x) and tests membership
 by pruned descent through the piece tree, in blocks of NEEDLE_BLOCK (2^13)
-needles whose arrays stay cache-sized; a disc system compares every needle
-against one scalar reach.  All randomness comes from a Philox counter-based
+needles whose arrays stay cache-sized; a disc system prunes by one scalar
+reach a level, from the attractor's radius.  All randomness comes from a Philox counter-based
 generator, so results are reproducible bit for bit across platforms, thread
 counts and block sizes.
 """
@@ -172,66 +172,86 @@ def _hits_batch(
 ) -> np.ndarray:
     """Vectorized needle test for arrays of (theta, x) pairs.
 
-    Each live needle projects the L centers once, p_l = cos(theta) Re c_l +
+    Each kept needle projects the L centers once, p_l = cos(theta) Re c_l +
     sin(theta) Im c_l.  A node at level k then carries only its scaled
-    residual u = (x - proj(node)) / r^k: its child l survives when
-    |u - p_l| <= root_size * r * width, and the child's residual is
-    (u - p_l) / r, which stays O(1) at every depth.  A disc has width 1 at
-    every angle, so its reach is one scalar; a square's is per needle.  The
-    last level only marks the needles that keep a child.
+    residual u = (x - proj(node)) / r^k; its child l has d = u - p_l and
+    carries d / r, which stays O(1) at every depth.  A last-level child
+    survives when |d| <= reach = root_size * r * width (width 1 for a disc,
+    |cos| + |sin| per needle for a square); one OR over the L children marks
+    the needles that keep one.
 
-    Every array pass is a plain numpy call: survivors by `nonzero`, gathers by
-    `take`, differences and the division by r in place.  The trig runs once
-    per needle, after the depth-0 return for discs, and level 0 reads its
-    arrays without gathers.
+    A disc child with m levels below it is pruned by the attractor's radius.
+    With rho = max|c_l| and R = root_size its depth-n descendants project
+    within r b_m of it in its parent's units, b_m = rho (1 - r^m) / (1 - r)
+    + R r^m, so it must pass |d| <= min(reach, r (b_m + s)), one scalar a
+    level, and the root |x| <= min(R, b_n + s) before the trig (a square
+    |x| <= R sqrt(2) (1 + 2^-36), then R width); b_0 = R, so the last level
+    tests as before.  The slack s = 2^-36 A / (1 - r), A = max(R, rho / (1 - r)),
+    keeps the verdicts of the reach-only descent.  Along a chain that descent
+    accepts each |d_j| <= reach, and d_{j-1} = r (d_j / (1 + beta) + p_j) /
+    (1 + alpha) with |alpha|, |beta| <= u = 2^-53; unrolled from the last
+    level, |d_0| exceeds r b_m by at most r u (2 rho / (1 - r)^2 + 16 rho /
+    (1 - r) + (1 + 2 m r^m) R) (2ju on the j-th term, 16u on |p_l| for the
+    trig, m r^m <= 1 / (e (1 - r))).  That is below 20 r u A / (1 - r) =
+    r s / 6500, which also covers the rounding of the band itself.
+
+    Survivors by `nonzero`, gathers by `take`, differences and the division
+    by r in place; a block whose needles all pass the root is read in place.
     """
     square = system.shape == ifs.SQUARE
-    if square:
-        cos, sin = np.cos(thetas), np.sin(thetas)
-        widths = np.abs(cos) + np.abs(sin)
-    alive = np.abs(xs) <= system.root_size * (widths if square else 1.0)
-    if depth == 0:
-        return alive
-    # A block whose needles are all alive (every disc preset: W = root_size
-    # = 1) is read in place; otherwise tid maps each live needle to its index.
+    r, size, centers = system.ratio, system.root_size, system.centers()
+    rho = float(np.abs(centers).max())
+    slack = 2.0**-36 * max(size, rho / (1.0 - r)) / (1.0 - r)
+    band = [rho * (1.0 - r**m) / (1.0 - r) + size * r**m + slack for m in range(depth + 1)]
+    root = size * math.sqrt(2.0) * (1.0 + 2.0**-36) if square else min(size, band[-1])
+    alive = np.abs(xs) <= root
+    # tid maps each kept needle to its index; None reads the block in place.
     tid = None if alive.all() else alive.nonzero()[0]
     if tid is not None:
         thetas, xs = thetas.take(tid), xs.take(tid)
-        if square:
-            cos, sin, widths = cos.take(tid), sin.take(tid), widths.take(tid)
-    if not square:
-        cos, sin = np.cos(thetas), np.sin(thetas)
-    proj = [cos * c.real + sin * c.imag for c in system.centers()]
-    r = system.ratio
-    reach = system.root_size * r * (widths if square else 1.0)
-    hits = np.zeros(alive.size, dtype=bool)
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    proj = [cos * c.real + sin * c.imag for c in centers]
+    widths = np.abs(cos) + np.abs(sin) if square else 1.0
+    reach = size * r * widths
+    got = np.full(xs.size, depth == 0)
     # Level 0 reads xs, proj and reach in place; then pos maps each survivor
-    # to its live needle.  Survivors by nonzero plus take gathers: at 8,000
+    # to its kept needle.  Survivors by nonzero plus take gathers: at 8,000
     # nodes a boolean-mask compression of these dense, unpredictable masks
     # takes 23 us, nonzero 7 us and each take 2 us.
-    u, pos, near = xs, None, reach
-    for level in range(depth):
-        last = level == depth - 1
-        ds, ps = [], []
+    u, pos = xs, None
+    for below in range(depth - 1, -1, -1):
+        if square:
+            near = reach if pos is None else reach.take(pos)
+        else:
+            near = min(reach, r * band[below])
+        ds, ps, keep = [], [], np.zeros(u.size, dtype=bool)
         for p in proj:
             if pos is None:
                 d = u - p
             else:
                 d = p.take(pos)
                 np.subtract(u, d, out=d)
+            if below == 0:
+                keep |= np.abs(d, out=d) <= near
+                continue
             k = (np.abs(d) <= near).nonzero()[0]
             ps.append(k if pos is None else pos.take(k))
-            if not last:
-                ds.append(d.take(k))
+            ds.append(d.take(k))
+        if below == 0:
+            k = keep.nonzero()[0]
+            got[k if pos is None else pos.take(k)] = True
+            break
         pos = np.concatenate(ps)
-        if last:
-            hits[pos if tid is None else tid.take(pos)] = True
-        if last or pos.size == 0:
+        if pos.size == 0:
             break
         u = np.concatenate(ds)
         np.divide(u, r, out=u)
-        near = reach.take(pos) if square else reach
-    return hits
+    if square:
+        got &= np.abs(xs) <= size * widths
+    if tid is None:
+        return got
+    alive[tid] = got
+    return alive
 
 
 def needle_draws(seed: int, trials: int, window: float):

@@ -333,6 +333,33 @@ def hits_batch(
     return hits
 
 
+def reach_only_hits_batch(
+    system: SimilaritySystem, depth: int, thetas: np.ndarray, xs: np.ndarray
+) -> np.ndarray:
+    """The projected-residual descent that tests every node against its own
+    region: child l of a node with residual u survives when |u - p_l| <=
+    root_size * r * width, and carries (u - p_l) / r.  The same float
+    operations as `favard._hits_batch`, without its attractor band."""
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    if system.shape == ifs.SQUARE:
+        width = np.abs(cos) + np.abs(sin)
+    else:
+        width = np.ones_like(thetas)
+    r = system.ratio
+    reach = system.root_size * r * width
+    proj = np.stack([cos * c.real + sin * c.imag for c in system.centers()], axis=1)
+    trial = np.flatnonzero(np.abs(xs) <= system.root_size * width)
+    u = xs[trial]
+    for _ in range(depth):
+        d = u[:, None] - proj[trial]
+        keep = np.abs(d) <= reach[trial][:, None]
+        trial = np.broadcast_to(trial[:, None], d.shape)[keep]
+        u = d[keep] / r
+    hits = np.zeros(thetas.size, dtype=bool)
+    hits[trial] = True
+    return hits
+
+
 def exact_needle_hits(system: SimilaritySystem, depth: int, theta: float, x: float) -> bool:
     """The projected-residual needle test in exact rational arithmetic.
 

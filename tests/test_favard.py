@@ -257,6 +257,91 @@ def test_exact_descent_sees_rounding_past_the_ceiling():
     assert exact_mismatches(ifs.preset("corner4"), 25, seed=1) > 0
 
 
+def edge_needles(system, depth, ks):
+    """Needles at x = +-b (1 +- 2^-k) and +-b, where b = rho S_n + R r^n bounds
+    the depth-n set's projection, on the angles aligned with each center and
+    their float neighbours.  A side is kept only where one center projects
+    farthest: where two coincide, the surviving nodes double every level."""
+    c, r, size = system.centers(), system.ratio, system.root_size
+    b = np.abs(c).max() * (1.0 - r**depth) / (1.0 - r) + size * r**depth
+    scales = [1.0] + [1.0 + sign * 2.0**-k for k in ks for sign in (-1.0, 1.0)]
+    thetas, xs = [], []
+    for z in c:
+        theta = np.angle(z) % np.pi
+        proj = np.cos(theta) * c.real + np.sin(theta) * c.imag
+        for side in (1.0, -1.0):
+            if np.count_nonzero(side * proj >= (side * proj).max() - 1e-9) > 1:
+                continue
+            for t in (np.nextafter(theta, -np.inf), theta, np.nextafter(theta, np.inf)):
+                thetas += [t] * len(scales)
+                xs += [side * b * f for f in scales]
+    return np.array(thetas), np.array(xs)
+
+
+EDGE_KS = (1, 2, 4, 8, 12, 16, 20, 24, 28, 32, 34, 36, 38, 40, 44, 48, 52)
+TIGHT_KS = [k for k in EDGE_KS if k >= 8]
+EDGE_SYSTEMS = {
+    "gasket": ifs.preset("gasket"),
+    "random-3-seed1": ifs.preset("random-3-seed1"),
+    "random-2-seed3": ifs.preset("random-2-seed3"),
+    # rho / (1 - r) = root_size: the band never falls below the root disc.
+    "tangent": ifs.build_system([2 / 3, -2 / 3], 1 / 3, ifs.DISC),
+    # A center escaping the root by 5e-10, inside CONTAINMENT_TOLERANCE.
+    "escaping": ifs.build_system([2 / 3 + 5e-10, -1 / 3 + 0.4j, -0.3 - 0.4j], 1 / 3, ifs.DISC),
+}
+
+
+def ceiling(system):
+    return math.floor(favard.NEEDLE_PRECISION_BITS / -math.log2(system.ratio))
+
+
+@pytest.mark.parametrize("name", EDGE_SYSTEMS)
+def test_batch_hits_keep_the_reach_only_verdicts_at_the_attractor_band(name):
+    # The descent prunes a node by its descendants' band; needles on both
+    # sides of the band, from 2^-52 to 1/2 of it and on it, keep the verdicts
+    # of the descent that tests every node against its own disc, bit for bit,
+    # at depths 0-12 and, from 2^-8 in, at the precision ceiling.  (Deep
+    # needles farther in meet the gasket's coinciding projections, where the
+    # reach-only nodes double every level.)
+    system = EDGE_SYSTEMS[name]
+    verdicts = set()
+    for depth, ks in [(n, EDGE_KS) for n in range(13)] + [(ceiling(system), TIGHT_KS)]:
+        thetas, xs = edge_needles(system, depth, ks)
+        got = favard._hits_batch(system, depth, thetas, xs)
+        assert np.array_equal(got, oracles.reach_only_hits_batch(system, depth, thetas, xs)), depth
+        verdicts.update(got.tolist())
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("name", EDGE_SYSTEMS)
+def test_batch_hits_match_complex_descent_near_the_attractor_band(name):
+    # Within 2^-48 to 2^-4 of the band.  On the band, one ulp from it, and on
+    # the gasket's piece edge 3b/4 = 7/18 at depth 3, the complex-node descent
+    # rounds otherwise than the residual one (the reach-only one too), and
+    # the exact descent sides with either.
+    system = EDGE_SYSTEMS[name]
+    for depth in range(13):
+        thetas, xs = edge_needles(system, depth, [k for k in EDGE_KS if 4 <= k <= 48])
+        thetas, xs = thetas[np.abs(xs) != np.abs(xs[0])], xs[np.abs(xs) != np.abs(xs[0])]
+        got = favard._hits_batch(system, depth, thetas, xs)
+        assert np.array_equal(got, oracles.hits_batch(system, depth, thetas, xs)), depth
+
+
+@pytest.mark.parametrize("name", ["gasket", "random-3-seed1"])
+def test_batch_hits_match_exact_descent_at_the_band_and_the_ceiling(name):
+    # Where the band is tight (2^-48 to 2^-8 of it) at the deepest depth the
+    # precision ceiling admits, the slack still covers every rounding.  One
+    # ulp of b is 2^-12 of a depth-26 piece's reach, the rounding scale that
+    # the ceiling admits, so needles on the band itself are left out.
+    system = EDGE_SYSTEMS[name]
+    thetas, xs = edge_needles(system, 26, [k for k in TIGHT_KS if k <= 48])
+    thetas, xs = thetas[np.abs(xs) != np.abs(xs[0])], xs[np.abs(xs) != np.abs(xs[0])]
+    want = [oracles.exact_needle_hits(system, 26, t, x) for t, x in zip(thetas, xs)]
+    got = favard._hits_batch(system, 26, thetas, xs)
+    assert np.array_equal(got, want)
+    assert any(want) and not all(want)
+
+
 @pytest.mark.parametrize("block", [7, favard.NEEDLE_BLOCK, 1 << 16])
 @pytest.mark.parametrize("trials", [1, 3, 4, 5, 10, 13, 100003, 10**6])
 def test_needle_draws_stream_equals_full_arrays(trials, block, monkeypatch):
