@@ -1,6 +1,7 @@
 """Transform-side products, identity checks, and orbit sampling."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import oracles
@@ -211,6 +212,40 @@ def test_key_obs_printed_constant_fails_but_sharp_holds():
     assert bad < -0.01
     good = spectral.key_obs_check(1 / 24, 400)
     assert good >= -1e-12
+
+
+def taylor_bracket(x: Fraction, first: int) -> tuple[Fraction, Fraction]:
+    """cos x (first = 0) or sin x (first = 1) between two partial sums of its
+    Taylor series, in exact rationals.  Once x^2 < (j + 1)(j + 2) the terms
+    x^j / j! shrink in magnitude, and the value of an alternating series with
+    shrinking terms lies between a partial sum and the next."""
+    j, term, total = first, x**first / math.factorial(first), Fraction(0)
+    while not (x * x < (j + 1) * (j + 2) and abs(term) < Fraction(1, 10**30)):
+        total += term
+        term *= -x * x / ((j + 1) * (j + 2))
+        j += 2
+    return min(total, total + term), max(total, total + term)
+
+
+def test_key_obs_fails_just_above_the_sharp_constant_in_exact_rationals():
+    # Sharpness of 1/24: at a = 1/24 + 1/1000 and a rational point near
+    # (2pi/3 + s, 4pi/3 + s), s = 1/100, the gap G_a is certified negative
+    # (about -2.39e-6).  cos and sin come as rational brackets, so no pi is
+    # needed; G is evaluated at the lower ends and a Lipschitz bound covers
+    # the brackets: on |cos|, |sin| <= 1.01, |dG/dcos| <= 2 * 3.02 + a * 2 * 3.1
+    # * 8.1 < 8.2 and |dG/dsin| <= 4.04, so G moves by less than 26 times the
+    # widest bracket.
+    a = Fraction(1, 24) + Fraction(1, 1000)
+    x = Fraction(2 * math.pi / 3 + 0.01)
+    y = Fraction(4 * math.pi / 3 + 0.01)
+    brackets = [taylor_bracket(t, first) for t in (x, y) for first in (0, 1)]
+    assert all(-1.01 <= lo <= hi <= 1.01 for lo, hi in brackets)
+    width = max(hi - lo for lo, hi in brackets)
+    (cx, _), (sx, _), (cy, _), (sy, _) = brackets
+    gap = (1 + cx + cy) ** 2 + (sx + sy) ** 2 - a * ((4 * cx**2 - 1) ** 2 + (4 * cy**2 - 1) ** 2)
+    assert gap + 26 * width < 0
+    assert float(gap) == pytest.approx(-2.39e-6, rel=1e-2)
+    assert float(gap) == pytest.approx(spectral.key_obs_gap(float(x), float(y), float(a)), rel=1e-6)
 
 
 def test_sine_identity():
