@@ -26,8 +26,8 @@ CETSQ_RATIO_CEILING = 25.0
 # (single-scale corollary; measured 1.138 over 120 trials).
 CET_COROLLARY_CEILING = 2.0
 
-# Max box doubling ratio: gasket sweep over 100 t values, 100 box centers
-# in [1, 30], scale shifts k <= 5 (measured 3.0685; +10% headroom).
+# Max box doubling ratio at lemmas.BOX_DENSITY: gasket sweep over 100 t values,
+# 100 box centers in [1, 30], scale shifts k <= 5 (measured 3.0685; +10% headroom).
 DOUBLING_RATIO_CEILING = 3.068519586659495 * 1.10
 
 # Worst stacked-level-set ratio over corner4 and gasket, depth 4,

@@ -43,9 +43,10 @@ NEEDLE_BLOCK = 1 << 13
 NEEDLE_TRIAL_CEILING = 1 << 32
 # The deepest level buffon_estimate descends to, as the most bits of r^-n.
 # Each level divides the residual by r, so rounding grows like r^-n.  At 2^42
-# the float verdicts equal an exact rational descent on 16,000 corner4 n=21
-# needles; at n=22 (2^44) one differs, and at n=25 about 1 in 400.  It admits
-# gasket n <= 26, corner4 n <= 21 and L = 5 n <= 18.
+# the verdicts on 16,000 random corner4 n=21 needles equal an exact rational
+# descent (n=22, 2^44: one differs; n=25: 1 in 400), but 3 of 261 gasket n=26
+# needles at the projection's edge x = b, or one ulp above it, differ.  It
+# admits gasket n <= 26, corner4 n <= 21 and L = 5 n <= 18.
 NEEDLE_PRECISION_BITS = 42
 # The smallest piece size root_size * r^n that favard_length admits, 3.7e-9.
 # Profile breakpoints merge within shadow.MERGE_TOLERANCE, an absolute 1e-12,

@@ -164,7 +164,7 @@ def piece_size(system: SimilaritySystem, depth: int) -> float:
     return system.root_size * system.ratio**depth
 
 
-def check_cap(system: SimilaritySystem, depth: int, cap: int = ENUMERATION_CAP) -> int:
+def check_cap(system: SimilaritySystem, depth: int, cap: int) -> int:
     if depth < 0:
         raise FavlabError(f"depth {depth} is negative")
     # L >= 2, so L^depth >= 2^depth > cap once depth passes the bit length of

@@ -220,6 +220,7 @@ def zeros_in_rect(
 
     The rectangle is padded slightly (retrying a few pad sizes if a zero sits
     on the boundary), so zeros marginally outside may be reported too.
+    A sum's double zero (corner4's at pi/4) raises ContourThroughZero: |f| there is noise.
     """
     last: Exception | None = None
     for k in range(MAX_JITTER_ATTEMPTS):
@@ -453,6 +454,7 @@ def turan_ratio(trial: TuranTrial) -> float:
 
 # Grid points per side of the blocks that box_sup rules out at once.
 BOX_BLOCK = 8
+BOX_DENSITY = 60.0  # box_sup's coarse grid points per unit length
 
 
 def _block_middles(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -483,12 +485,12 @@ def _box_candidates(f: ExpPoly, xs: np.ndarray, ys: np.ndarray, z: np.ndarray) -
                                np.arange(xs.size) // BOX_BLOCK])
 
 
-def box_sup(f, x0: float, x1: float, y0: float, y1: float, density: float = 60.0) -> float:
+def box_sup(f, x0: float, x1: float, y0: float, y1: float) -> float:
     """Max of |f| on a closed box: coarse grid, then a refined local patch
     around its first maximum.  An ExpPoly is evaluated only where
     `_box_candidates` keeps it, in grid order, so each result is the full grid's."""
-    nx = max(9, int(density * (x1 - x0)) + 1)
-    ny = max(9, int(density * (y1 - y0)) + 1)
+    nx = max(9, int(BOX_DENSITY * (x1 - x0)) + 1)
+    ny = max(9, int(BOX_DENSITY * (y1 - y0)) + 1)
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
     z = (xs[None, :] + 1j * ys[:, None]).ravel()
@@ -507,7 +509,7 @@ def box_sup(f, x0: float, x1: float, y0: float, y1: float, density: float = 60.0
     return max(best, float(np.max(np.abs(np.asarray(f(fz.ravel()))))))
 
 
-def doubling_ratio(phi: ExpPoly, x_prime: float, k: int = 0, density: float = 60.0) -> float:
+def doubling_ratio(phi: ExpPoly, x_prime: float, k: int) -> float:
     """sup over [x'-1,x'+1]x[-1,1] of |phi(L^-k z)| divided by the sup over
     the concentric half box, L the number of frequencies of phi.  Always >= 1
     because the half-box maximum is a lower bound for the full-box maximum."""
@@ -517,32 +519,32 @@ def doubling_ratio(phi: ExpPoly, x_prime: float, k: int = 0, density: float = 60
         coefficients=phi.coefficients,
         normalization=phi.normalization,
     )
-    half = box_sup(poly, x_prime - 0.5, x_prime + 0.5, -0.5, 0.5, density)
-    full = max(box_sup(poly, x_prime - 1.0, x_prime + 1.0, -1.0, 1.0, density), half)
+    half = box_sup(poly, x_prime - 0.5, x_prime + 0.5, -0.5, 0.5)
+    full = max(box_sup(poly, x_prime - 1.0, x_prime + 1.0, -1.0, 1.0), half)
     return full / half
 
 
 def cetsq_ratio(
-    frequencies: Sequence[float],
-    coefficients: Sequence[complex] | None = None,
-    delta: float = 1.0,
+    frequencies: Sequence[float], coefficients: Sequence[complex] | None = None
 ) -> tuple[float, float, float]:
     """Frequency-cluster L2 bound data.
 
-    lhs  = integral over [0, 1/delta] of |sum c_a e^{i a y}|^2 (Simpson on
-           20001 points),
-    S    = exact integral of (sum of indicator boxes [a-delta, a+delta])^2,
-    ratio = lhs / (S / delta^2).
+    lhs  = integral over [0, 1] of |sum c_a e^{i a y}|^2 (Simpson on 20001 points),
+    S    = exact integral of (sum of indicator boxes [a-1, a+1])^2,
+    ratio = lhs / S.
+    The paper's window [0, 1/delta] and boxes a +- delta add nothing: y = u/delta
+    gives lhs_delta(a) = lhs(a/delta)/delta and S_delta(a) = delta S(a/delta), so
+    ratio_delta(a) = ratio(a/delta), and the Simpson grid maps onto itself.
     Bad input raises FavlabError before any sample (see `_cetsq_args`).
     """
-    freqs, coeffs = _cetsq_args(frequencies, coefficients, delta)
-    lhs = simpson(lambda ys: _cetsq_integrand(freqs, coeffs, ys), 1.0 / delta, 20001)
-    s_exact = box_l2_norm_sq(freqs, delta)
-    return float(lhs), float(s_exact), float(lhs * delta**2 / s_exact)
+    freqs, coeffs = _cetsq_args(frequencies, coefficients)
+    lhs = simpson(lambda ys: _cetsq_integrand(freqs, coeffs, ys), 1.0, 20001)
+    s_exact = box_l2_norm_sq(freqs)
+    return float(lhs), float(s_exact), float(lhs / s_exact)
 
 
-def _cetsq_args(frequencies, coefficients, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nonempty finite frequencies, one unimodular coefficient each and a finite delta > 0."""
+def _cetsq_args(frequencies, coefficients) -> tuple[np.ndarray, np.ndarray]:
+    """Nonempty finite frequencies and one unimodular coefficient each."""
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.size == 0 or not np.all(np.isfinite(freqs)):
         raise FavlabError("frequencies must be finite, and at least one")
@@ -551,44 +553,41 @@ def _cetsq_args(frequencies, coefficients, delta: float) -> tuple[np.ndarray, np
         raise FavlabError(f"{coeffs.size} coefficients for {freqs.size} frequencies")
     if not np.allclose(np.abs(coeffs), 1.0, atol=1e-12):
         raise FavlabError("coefficients must be unimodular")
-    if not 0.0 < delta < math.inf:
-        raise FavlabError("delta must be finite and positive")
     return freqs, coeffs
 
 
-def box_l2_norm_sq(freqs: np.ndarray, delta: float) -> float:
+def box_l2_norm_sq(freqs: np.ndarray) -> float:
     """The S of `cetsq_ratio`, from one sweep over the box ends."""
-    positions = np.concatenate([freqs - delta, freqs + delta])
+    positions = np.concatenate([freqs - 1.0, freqs + 1.0])
     deltas = np.repeat(np.array([1, -1], dtype=np.int64), freqs.size)
     return shadow.l2_norm_sq(shadow.from_events(positions, deltas))
 
 
 def cetsq_bounds(
-    frequencies: Sequence[float], coefficients: Sequence[complex] | None, delta: float
+    frequencies: Sequence[float], coefficients: Sequence[complex] | None
 ) -> tuple[float, float]:
     """An interval (lo, hi) that holds the Simpson lhs of `cetsq_ratio`, from
-    its closed form in one F x F pass; F frequencies, Y = 1/delta, d = a - b.
-    The integral is Re sum c_a conj(c_b) iota(d), iota(d) = int_0^Y e^{idy} dy
-    = Y e^{idY/2} sinc(dY/2pi).  As each panel is the first times e^{2idjh},
-    Simpson's rule on h = Y/20000 gives a pair rho(dh) iota(d), rho(t) =
-    t (2 + cos t) / (3 sin t); a pair with |d| h > 1 keeps iota(d) and adds
-    Y (dh)^4 / 150 to the band, over the rule's Peano bound.  Rounding, to
-    first order in eps = 2^-52, pairwise sums off by 64 eps of their sizes:
-    a sample's term is off by eps (2 |a| Y + 5), the square of their sum by
-    eps (4 F Y sum|a| + 140 F^2), Simpson's sums by 68 eps Y F^2 more and the
-    closed form by eps Y (2 F Y sum|a| + 91 F^2), in all under 2^9 eps Y
-    (F Y sum|a| + F^2).  The band's 2^12 covers higher orders and |c_a| off 1
-    by 1e-12; argument rounding eps |a| Y leads it.
+    its closed form in one F x F pass; F frequencies, d = a - b.  The integral
+    is Re sum c_a conj(c_b) iota(d), iota(d) = int_0^1 e^{idy} dy = e^{id/2}
+    sinc(d/2pi).  As each panel is the first times e^{2idjh}, Simpson's rule
+    on h = 1/20000 gives a pair rho(dh) iota(d), rho(t) = t (2 + cos t) /
+    (3 sin t); a pair with |d| h > 1 keeps iota(d) and adds (dh)^4 / 150 to
+    the band, over the rule's Peano bound.  Rounding, to first order in
+    eps = 2^-52, pairwise sums off by 64 eps of their sizes: a sample's term
+    is off by eps (2 |a| + 5), the square of their sum by eps (4 F sum|a| +
+    140 F^2), Simpson's sums by 68 eps F^2 more and the closed form by
+    eps (2 F sum|a| + 91 F^2), in all under 2^9 eps (F sum|a| + F^2).  The
+    band's 2^12 covers higher orders and |c_a| off 1 by 1e-12; argument
+    rounding eps |a| leads it.
     """
-    freqs, coeffs = _cetsq_args(frequencies, coefficients, delta)
-    Y = 1.0 / delta
+    freqs, coeffs = _cetsq_args(frequencies, coefficients)
     d = freqs[:, None] - freqs[None, :]
-    t = d * (Y / 20000)
+    t = d * (1.0 / 20000)
     rho = np.where(np.abs(t) <= 1.0, (2.0 + np.cos(t)) / (3.0 * np.sinc(t / np.pi)), 1.0)
-    iota = Y * np.exp(0.5j * Y * d) * np.sinc(d * (Y / (2.0 * np.pi)))
+    iota = np.exp(0.5j * d) * np.sinc(d * (1.0 / (2.0 * np.pi)))
     closed = float(np.real(np.sum(coeffs[:, None] * coeffs.conj()[None, :] * (rho * iota))))
-    band = Y / 150.0 * float(np.sum(np.where(np.abs(t) <= 1.0, 0.0, t**4)))
-    band += 2.0**-40 * Y * (freqs.size * Y * float(np.abs(freqs).sum()) + freqs.size**2)
+    band = (1.0 / 150.0) * float(np.sum(np.where(np.abs(t) <= 1.0, 0.0, t**4)))
+    band += 2.0**-40 * (freqs.size * float(np.abs(freqs).sum()) + freqs.size**2)
     return closed - band, closed + band
 
 

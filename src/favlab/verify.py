@@ -9,7 +9,6 @@ Simpson's rule only where the bounds leave its report open.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -64,7 +63,7 @@ def suite_cover(trials: int, seed: int) -> dict:
     deltas = (0.01, 0.1, 0.3)
     jobs = [(random_exp_poly(rng), deltas[int(rng.integers(0, 3))]) for _ in range(trials)]
     reps = (lemmas.small_value_cover_check(poly, delta) for poly, delta in jobs)
-    worst = max(rep.worst_margin if rep.small_samples else -math.inf for rep in reps)
+    worst = max(rep.worst_margin for rep in reps)
     return _report("cover", trials, worst, worst <= 0.0)
 
 
@@ -128,8 +127,8 @@ def suite_cetsq(trials: int, seed: int) -> dict:
 
 
 def _near_half(freqs: list[float]) -> bool:
-    s = lemmas.box_l2_norm_sq(np.array(freqs), 1.0)
-    lo, hi = (b / s - 0.5 for b in lemmas.cetsq_bounds(freqs, None, 1.0))
+    s = lemmas.box_l2_norm_sq(np.array(freqs))
+    lo, hi = (b / s - 0.5 for b in lemmas.cetsq_bounds(freqs, None))
     if lo <= -1e-6 <= hi or lo <= 1e-6 <= hi:
         lo = hi = lemmas.cetsq_ratio(freqs)[2] - 0.5
     return abs(lo) < 1e-6 and abs(hi) < 1e-6
@@ -139,8 +138,8 @@ def _cetsq_worst(jobs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[float, bool
     """The largest ratio, and whether every ratio and corollary value is within its ceiling;
     Simpson runs only where bounds, kept in order by rounding, reach the top floor or a ceiling."""
     ceilings = (baselines.CETSQ_RATIO_CEILING, baselines.CET_COROLLARY_CEILING)
-    scales = [(lemmas.box_l2_norm_sq(f, 1.0), f.size * _max_per_unit_interval(f)) for f, _ in jobs]
-    lhs = [lemmas.cetsq_bounds(f, c, 1.0) for f, c in jobs]
+    scales = [(lemmas.box_l2_norm_sq(f), f.size * _max_per_unit_interval(f)) for f, _ in jobs]
+    lhs = [lemmas.cetsq_bounds(f, c) for f, c in jobs]
     floor = max(lo / s for (lo, _), (s, _) in zip(lhs, scales))
     for i, ((f, c), (lo, hi)) in enumerate(zip(jobs, lhs)):
         bounds = [(lo / s, hi / s) for s in scales[i]]

@@ -10,8 +10,9 @@ replaced, the cetsq suite that ran Simpson's rule on every trial where
 `favlab.verify` now runs it only where `lemmas.cetsq_bounds` cannot decide, and the trapezoid over all of [0, pi] that the symmetry-domain
 quadrature in `favlab.favard` replaced.  The transform layer's loops are
 here too: the exponential sum that took an exponential for every term, the
-cetsq integrand built as one (samples x frequencies) matrix, the split search
-that called f once per candidate line, the bad-direction scan that
+cetsq integrand built as one (samples x frequencies) matrix, the cetsq ratio
+on the paper's window [0, 1/delta] (`lemmas.cetsq_ratio` fixes delta = 1),
+the split search that called f once per candidate line, the bad-direction scan that
 evaluated the whole slope form once per slope and took every slope's peak
 over the whole grid, the golden-section supremum and the Newton step that
 called f at one point at a time, the small-value cover and the box
@@ -390,7 +391,7 @@ def favard_full_domain(
     system: SimilaritySystem, depth: int, cfg: favard.QuadratureConfig
 ) -> favard.FavardResult:
     """Favard length by the trapezoid on all of [0, pi], whatever the symmetry."""
-    ifs.check_cap(system, depth)
+    ifs.check_cap(system, depth, ifs.ENUMERATION_CAP)
 
     def g(theta: float) -> float:
         return shadow.support_measure(shadow.multiplicity(system, depth, theta))
@@ -527,6 +528,17 @@ def cetsq_integrand_matrix(freqs: np.ndarray, coeffs: np.ndarray, ys: np.ndarray
     return np.abs(vals.sum(axis=1)) ** 2
 
 
+def cetsq_ratio_delta(freqs: np.ndarray, coeffs: np.ndarray, delta: float) -> float:
+    """The cluster-L2 ratio in the paper's form: Simpson on [0, 1/delta] of
+    the integrand, over S from the boxes a +- delta divided by delta^2."""
+    lhs = spectral.simpson(lambda ys: cetsq_integrand_matrix(freqs, coeffs, ys),
+                           1.0 / delta, 20001)
+    positions = np.concatenate([freqs - delta, freqs + delta])
+    deltas = np.repeat(np.array([1, -1], dtype=np.int64), freqs.size)
+    s = shadow.l2_norm_sq(shadow.from_events(positions, deltas))
+    return lhs * delta**2 / s
+
+
 def suite_cetsq(trials: int, seed: int) -> dict:
     """`verify.suite_cetsq` with the Simpson ratio of every trial and of
     both degenerate sets."""
@@ -659,11 +671,11 @@ def small_samples_full_grid(f, delta: float, pts: np.ndarray) -> np.ndarray:
     return pts[np.abs(np.asarray(f(pts))) < delta]
 
 
-def box_sup_full_grid(f, x0: float, x1: float, y0: float, y1: float, density: float = 60.0) -> float:
+def box_sup_full_grid(f, x0: float, x1: float, y0: float, y1: float) -> float:
     """Max of |f| on a closed box from f on its whole coarse grid, then the
     refined patch around the grid's first maximum."""
-    nx = max(9, int(density * (x1 - x0)) + 1)
-    ny = max(9, int(density * (y1 - y0)) + 1)
+    nx = max(9, int(lemmas.BOX_DENSITY * (x1 - x0)) + 1)
+    ny = max(9, int(lemmas.BOX_DENSITY * (y1 - y0)) + 1)
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
     z = xs[None, :] + 1j * ys[:, None]
@@ -680,7 +692,7 @@ def box_sup_full_grid(f, x0: float, x1: float, y0: float, y1: float, density: fl
     return max(best, float(np.max(np.abs(np.asarray(f(fz.ravel()))))))
 
 
-def doubling_ratio_full_grid(phi: ExpPoly, x_prime: float, k: int = 0) -> float:
+def doubling_ratio_full_grid(phi: ExpPoly, x_prime: float, k: int) -> float:
     """`lemmas.doubling_ratio` with both box suprema from the whole grid."""
     scale = (1.0 / len(phi.lambdas)) ** k
     poly = ExpPoly(tuple(lam * scale for lam in phi.lambdas), phi.coefficients,

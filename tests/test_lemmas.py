@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from favlab import baselines, ifs, lemmas, spectral, verify
-from favlab.errors import DeltaOutOfRange, FavlabError, PreconditionUnmet
+from favlab.errors import ContourThroughZero, DeltaOutOfRange, FavlabError, PreconditionUnmet
 from favlab.shadow import interval_union
 
 import oracles
@@ -81,6 +81,20 @@ def test_count_zeros_slope_form_vs_subdivision_oracle():
         assert len(inside) == len(expect)
 
 
+def test_zeros_in_rect_gives_a_polynomial_double_zero_twice():
+    zeros = lemmas.zeros_in_rect(lambda z: (np.asarray(z) - 0.3) ** 2, -1.0, 1.0, -1.0, 1.0)
+    assert len(zeros) == 2 and all(abs(z - 0.3) < 1e-6 for z in zeros)
+
+
+@pytest.mark.xfail(strict=True, raises=ContourThroughZero)
+def test_zeros_in_rect_localizes_the_double_zeros_of_a_squared_cosine():
+    # corner4 at pi/4 is 0.25 (e^{2.12iz} + e^{-2.12iz} + 2), a squared
+    # cosine with double zeros near +-1.48; every padded box fails to wind.
+    f = spectral.phi_theta_poly(ifs.preset("corner4"), math.pi / 4)
+    zeros = lemmas.zeros_in_rect(f, -1.5, 1.5, -1.5, 1.5)
+    assert len(zeros) == 4
+
+
 def test_blaschke_trivial_and_explicit():
     ones = lambda z: np.ones(np.shape(z), dtype=complex)
     rep = lemmas.blaschke_check(ones)
@@ -116,11 +130,17 @@ def test_cover_explicit_linear():
     assert rep.worst_margin <= 0.0
 
 
-def test_cover_vacuous_when_bounded_below():
-    rep = lemmas.small_value_cover_check(
-        lambda z: np.exp(0.5 * np.asarray(z)), 0.1
-    )
-    assert rep.zero_count == 0 and rep.small_samples == 0 and rep.worst_margin <= 0.0
+@pytest.mark.parametrize(
+    "f, zeros",
+    [(lambda z: np.exp(0.5 * np.asarray(z)), 0),
+     # The zero 0.45 lies in the half disc, outside the quarter disc.
+     (lambda z: 9 * (np.asarray(z) - 0.45), 1)],
+    ids=["no-zero", "zero-outside-quarter-disc"],
+)
+def test_cover_vacuous_when_bounded_below(f, zeros):
+    # verify.suite_cover reads worst_margin as is: -inf when no sample is small.
+    rep = lemmas.small_value_cover_check(f, 0.3)
+    assert rep.zero_count == zeros and rep.small_samples == 0 and rep.worst_margin == -math.inf
 
 
 def test_cover_randomized_sweep():
@@ -192,16 +212,6 @@ def test_cetsq_spaced_frequencies():
     assert ratio <= baselines.CETSQ_RATIO_CEILING
 
 
-def test_cetsq_delta_scaling():
-    # same geometry at delta=0.5 doubles the integration window and keeps the
-    # scaled ratio comparable
-    freqs = np.array([0.0, 7.0, 50.0])
-    _, s1, r1 = lemmas.cetsq_ratio(freqs, delta=1.0)
-    _, s2, r2 = lemmas.cetsq_ratio(freqs, delta=0.5)
-    assert s2 == pytest.approx(s1 / 2, abs=1e-12)
-    assert r2 <= baselines.CETSQ_RATIO_CEILING
-
-
 def test_cetsq_randomized_sweep_with_corollary():
     rep = verify.suite_cetsq(40, seed=5)
     assert rep["pass"], rep
@@ -211,24 +221,14 @@ def unsampled(*args, **kwargs):
     raise AssertionError("sampled before the input check")
 
 
-@pytest.mark.parametrize(
-    "freqs, delta, message",
-    [
-        ([1.0, 2.5], math.nan, "delta must be finite and positive"),
-        ([1.0, 2.5], math.inf, "delta must be finite and positive"),
-        ([1.0, 2.5], 0.0, "delta must be finite and positive"),
-        ([1.0, 2.5], -1.0, "delta must be finite and positive"),
-        ([math.nan], 1.0, "frequencies must be finite, and at least one"),
-        ([math.inf, 1.0], 1.0, "frequencies must be finite, and at least one"),
-        ([], 1.0, "frequencies must be finite, and at least one"),
-    ],
-)
-def test_cetsq_refuses_bad_input_before_any_sample(freqs, delta, message, monkeypatch):
+@pytest.mark.parametrize("freqs", [[math.nan], [math.inf, 1.0], []])
+def test_cetsq_refuses_bad_input_before_any_sample(freqs, monkeypatch):
     monkeypatch.setattr(lemmas, "simpson", unsampled)
+    message = "frequencies must be finite, and at least one"
     with pytest.raises(FavlabError, match=message):
-        lemmas.cetsq_ratio(freqs, delta=delta)
+        lemmas.cetsq_ratio(freqs)
     with pytest.raises(FavlabError, match=message):
-        lemmas.cetsq_bounds(freqs, None, delta)
+        lemmas.cetsq_bounds(freqs, None)
 
 
 def test_cetsq_refuses_coefficients_off_the_unit_circle_before_any_sample(monkeypatch):
@@ -236,7 +236,7 @@ def test_cetsq_refuses_coefficients_off_the_unit_circle_before_any_sample(monkey
     with pytest.raises(FavlabError, match="unimodular"):
         lemmas.cetsq_ratio([1.0, 2.5], [1.0, 0.5])
     with pytest.raises(FavlabError, match="unimodular"):
-        lemmas.cetsq_bounds([1.0, 2.5], [1.0, 0.5], 1.0)
+        lemmas.cetsq_bounds([1.0, 2.5], [1.0, 0.5])
 
 
 @pytest.mark.parametrize("coeffs", [[1.0], [1.0, 1.0, 1.0]])
@@ -246,7 +246,7 @@ def test_cetsq_refuses_a_coefficient_count_other_than_the_frequencies(coeffs, mo
     with pytest.raises(FavlabError, match=message):
         lemmas.cetsq_ratio([1.0, 2.0], coeffs)
     with pytest.raises(FavlabError, match=message):
-        lemmas.cetsq_bounds([1.0, 2.0], coeffs, 1.0)
+        lemmas.cetsq_bounds([1.0, 2.0], coeffs)
 
 
 def cetsq_bound_cases():
@@ -258,11 +258,10 @@ def cetsq_bound_cases():
     return cases + [([3.0], None), ([2.0] * 7, None), (np.arange(100) * 10.0, None)]
 
 
-@pytest.mark.parametrize("delta", [0.25, 1.0, 4.0])
-def test_cetsq_bounds_hold_the_simpson_lhs_with_room(delta):
+def test_cetsq_bounds_hold_the_simpson_lhs_with_room():
     for freqs, coeffs in cetsq_bound_cases():
-        lhs = lemmas.cetsq_ratio(freqs, coeffs, delta)[0]
-        lo, hi = lemmas.cetsq_bounds(freqs, coeffs, delta)
+        lhs = lemmas.cetsq_ratio(freqs, coeffs)[0]
+        lo, hi = lemmas.cetsq_bounds(freqs, coeffs)
         closed, band = (lo + hi) / 2, (hi - lo) / 2
         assert lo <= lhs <= hi
         assert 1000 * abs(lhs - closed) <= band
@@ -274,7 +273,7 @@ def test_cetsq_bounds_hold_the_lhs_past_one_radian_a_step(freqs):
     # Pairs with |a - b| h > 1, h = 1/20000, keep the integral and the
     # rule's error bound; 20000 pi puts sin(dh) at 0, where rho is not used.
     lhs = lemmas.cetsq_ratio(freqs)[0]
-    lo, hi = lemmas.cetsq_bounds(freqs, None, 1.0)
+    lo, hi = lemmas.cetsq_bounds(freqs, None)
     assert lo <= lhs <= hi
 
 
@@ -282,9 +281,9 @@ def counted_cetsq_ratio(monkeypatch) -> list:
     calls = []
     ratio = lemmas.cetsq_ratio
 
-    def counted(freqs, coeffs=None, delta=1.0):
+    def counted(freqs, coeffs=None):
         calls.append(np.asarray(freqs))
-        return ratio(freqs, coeffs, delta)
+        return ratio(freqs, coeffs)
 
     monkeypatch.setattr(lemmas, "cetsq_ratio", counted)
     return calls
@@ -305,8 +304,8 @@ def test_cetsq_overlapping_trials_run_simpson_and_keep_the_first_maximum(monkeyp
 def test_cetsq_trial_straddling_a_ceiling_runs_simpson(monkeypatch):
     low = (np.array([3.0, 40.0]), np.ones(2, dtype=complex))
     high = (np.array([10.0, 10.2, 10.4]), np.ones(3, dtype=complex))
-    lo, hi = lemmas.cetsq_bounds(*low, 1.0)
-    s = lemmas.box_l2_norm_sq(low[0], 1.0)
+    lo, hi = lemmas.cetsq_bounds(*low)
+    s = lemmas.box_l2_norm_sq(low[0])
     ceiling = (lo / s + hi / s) / 2
     monkeypatch.setattr(baselines, "CETSQ_RATIO_CEILING", ceiling)
     calls = counted_cetsq_ratio(monkeypatch)
@@ -318,9 +317,9 @@ def test_cetsq_trial_straddling_a_ceiling_runs_simpson(monkeypatch):
 def test_cetsq_degenerate_set_straddling_its_window_runs_simpson(monkeypatch):
     calls = counted_cetsq_ratio(monkeypatch)
     assert verify._near_half([3.0]) and calls == []
-    monkeypatch.setattr(lemmas, "cetsq_bounds", lambda freqs, coeffs, delta: (0.0, 10.0))
+    monkeypatch.setattr(lemmas, "cetsq_bounds", lambda freqs, coeffs: (0.0, 10.0))
     assert verify._near_half([3.0]) and len(calls) == 1
-    monkeypatch.setattr(lemmas, "cetsq_bounds", lambda freqs, coeffs, delta: (0.9, 0.9))
+    monkeypatch.setattr(lemmas, "cetsq_bounds", lambda freqs, coeffs: (0.9, 0.9))
     assert not verify._near_half([3.0]) and len(calls) == 1
 
 

@@ -25,7 +25,7 @@ CALLERS = (
     + sorted((ROOT / "tools").rglob("*.py"))
     + sorted((ROOT / "perfbench").glob("*.py"))
 )
-MAX_DEFAULTED_PARAMETERS = 26
+MAX_DEFAULTED_PARAMETERS = 21
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

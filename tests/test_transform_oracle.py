@@ -101,6 +101,18 @@ def test_cetsq_ratio_equals_the_full_matrix_integral():
     assert lemmas.cetsq_ratio(freqs, coeffs)[0] == want
 
 
+@pytest.mark.parametrize("delta", [0.25, 4.0])
+def test_cetsq_ratio_at_delta_one_holds_every_window(delta):
+    # ratio_delta(a) = ratio_1(a / delta): the paper's window [0, 1/delta]
+    # with boxes a +- delta is the fixed window at the scaled frequencies.
+    rng = np.random.Generator(np.random.Philox(33))
+    for _ in range(3):
+        freqs = verify._clustered_frequencies(rng)
+        coeffs = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, freqs.size))
+        want = oracles.cetsq_ratio_delta(freqs, coeffs, delta)
+        assert lemmas.cetsq_ratio(freqs / delta, coeffs)[2] == pytest.approx(want, rel=1e-10)
+
+
 def test_cetsq_ratio_peak_memory_stays_in_budget():
     # The full 20001 x 273 complex matrix alone is 87 MB; row blocks hold one
     # CETSQ_BLOCK x 273 buffer (4.5 MB).

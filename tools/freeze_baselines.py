@@ -20,7 +20,7 @@ def doubling_sweep():
     for t in np.linspace(0.0, 1.0, 100):
         for xp in np.linspace(1.0, 30.0, 100):
             for k in range(6):
-                r = lemmas.doubling_ratio(tf.poly(float(t)), float(xp), k=k, density=25.0)
+                r = lemmas.doubling_ratio(tf.poly(float(t)), float(xp), k=k)
                 worst = max(worst, r)
     print(f"doubling sweep max ratio: {worst!r}  ({time.time()-t0:.0f}s)")
     print("  -> DOUBLING_RATIO_CEILING = above * 1.10")
