@@ -212,6 +212,18 @@ def test_cetsq_spaced_frequencies():
     assert ratio <= baselines.CETSQ_RATIO_CEILING
 
 
+@pytest.mark.parametrize(
+    "freqs, s",
+    [([0.0, 7.0, 50.0], 6.0),  # disjoint boxes: measure 2 each
+     ([2.0] * 7, 98.0),  # one box of count 7: 7^2 * 2
+     ([0.0, 1.0], 6.0),  # 1 + 4 + 1: count 2 on the overlap [0, 1]
+     ([0.0, 0.5, 1.0], 14.0)],  # 0.5 + 2 + 9 + 2 + 0.5
+)
+def test_box_l2_norm_sq_is_the_l2_norm_of_the_box_count(freqs, s):
+    # S is the integral of (number of boxes a +- 1 holding u)^2.
+    assert lemmas.box_l2_norm_sq(np.array(freqs)) == s
+
+
 def test_cetsq_randomized_sweep_with_corollary():
     rep = verify.suite_cetsq(40, seed=5)
     assert rep["pass"], rep
